@@ -2,10 +2,18 @@
  * @file
  * Cache-line sized padding helpers.
  *
- * TM metadata that is written by many threads (orecs, thread gates,
- * per-thread counters) must live on private cache lines to avoid false
- * sharing; every hot shared word in this codebase goes through one of
+ * Hot words that many threads write (clocks, thread gates, per-thread
+ * counters, a shard's WAL ticket) live on private cache lines to avoid
+ * false sharing; every such word in this codebase goes through one of
  * these wrappers.
+ *
+ * Orecs are the deliberate exception: they pack 8 to a line, one per
+ * word of one data line (see tm/orec.hpp). A table of 64K orecs is
+ * then 8x denser (512 KiB instead of 4 MiB), so a lookup's metadata
+ * tends to stay in cache, and the false sharing this admits is rare:
+ * a writer locking one word's orec mostly invalidates a line whose
+ * data line it is writing anyway, and unrelated lines meet on an orec
+ * line only through a hash collision.
  */
 
 #ifndef PROTEUS_COMMON_CACHELINE_HPP

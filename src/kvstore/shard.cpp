@@ -133,19 +133,17 @@ Shard::probeScalar(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
     for (std::size_t step = 0; step < table.slots; ++step) {
         // The common probe is one or two slots long; when it runs
         // past that the chain is streaming — pull the next slot's
-        // state/key lines in early so the TM read barrier hits warm
-        // cache.
+        // record in early so the TM read barrier hits warm cache.
         const std::size_t next = (slot + 1) & table.mask;
-        PROTEUS_PREFETCH(&table.state[next]);
-        PROTEUS_PREFETCH(&table.keys[next]);
-        const std::uint64_t state = tx.readWord(&table.state[slot]);
+        PROTEUS_PREFETCH(&table.records[next]);
+        SlotRecord &rec = table.records[slot];
+        const std::uint64_t state = tx.readWord(&rec.state);
         if (state == kEmpty)
             return insert_at < table.slots ? insert_at : slot;
         if (PROTEUS_UNLIKELY(state == kTombstone)) {
             if (insert_at == table.slots)
                 insert_at = slot;
-        } else if (PROTEUS_LIKELY(tx.readWord(&table.keys[slot]) ==
-                                  key)) {
+        } else if (PROTEUS_LIKELY(tx.readWord(&rec.key) == key)) {
             // kFull/kFullRef/kPendingInsert all carry a valid key word.
             *found = true;
             return slot;
@@ -171,11 +169,12 @@ Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
     // slot walk (state word, then key word); only contended chains
     // pay for ctrl words.
     {
-        const std::uint64_t state = tx.readWord(&table.state[home]);
+        SlotRecord &rec = table.records[home];
+        const std::uint64_t state = tx.readWord(&rec.state);
         if (state == kEmpty)
             return home;
         if (state != kTombstone &&
-            PROTEUS_LIKELY(tx.readWord(&table.keys[home]) == key)) {
+            PROTEUS_LIKELY(tx.readWord(&rec.key) == key)) {
             *found = true;
             return home;
         }
@@ -218,14 +217,14 @@ Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
                 static_cast<unsigned>(std::countr_zero(cand));
             cand &= cand - 1;
             const std::size_t slot = base + lane;
-            const std::uint64_t state =
-                tx.readWord(&table.state[slot]);
+            SlotRecord &rec = table.records[slot];
+            const std::uint64_t state = tx.readWord(&rec.state);
             if (state == kEmpty)
                 return insert_at < table.slots ? insert_at : slot;
             if (state == kTombstone) {
                 if (insert_at == table.slots)
                     insert_at = slot;
-            } else if (tx.readWord(&table.keys[slot]) == key) {
+            } else if (tx.readWord(&rec.key) == key) {
                 *found = true;
                 return slot;
             } else {
@@ -247,18 +246,18 @@ Shard::resolveSlotLiveTx(polytm::Tx &tx, ShardTable &table,
     const auto expired = [](std::uint64_t deadline) {
         return deadline != 0 && deadline <= nowNanos();
     };
-    const std::uint64_t word = tx.readWord(&table.intents[slot]);
-    const std::uint64_t state = tx.readWord(&table.state[slot]);
+    SlotRecord &rec = table.records[slot];
+    const std::uint64_t word = tx.readWord(&rec.intent);
+    const std::uint64_t state = tx.readWord(&rec.state);
     if (PROTEUS_LIKELY(word == 0)) {
         if (!stateIsValue(state))
             return false;
-        const std::uint64_t deadline =
-            tx.readWord(&table.expiry[slot]);
+        const std::uint64_t deadline = tx.readWord(&rec.expiry);
         if (PROTEUS_UNLIKELY(expired(deadline)))
             return false; // lazy TTL: expired reads as absent
         if (out) {
             out->state = state;
-            out->value = tx.readWord(&table.values[slot]);
+            out->value = tx.readWord(&rec.value);
             out->expiry = deadline;
         }
         return true;
@@ -348,12 +347,12 @@ Shard::resolveSlotLiveTx(polytm::Tx &tx, ShardTable &table,
     // escapes.
     if (!stateIsValue(state))
         return false;
-    const std::uint64_t deadline = tx.readWord(&table.expiry[slot]);
+    const std::uint64_t deadline = tx.readWord(&rec.expiry);
     if (expired(deadline))
         return false;
     if (out) {
         out->state = state;
-        out->value = tx.readWord(&table.values[slot]);
+        out->value = tx.readWord(&rec.value);
         out->expiry = deadline;
     }
     return true;
@@ -402,24 +401,25 @@ Shard::resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
         std::this_thread::yield();
         status = read_payload(&new_state, &new_value, &new_expiry);
     }
+    SlotRecord &rec = table.records[slot];
     if (same_epoch(status) &&
         CommitRecord::stateOf(status) == CommitRecord::kCommitted) {
-        tx.writeWord(&table.state[slot], new_state);
+        tx.writeWord(&rec.state, new_state);
         if (stateIsValue(new_state)) {
-            tx.writeWord(&table.values[slot], new_value);
-            tx.writeWord(&table.expiry[slot], new_expiry);
+            tx.writeWord(&rec.value, new_value);
+            tx.writeWord(&rec.expiry, new_expiry);
         } else {
             ctrlSetTx(tx, table, slot, kCtrlTombstone);
         }
-    } else if (tx.readWord(&table.state[slot]) == kPendingInsert) {
+    } else if (tx.readWord(&rec.state) == kPendingInsert) {
         // Aborted (or recycled-underneath-us — then this transaction
         // fails validation on the changed intent word and the writes
         // roll back): tombstone, never back to empty — concurrent
         // probe chains may already run past this slot.
-        tx.writeWord(&table.state[slot], kTombstone);
+        tx.writeWord(&rec.state, kTombstone);
         ctrlSetTx(tx, table, slot, kCtrlTombstone);
     }
-    tx.writeWord(&table.intents[slot], 0);
+    tx.writeWord(&rec.intent, 0);
 }
 
 Shard::SlotRef
@@ -435,7 +435,7 @@ Shard::writeLookup(polytm::Tx &tx, CommitRecord *record,
         // returns whether the key is (still) logically present there.
         for (;;) {
             const std::uint64_t word =
-                tx.readWord(&table.intents[slot]);
+                tx.readWord(&table.records[slot].intent);
             if (word == 0)
                 break;
             WriteIntent *intent = intentOf(word);
@@ -449,7 +449,7 @@ Shard::writeLookup(polytm::Tx &tx, CommitRecord *record,
             }
             resolveForeignIntentTx(tx, table, slot, word);
         }
-        return stateIsValue(tx.readWord(&table.state[slot]));
+        return stateIsValue(tx.readWord(&table.records[slot].state));
     };
 
     bool in_live = false;
@@ -586,11 +586,12 @@ Shard::snapshotGetBytesTx(polytm::Tx &tx, std::uint64_t key,
 SlotImage
 Shard::slotImageTx(polytm::Tx &tx, ShardTable &table, std::size_t slot)
 {
+    SlotRecord &rec = table.records[slot];
     SlotImage image;
-    image.state = tx.readWord(&table.state[slot]);
+    image.state = tx.readWord(&rec.state);
     if (stateIsValue(image.state)) {
-        image.value = tx.readWord(&table.values[slot]);
-        image.expiry = tx.readWord(&table.expiry[slot]);
+        image.value = tx.readWord(&rec.value);
+        image.expiry = tx.readWord(&rec.expiry);
     }
     return image;
 }
@@ -646,18 +647,19 @@ Shard::putSlotTx(polytm::Tx &tx, std::uint64_t key,
     const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
     if (pre)
         *pre = image;
+    SlotRecord &rec = ref.table->records[ref.slot];
     if (found) {
         if (reclaim && image.state == kFullRef)
             reclaim->push_back(image.value);
-        tx.writeWord(&ref.table->state[ref.slot], new_state);
-        tx.writeWord(&ref.table->values[ref.slot], value);
-        tx.writeWord(&ref.table->expiry[ref.slot], expiry);
+        tx.writeWord(&rec.state, new_state);
+        tx.writeWord(&rec.value, value);
+        tx.writeWord(&rec.expiry, expiry);
         return true;
     }
-    tx.writeWord(&ref.table->state[ref.slot], new_state);
-    tx.writeWord(&ref.table->keys[ref.slot], key);
-    tx.writeWord(&ref.table->values[ref.slot], value);
-    tx.writeWord(&ref.table->expiry[ref.slot], expiry);
+    tx.writeWord(&rec.state, new_state);
+    tx.writeWord(&rec.key, key);
+    tx.writeWord(&rec.value, value);
+    tx.writeWord(&rec.expiry, expiry);
     ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     return true;
 }
@@ -694,7 +696,7 @@ Shard::delTx(polytm::Tx &tx, std::uint64_t key, SlotImage *pre,
         *pre = image;
     if (reclaim && image.state == kFullRef)
         reclaim->push_back(image.value);
-    tx.writeWord(&ref.table->state[ref.slot], kTombstone);
+    tx.writeWord(&ref.table->records[ref.slot].state, kTombstone);
     ctrlSetTx(tx, *ref.table, ref.slot, kCtrlTombstone);
     // Expired entries are already logically absent: reclaim the slot
     // but report the delete as a miss.
@@ -719,6 +721,7 @@ Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
     const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
     if (pre)
         *pre = image;
+    SlotRecord &rec = ref.table->records[ref.slot];
     const bool live_value =
         found && (image.expiry == 0 || image.expiry > nowNanos());
     if (live_value) {
@@ -733,10 +736,9 @@ Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
         }
         if (reclaim && image.state == kFullRef)
             reclaim->push_back(image.value); // coerced to numeric
-        tx.writeWord(&ref.table->state[ref.slot], kFull);
-        tx.writeWord(&ref.table->values[ref.slot],
-                     current + unsigned_delta);
-        tx.writeWord(&ref.table->expiry[ref.slot], image.expiry);
+        tx.writeWord(&rec.state, kFull);
+        tx.writeWord(&rec.value, current + unsigned_delta);
+        tx.writeWord(&rec.expiry, image.expiry);
         if (post)
             *post = SlotImage{kFull, current + unsigned_delta,
                               image.expiry};
@@ -746,17 +748,17 @@ Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
         // Expired slot: recreate in place at delta with no TTL.
         if (reclaim && image.state == kFullRef)
             reclaim->push_back(image.value);
-        tx.writeWord(&ref.table->state[ref.slot], kFull);
-        tx.writeWord(&ref.table->values[ref.slot], unsigned_delta);
-        tx.writeWord(&ref.table->expiry[ref.slot], 0);
+        tx.writeWord(&rec.state, kFull);
+        tx.writeWord(&rec.value, unsigned_delta);
+        tx.writeWord(&rec.expiry, 0);
         if (post)
             *post = SlotImage{kFull, unsigned_delta, 0};
         return true;
     }
-    tx.writeWord(&ref.table->state[ref.slot], kFull);
-    tx.writeWord(&ref.table->keys[ref.slot], key);
-    tx.writeWord(&ref.table->values[ref.slot], unsigned_delta);
-    tx.writeWord(&ref.table->expiry[ref.slot], 0);
+    tx.writeWord(&rec.state, kFull);
+    tx.writeWord(&rec.key, key);
+    tx.writeWord(&rec.value, unsigned_delta);
+    tx.writeWord(&rec.expiry, 0);
     ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     if (post)
         *post = SlotImage{kFull, unsigned_delta, 0};
@@ -771,17 +773,18 @@ Shard::restoreTx(polytm::Tx &tx, std::uint64_t key, const SlotImage &pre)
     if (stateIsValue(pre.state)) {
         if (ref.slot == ref.table->slots)
             return; // cannot happen: the failed attempt freed the slot
+        SlotRecord &rec = ref.table->records[ref.slot];
         if (!found)
-            tx.writeWord(&ref.table->keys[ref.slot], key);
-        tx.writeWord(&ref.table->state[ref.slot], pre.state);
-        tx.writeWord(&ref.table->values[ref.slot], pre.value);
-        tx.writeWord(&ref.table->expiry[ref.slot], pre.expiry);
+            tx.writeWord(&rec.key, key);
+        tx.writeWord(&rec.state, pre.state);
+        tx.writeWord(&rec.value, pre.value);
+        tx.writeWord(&rec.expiry, pre.expiry);
         ctrlSetTx(tx, *ref.table, ref.slot,
                   ctrlFingerprint(keyHash(key)));
         return;
     }
     if (found) {
-        tx.writeWord(&ref.table->state[ref.slot], kTombstone);
+        tx.writeWord(&ref.table->records[ref.slot].state, kTombstone);
         ctrlSetTx(tx, *ref.table, ref.slot, kCtrlTombstone);
     }
 }
@@ -808,7 +811,7 @@ Shard::installIntent(polytm::Tx &tx, CommitRecord *record,
     // current epoch so resolvers can reject recycled generations.
     const std::uint64_t epoch = CommitRecord::epochOf(
         record->status.load(std::memory_order_relaxed));
-    tx.writeWord(&table.intents[slot],
+    tx.writeWord(&table.records[slot].intent,
                  packIntentWord(intent, epoch & 0xffff));
     out.push_back(intent);
     return intent;
@@ -860,10 +863,10 @@ Shard::preparePutTx(polytm::Tx &tx, CommitRecord *record,
         *applied = false;
         return false; // full: caller grows (or aborts when capped)
     }
-    const bool reused_tombstone =
-        tx.readWord(&ref.table->state[ref.slot]) == kTombstone;
-    tx.writeWord(&ref.table->state[ref.slot], kPendingInsert);
-    tx.writeWord(&ref.table->keys[ref.slot], key);
+    SlotRecord &rec = ref.table->records[ref.slot];
+    const bool reused_tombstone = tx.readWord(&rec.state) == kTombstone;
+    tx.writeWord(&rec.state, kPendingInsert);
+    tx.writeWord(&rec.key, key);
     ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     installIntent(tx, record, arena, out, *ref.table, ref.slot,
                   new_state, value, expiry)
@@ -989,10 +992,10 @@ Shard::prepareAddTx(polytm::Tx &tx, CommitRecord *record,
         *applied = false;
         return false; // full: caller grows (or aborts when capped)
     }
-    const bool reused_tombstone =
-        tx.readWord(&ref.table->state[ref.slot]) == kTombstone;
-    tx.writeWord(&ref.table->state[ref.slot], kPendingInsert);
-    tx.writeWord(&ref.table->keys[ref.slot], key);
+    SlotRecord &rec = ref.table->records[ref.slot];
+    const bool reused_tombstone = tx.readWord(&rec.state) == kTombstone;
+    tx.writeWord(&rec.state, kPendingInsert);
+    tx.writeWord(&rec.key, key);
     ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     installIntent(tx, record, arena, out, *ref.table, ref.slot, kFull,
                   unsigned_delta, 0)
@@ -1087,23 +1090,24 @@ Shard::finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
 {
     ShardTable &table = *intent->table;
     const std::size_t slot = static_cast<std::size_t>(intent->slot);
-    const std::uint64_t word = tx.readWord(&table.intents[slot]);
+    SlotRecord &rec = table.records[slot];
+    const std::uint64_t word = tx.readWord(&rec.intent);
     if (intentOf(word) != intent)
         return false; // a helping writer already folded it
-    const std::uint64_t pre_state = tx.readWord(&table.state[slot]);
+    const std::uint64_t pre_state = tx.readWord(&rec.state);
     const bool was_pending_insert = pre_state == kPendingInsert;
     const std::uint64_t new_state =
         intent->newState.load(std::memory_order_relaxed);
-    tx.writeWord(&table.state[slot], new_state);
+    tx.writeWord(&rec.state, new_state);
     if (stateIsValue(new_state)) {
-        tx.writeWord(&table.values[slot],
+        tx.writeWord(&rec.value,
                      intent->newValue.load(std::memory_order_relaxed));
-        tx.writeWord(&table.expiry[slot],
+        tx.writeWord(&rec.expiry,
                      intent->newExpiry.load(std::memory_order_relaxed));
     } else {
         ctrlSetTx(tx, table, slot, kCtrlTombstone);
     }
-    tx.writeWord(&table.intents[slot], 0);
+    tx.writeWord(&rec.intent, 0);
     if (tombstone_delta) {
         if (new_state == kTombstone && stateIsValue(pre_state))
             ++*tombstone_delta; // committed delete of a value slot
@@ -1121,14 +1125,15 @@ Shard::abortIntentTx(polytm::Tx &tx, WriteIntent *intent)
 {
     ShardTable &table = *intent->table;
     const std::size_t slot = static_cast<std::size_t>(intent->slot);
-    const std::uint64_t word = tx.readWord(&table.intents[slot]);
+    SlotRecord &rec = table.records[slot];
+    const std::uint64_t word = tx.readWord(&rec.intent);
     if (intentOf(word) != intent)
         return; // a helping writer already discarded it
-    if (tx.readWord(&table.state[slot]) == kPendingInsert) {
-        tx.writeWord(&table.state[slot], kTombstone);
+    if (tx.readWord(&rec.state) == kPendingInsert) {
+        tx.writeWord(&rec.state, kTombstone);
         ctrlSetTx(tx, table, slot, kCtrlTombstone);
     }
-    tx.writeWord(&table.intents[slot], 0);
+    tx.writeWord(&rec.intent, 0);
 }
 
 bool
@@ -1253,7 +1258,8 @@ Shard::scanTx(polytm::Tx &tx, std::uint64_t start_key, std::size_t limit,
             if (!numericValueTx(tx, table, slot, live, &word, view))
                 return false;
             if (out)
-                out->emplace_back(tx.readWord(&table.keys[slot]), word);
+                out->emplace_back(tx.readWord(&table.records[slot].key),
+                                  word);
             return true;
         });
 }
@@ -1270,7 +1276,7 @@ Shard::scanEntriesTx(polytm::Tx &tx, std::uint64_t start_key,
         [&](ShardTable &table, std::size_t slot,
             const LiveValue &live) {
             ScanEntry entry;
-            entry.key = tx.readWord(&table.keys[slot]);
+            entry.key = tx.readWord(&table.records[slot].key);
             if (!bytesValueTx(tx, table, slot, live, &entry.bytes,
                               view, /*pinned=*/true))
                 return false;
@@ -1517,27 +1523,24 @@ Shard::migrateChunk(polytm::ThreadToken &token)
             return; // migration already finished under us
         ShardTable &live = *cur->live;
         const auto migrate_slot = [&](std::size_t slot) -> bool {
-            const std::uint64_t word =
-                tx.readWord(&old->intents[slot]);
+            SlotRecord &src = old->records[slot];
+            const std::uint64_t word = tx.readWord(&src.intent);
             if (word != 0)
                 resolveForeignIntentTx(tx, *old, slot, word);
-            const std::uint64_t state =
-                tx.readWord(&old->state[slot]);
+            const std::uint64_t state = tx.readWord(&src.state);
             if (!stateIsValue(state))
                 return true;
-            const std::uint64_t value =
-                tx.readWord(&old->values[slot]);
-            const std::uint64_t deadline =
-                tx.readWord(&old->expiry[slot]);
+            const std::uint64_t value = tx.readWord(&src.value);
+            const std::uint64_t deadline = tx.readWord(&src.expiry);
             if (deadline != 0 && deadline <= nowNanos()) {
                 // Expired: drop instead of moving.
-                tx.writeWord(&old->state[slot], kTombstone);
+                tx.writeWord(&src.state, kTombstone);
                 ctrlSetTx(tx, *old, slot, kCtrlTombstone);
                 if (state == kFullRef)
                     reclaim.push_back(value);
                 return true;
             }
-            const std::uint64_t key = tx.readWord(&old->keys[slot]);
+            const std::uint64_t key = tx.readWord(&src.key);
             bool found = false;
             const std::size_t dst = probe(tx, live, key, &found);
             if (found) {
@@ -1545,7 +1548,7 @@ Shard::migrateChunk(polytm::ThreadToken &token)
                 // two claimers re-process overlapping ranges: the
                 // live copy is the relocated (or newer) one — drop
                 // the old-table copy.
-                tx.writeWord(&old->state[slot], kTombstone);
+                tx.writeWord(&src.state, kTombstone);
                 ctrlSetTx(tx, *old, slot, kCtrlTombstone);
                 if (state == kFullRef)
                     reclaim.push_back(value);
@@ -1558,14 +1561,15 @@ Shard::migrateChunk(polytm::ThreadToken &token)
                 stalled = true;
                 return false;
             }
-            if (tx.readWord(&live.state[dst]) == kEmpty)
+            SlotRecord &to = live.records[dst];
+            if (tx.readWord(&to.state) == kEmpty)
                 ++consumed_live;
-            tx.writeWord(&live.state[dst], state);
-            tx.writeWord(&live.keys[dst], key);
-            tx.writeWord(&live.values[dst], value);
-            tx.writeWord(&live.expiry[dst], deadline);
+            tx.writeWord(&to.state, state);
+            tx.writeWord(&to.key, key);
+            tx.writeWord(&to.value, value);
+            tx.writeWord(&to.expiry, deadline);
             ctrlSetTx(tx, live, dst, ctrlFingerprint(keyHash(key)));
-            tx.writeWord(&old->state[slot], kTombstone);
+            tx.writeWord(&src.state, kTombstone);
             ctrlSetTx(tx, *old, slot, kCtrlTombstone);
             return true;
         };
@@ -1683,7 +1687,7 @@ Shard::recountTombstonesLocked(polytm::ThreadToken &token,
                     const auto byte = static_cast<std::uint8_t>(
                         bytes >> (8 * lane));
                     const std::uint64_t state =
-                        tx.readWord(&live.state[slot]);
+                        tx.readWord(&live.records[slot].state);
                     const bool ok =
                         state == kEmpty
                             ? byte == kCtrlEmpty
@@ -1692,7 +1696,7 @@ Shard::recountTombstonesLocked(polytm::ThreadToken &token,
                                   : byte ==
                                         ctrlFingerprint(keyHash(
                                             tx.readWord(
-                                                &live.keys[slot])));
+                                                &live.records[slot].key)));
                     if (!ok)
                         std::abort(); // ctrl/state desync
                 }
@@ -1725,17 +1729,17 @@ Shard::sweepChunk(polytm::ThreadToken &token)
         const auto sweep_slot = [&](std::size_t slot) {
             // Slots under an intent belong to an in-flight commit;
             // leave them to their owner.
-            if (tx.readWord(&live.intents[slot]) != 0)
+            SlotRecord &rec = live.records[slot];
+            if (tx.readWord(&rec.intent) != 0)
                 return;
-            const std::uint64_t state = tx.readWord(&live.state[slot]);
+            const std::uint64_t state = tx.readWord(&rec.state);
             if (!stateIsValue(state))
                 return;
-            const std::uint64_t deadline =
-                tx.readWord(&live.expiry[slot]);
+            const std::uint64_t deadline = tx.readWord(&rec.expiry);
             if (deadline != 0 && deadline <= nowNanos()) {
                 if (state == kFullRef)
-                    reclaim.push_back(tx.readWord(&live.values[slot]));
-                tx.writeWord(&live.state[slot], kTombstone);
+                    reclaim.push_back(tx.readWord(&rec.value));
+                tx.writeWord(&rec.state, kTombstone);
                 ctrlSetTx(tx, live, slot, kCtrlTombstone);
                 ++expired_count;
             }
@@ -1834,9 +1838,9 @@ Shard::sizeQuiesced() const
         std::size_t n = 0;
         if (!table)
             return n;
-        for (std::size_t slot = 0; slot < table->slots; ++slot) {
-            if (stateIsValue(table->state[slot]) &&
-                (table->expiry[slot] == 0 || table->expiry[slot] > now))
+        for (const SlotRecord &rec : table->records) {
+            if (stateIsValue(rec.state) &&
+                (rec.expiry == 0 || rec.expiry > now))
                 ++n;
         }
         return n;
@@ -1853,10 +1857,10 @@ Shard::findSlotQuiesced(std::uint64_t key) const
     const ShardTable &table = *ep->live;
     std::size_t slot = homeSlot(table, key);
     for (std::size_t step = 0; step < table.slots; ++step) {
-        const std::uint64_t state = table.state[slot];
-        if (state == kEmpty)
+        const SlotRecord &rec = table.records[slot];
+        if (rec.state == kEmpty)
             return table.slots;
-        if (state != kTombstone && table.keys[slot] == key)
+        if (rec.state != kTombstone && rec.key == key)
             return slot;
         slot = (slot + 1) & table.mask;
     }
@@ -1925,7 +1929,7 @@ Shard::checkpointChunk(polytm::ThreadToken &token,
             std::min(table.slots, cursor->slot + chunk_slots);
         for (std::size_t slot = cursor->slot; slot < end; ++slot) {
             const std::uint64_t state =
-                tx.readWord(&table.state[slot]);
+                tx.readWord(&table.records[slot].state);
             if (state != kFull && state != kFullRef &&
                 state != kPendingInsert)
                 continue;
@@ -1933,7 +1937,7 @@ Shard::checkpointChunk(polytm::ThreadToken &token,
             if (!resolveSlotLiveTx(tx, table, slot, &live, view))
                 continue; // logically absent (expired / aborted)
             CheckpointEntry entry;
-            entry.key = tx.readWord(&table.keys[slot]);
+            entry.key = tx.readWord(&table.records[slot].key);
             entry.expiry = live.expiry;
             if (live.state == kFull) {
                 entry.value = live.value;

@@ -4,13 +4,18 @@
  * every operation runs as a transaction on the shard's private PolyTM
  * instance.
  *
- * Layout: a shard owns a chain of ShardTables (five parallel word
- * arrays each: state / key / value / expiry / intent, linear probing
- * with tombstones) plus a ValueArena for wide values. All slot words
- * are accessed only through Tx::readWord/writeWord, so any mix of
- * backends (STM, emulated HTM, hybrid, global lock) serializes
- * get/put/del/scan correctly — and the shard can be re-tuned live by
- * a per-shard ProteusRuntime without pausing the service.
+ * Layout: a shard owns a chain of ShardTables plus a ValueArena for
+ * wide values. A table is one array of 40-byte slot records (state /
+ * key / value / expiry / intent words side by side, linear probing
+ * with tombstones) and a packed array of control bytes. A home-slot
+ * lookup reads only its record's words, so it touches one or two data
+ * lines, and with the TM's line-local orecs (tm/orec.hpp) one or two
+ * orec lines: about 3 cold lines instead of one line per word array
+ * and per orec. All slot words are accessed only through
+ * Tx::readWord/writeWord, so any mix of backends (STM, emulated HTM,
+ * hybrid, global lock) serializes get/put/del/scan correctly — and
+ * the shard can be re-tuned live by a per-shard ProteusRuntime
+ * without pausing the service.
  *
  * Online resize. Which tables exist is itself transactional state: a
  * TM-visible epoch word holds a pointer to an immutable TableEpoch
@@ -113,7 +118,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/cacheline.hpp"
 #include "common/epoch.hpp"
+#include "common/line_array.hpp"
 #include "common/simd.hpp"
 #include "kvstore/commit_record.hpp"
 #include "kvstore/value_arena.hpp"
@@ -228,28 +235,39 @@ ctrlFingerprint(std::uint64_t hash)
     return static_cast<std::uint8_t>(hash >> 57);
 }
 
+/**
+ * One slot's TM-visible words, adjacent so that a lookup's reads share
+ * one or two cache lines (and, with line-local orecs, one or two orec
+ * lines). Not padded: 40 B plus the ctrl byte is the whole per-slot
+ * footprint.
+ */
+struct SlotRecord
+{
+    std::uint64_t state;
+    std::uint64_t key;
+    std::uint64_t value;
+    /** Absolute nowNanos() deadline; 0 = no TTL. */
+    std::uint64_t expiry;
+    /** 0 or a WriteIntent* of an in-flight cross-shard commit. */
+    std::uint64_t intent;
+};
+static_assert(sizeof(SlotRecord) == 40, "slot records are 5 words");
+
 /** One table generation (see the resize notes in the file comment). */
 struct ShardTable
 {
     explicit ShardTable(std::size_t slot_count)
-        : slots(slot_count), mask(slot_count - 1),
-          state(slot_count, kEmpty), keys(slot_count, 0),
-          values(slot_count, 0), expiry(slot_count, 0),
-          intents(slot_count, 0),
+        : slots(slot_count), mask(slot_count - 1), records(slot_count),
           ctrl((slot_count + 7) / 8, kCtrlEmptyWord)
     {}
 
     const std::size_t slots;
     const std::size_t mask;
-    std::vector<std::uint64_t> state;
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> values;
-    /** Absolute nowNanos() deadline; 0 = no TTL. */
-    std::vector<std::uint64_t> expiry;
-    /** 0 or a WriteIntent* of an in-flight cross-shard commit. */
-    std::vector<std::uint64_t> intents;
+    /** Zero-initialised: every slot starts kEmpty with no intent. */
+    LineArray<SlotRecord> records;
     /** Control-byte filter, 8 slots per TM-visible word (slot s is
-     *  byte s&7 of word s>>3); see the file comment. */
+     *  byte s&7 of word s>>3); see the file comment. Separate from the
+     *  records because the 16-lane group scan needs contiguous bytes. */
     std::vector<std::uint64_t> ctrl;
 
     /** Heuristic non-kEmpty slot count (grow trigger; drift is ok). */
@@ -629,14 +647,14 @@ class Shard
     std::uint64_t
     walTicketTx(polytm::Tx &tx)
     {
-        const std::uint64_t next = tx.readWord(&walTicketWord_) + 1;
-        tx.writeWord(&walTicketWord_, next);
+        const std::uint64_t next = tx.readWord(&*walTicketWord_) + 1;
+        tx.writeWord(&*walTicketWord_, next);
         return next;
     }
 
     /** Quiesced-only: seed the ticket after recovery replay. */
-    void setWalTicketQuiesced(std::uint64_t v) { walTicketWord_ = v; }
-    std::uint64_t walTicketQuiesced() const { return walTicketWord_; }
+    void setWalTicketQuiesced(std::uint64_t v) { *walTicketWord_ = v; }
+    std::uint64_t walTicketQuiesced() const { return *walTicketWord_; }
 
     /** One checkpoint-walk step's outcome. */
     enum class CkptStep
@@ -772,7 +790,7 @@ class Shard
                     cand &= cand - 1;
                     const std::size_t slot = (word << 3) + lane;
                     const std::uint64_t state =
-                        tx.readWord(&table.state[slot]);
+                        tx.readWord(&table.records[slot].state);
                     if (state == kFull || state == kFullRef ||
                         state == kPendingInsert) {
                         LiveValue live;
@@ -894,8 +912,11 @@ class Shard
     alignas(8) std::uint64_t epochWord_ = 0;
 
     /** TM-visible WAL ticket (see walTicketTx). Only touched when the
-     *  owning KvStore runs durable, so non-durable stores pay nothing. */
-    alignas(8) std::uint64_t walTicketWord_ = 0;
+     *  owning KvStore runs durable, so non-durable stores pay nothing.
+     *  On its own line: every durable write stores it, and sharing
+     *  epochWord_'s line (and so its orec line) would invalidate that
+     *  line in every reader. */
+    Padded<std::uint64_t> walTicketWord_;
 
     /** Non-transactional mirror for heuristics and quiesced readers;
      *  correctness always goes through epochWord_. */

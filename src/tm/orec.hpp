@@ -18,9 +18,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/cacheline.hpp"
+#include "common/line_array.hpp"
 
 namespace proteus::tm {
 
@@ -48,8 +48,11 @@ struct OrecWord
     bool operator==(const OrecWord &other) const = default;
 };
 
-/** One versioned lock, alone on a cache line. */
-struct alignas(kCacheLineSize) Orec
+/**
+ * One versioned lock: a single unpadded word. Orecs sit 8 to a cache
+ * line (see OrecTable for which words share one).
+ */
+struct Orec
 {
     std::atomic<std::uint64_t> word{0};
 
@@ -82,13 +85,21 @@ struct alignas(kCacheLineSize) Orec
         word.store(prev.raw, std::memory_order_release);
     }
 };
+static_assert(sizeof(Orec) == 8, "orecs pack 8 per cache line");
 
 /**
- * Fixed-size hash table of orecs indexed by address.
+ * Fixed-size hash table of orecs indexed by address, one orec per
+ * word.
  *
- * The stripe count is a power of two; addresses map to stripes at
- * word granularity with a multiplicative hash, like TinySTM's
- * lock array.
+ * The stripe count is a power of two. The hash is line-local: a
+ * multiplicative hash (like TinySTM's lock array) of the 64-byte line
+ * address picks an orec line, and the word's index within its line
+ * (address bits 3-5) is the orec's index within that line. The 8 words
+ * of one data line therefore own the 8 orecs of one orec line, so a
+ * transaction touching a line's words pays one metadata line for them,
+ * not one per word. Conflict granularity stays one word: two words
+ * alias no more often than in a word-hashed table of the same size
+ * (the words of one line never do).
  */
 class OrecTable
 {
@@ -106,9 +117,11 @@ class OrecTable
 
     std::size_t indexOf(const void *addr) const
     {
-        auto bits = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-        bits *= 0x9e3779b97f4a7c15ull;
-        return static_cast<std::size_t>(bits >> 24) & mask_;
+        const auto bits = reinterpret_cast<std::uintptr_t>(addr);
+        const std::uint64_t line = (bits >> 6) * 0x9e3779b97f4a7c15ull;
+        const std::size_t word_in_line = (bits >> 3) & 7;
+        return (static_cast<std::size_t>(line >> 24) << 3 | word_in_line) &
+               mask_;
     }
 
     std::size_t size() const { return orecs_.size(); }
@@ -123,7 +136,8 @@ class OrecTable
 
   private:
     std::size_t mask_;
-    std::vector<Orec> orecs_;
+    /** Line-aligned, so orecs [8k, 8k+8) share one cache line. */
+    LineArray<Orec> orecs_;
 };
 
 /** Global version clock shared by the timestamp-based STMs. */
