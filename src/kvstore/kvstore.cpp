@@ -38,18 +38,6 @@ struct TableFullError
 {
 };
 
-/** Restore logical pre-images [begin, end) from the compensation log,
- *  newest first, inside `tx`. Shared by the in-transaction revert on
- *  irrevocable backends and the latch-mode cross-shard unwind. */
-void
-restoreUndoRangeTx(Shard &shard, polytm::Tx &tx,
-                   const std::vector<KvStore::Session::Undo> &undo,
-                   std::size_t begin, std::size_t end)
-{
-    for (std::size_t k = end; k-- > begin;)
-        shard.restoreTx(tx, undo[k].key, undo[k].pre);
-}
-
 } // namespace
 
 const char *
@@ -78,8 +66,7 @@ kvStatusName(KvStatus s)
 }
 
 KvStore::KvStore(KvStoreOptions options)
-    : options_(options), commitMode_(options.commitMode),
-      recorder_(options.telemetry),
+    : options_(options), recorder_(options.telemetry),
       snapRounds_(metrics_.counter("snapshot_rounds")),
       snapRetries_(metrics_.counter("snapshot_retries")),
       snapEscalations_(metrics_.counter("snapshot_escalations")),
@@ -114,10 +101,6 @@ KvStore::KvStore(KvStoreOptions options)
         if (options.walDir.empty())
             throw std::invalid_argument(
                 "KvStore: durability requires a walDir");
-        if (options.commitMode == CommitMode::kLatch)
-            throw std::invalid_argument(
-                "KvStore: durability requires commitMode kTwoPhase "
-                "(latch mode logs no 2PC outcome records)");
         if (options.walFlushBytes == 0)
             throw std::invalid_argument(
                 "KvStore: walFlushBytes of 0 would make every group "
@@ -127,7 +110,6 @@ KvStore::KvStore(KvStoreOptions options)
                 "KvStore: checkpointChunkSlots must be >= 1");
     }
     shards_.reserve(static_cast<std::size_t>(options.numShards));
-    latches_.reserve(static_cast<std::size_t>(options.numShards));
     shardSeqs_ = std::make_unique<PaddedAtomicU64[]>(
         static_cast<std::size_t>(options.numShards));
     for (int s = 0; s < options.numShards; ++s) {
@@ -137,10 +119,9 @@ KvStore::KvStore(KvStoreOptions options)
         shard_options.growLoadPercent = options.growLoadPercent;
         shard_options.initial = options.initial;
         shard_options.recorder = &recorder_;
-        shard_options.commitSeq = &commitSeq_;
+        shard_options.commitSeq = &commitSeq_.value;
         shard_options.shardIndex = s;
         shards_.push_back(std::make_unique<Shard>(shard_options));
-        latches_.push_back(std::make_unique<std::shared_mutex>());
     }
 
     // Bridge the pre-existing stats planes into the registry so one
@@ -266,7 +247,7 @@ KvStore::KvStore(KvStoreOptions options)
         // seed the store-wide sequences past everything recovered.
         const recovery::RecoveryStats stats =
             recovery::recover(options_.walDir, shards_, &recorder_);
-        commitSeq_.store(stats.maxCommitSeq, std::memory_order_relaxed);
+        commitSeq_->store(stats.maxCommitSeq, std::memory_order_relaxed);
         walTxnId_.store(stats.maxTxnId, std::memory_order_relaxed);
         for (std::size_t s = 0; s < shards_.size(); ++s)
             shardSeqs_[s].value.store(stats.maxCommitSeq,
@@ -401,7 +382,7 @@ KvStore::get(Session &session, std::uint64_t key, std::uint64_t *value)
 {
     const std::size_t s = shardOf(key);
     bool ok = false;
-    runOnShard(session, s, [&](polytm::Tx &tx) {
+    shards_[s]->poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
         ok = shards_[s]->getTx(tx, key, value);
     });
     return ok;
@@ -412,7 +393,7 @@ KvStore::getBytes(Session &session, std::uint64_t key, std::string *out)
 {
     const std::size_t s = shardOf(key);
     bool ok = false;
-    runOnShard(session, s, [&](polytm::Tx &tx) {
+    shards_[s]->poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
         // Pin per attempt: the reader-epoch section lets the blob
         // copy-out skip the seqlock re-check, and it must never be
         // held across a gate park (the body runs post-admission).
@@ -442,7 +423,7 @@ KvStore::put(Session &session, std::uint64_t key, std::uint64_t value,
         bool ok = false;
         SlotImage pre;
         std::uint64_t lsn = 0;
-        runOnShard(session, s, [&](polytm::Tx &tx) {
+        shard.poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
             reclaim.clear(); // retried attempts restart
             ok = shard.putTx(tx, key, value, expiry, &pre, &reclaim);
             if (ok && durable())
@@ -492,7 +473,7 @@ KvStore::putBytes(Session &session, std::uint64_t key, const void *data,
         bool ok = false;
         SlotImage pre;
         std::uint64_t lsn = 0;
-        runOnShard(session, s, [&](polytm::Tx &tx) {
+        shard.poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
             reclaim.clear();
             ok = shard.putRefTx(tx, key, ref, expiry, &pre, &reclaim);
             if (ok && durable())
@@ -530,7 +511,7 @@ KvStore::del(Session &session, std::uint64_t key)
     SlotImage pre;
     std::vector<std::uint64_t> reclaim;
     std::uint64_t lsn = 0;
-    runOnShard(session, s, [&](polytm::Tx &tx) {
+    shard.poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
         reclaim.clear();
         ok = shard.delTx(tx, key, &pre, &reclaim);
         if (durable())
@@ -609,9 +590,9 @@ tombstoneEffect(KvOp::Kind kind, bool applied, const SlotImage &pre)
  * minted/reused (the compaction heuristic); `reclaim` collects
  * displaced blob handles — all restart with the attempt.
  */
-/** Append `op`'s post-image to `wal_ops` (nullptr → store not durable
- *  or capture disabled for this path). kAdd logs its computed result
- *  as a plain put, so replay never re-adds. */
+/** Append `op`'s post-image to `wal_ops` (nullptr → store not
+ *  durable). kAdd logs its computed result as a plain put, so replay
+ *  never re-adds. */
 void
 captureWalOp(std::vector<wal::WalOp> *wal_ops, const KvOp &op,
              std::uint64_t expiry, const SlotImage &post)
@@ -650,7 +631,7 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
              const TaggedOp *end, bool &space_ok,
              std::size_t &consumed_empty, std::int64_t &tombstone_delta,
              std::vector<std::uint64_t> &reclaim,
-             std::vector<wal::WalOp> *wal_ops = nullptr)
+             std::vector<wal::WalOp> *wal_ops)
 {
     space_ok = true; // retried attempts restart the accumulation
     consumed_empty = 0;
@@ -704,31 +685,32 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
 }
 
 /**
- * Writing multiOp slice with all-or-nothing semantics (latch mode and
- * the single-shard fast path): like applyOpsInTx but records a
- * pre-image per write into the compensation log and raises
- * TableFullError instead of committing a shard-local prefix. On an
- * irrevocable backend (HTM fallback holder) the writes already hit
- * memory and rollback() cannot undo them, so the failing attempt's
- * effects are reverted from the log, in place, before the throw.
+ * The single-shard fast path's writing slice, all-or-nothing: like
+ * applyOpsInTx but records a pre-image per write into the
+ * compensation log and raises TableFullError instead of committing a
+ * shard-local prefix. On an irrevocable backend (HTM fallback holder)
+ * the writes already hit memory and rollback() cannot undo them, so
+ * the failing attempt's effects are reverted from the log, newest
+ * first and in place, before the throw.
  */
 void
 applyOpsUndoTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
                const TaggedOp *end,
                std::vector<KvStore::Session::Undo> &undo,
-               std::size_t undo_mark, std::int64_t &tombstone_delta,
+               std::int64_t &tombstone_delta,
                std::vector<std::uint64_t> &reclaim,
-               std::vector<wal::WalOp> *wal_ops = nullptr,
-               std::size_t wal_mark = 0)
+               std::vector<wal::WalOp> *wal_ops)
 {
-    undo.resize(undo_mark); // retried attempts restart the log
+    undo.clear(); // retried attempts restart the log
     if (wal_ops != nullptr)
-        wal_ops->resize(wal_mark);
+        wal_ops->clear();
     tombstone_delta = 0;
     reclaim.clear();
     const auto fail_full = [&]() {
-        if (!tx.revocable())
-            restoreUndoRangeTx(shard, tx, undo, undo_mark, undo.size());
+        if (!tx.revocable()) {
+            for (std::size_t k = undo.size(); k-- > 0;)
+                shard.restoreTx(tx, undo[k].key, undo[k].pre);
+        }
         throw TableFullError{};
     };
     for (const TaggedOp *it = begin; it != end; ++it) {
@@ -840,10 +822,9 @@ groupByShard(const KvStore &store, std::uint64_t default_ttl,
 
 /**
  * Pin the session's tokens on every touched shard for a multiOp's
- * critical span (latched region / prepare-to-finalize window): a
- * parked thread must not strand an exclusive latch or a PENDING
- * intent, and pinning bounds gate pauses to in-flight algorithm
- * switches (paper §4.2).
+ * critical span (the prepare-to-finalize window): a parked thread
+ * must not strand a PENDING intent, and pinning bounds gate pauses to
+ * in-flight algorithm switches (paper §4.2).
  */
 class PinSpan
 {
@@ -927,22 +908,14 @@ KvStore::multiOp(Session &session, std::vector<KvOp> &ops)
     OpStatus status = OpStatus::kDone;
     for (;;) {
         // Single-shard fast path: one TM transaction is already
-        // atomic. Writing composites take it only under kTwoPhase —
-        // in latch mode the exclusive latch is what orders them
-        // against the shared-latch snapshot readers, so they keep the
-        // full protocol.
-        if (session.slices_.size() == 1 &&
-            (!writes || commitMode_ == CommitMode::kTwoPhase)) {
+        // atomic.
+        if (session.slices_.size() == 1) {
             status = multiOpSingleShard(session, writes);
-        } else if (commitMode_ == CommitMode::kTwoPhase) {
-            if (writes) {
-                status = multiOpTwoPhaseWrite(session);
-            } else {
-                multiOpTwoPhaseRead(session);
-                status = OpStatus::kDone;
-            }
+        } else if (writes) {
+            status = multiOpTwoPhaseWrite(session);
         } else {
-            status = multiOpLatched(session, writes);
+            multiOpTwoPhaseRead(session);
+            status = OpStatus::kDone;
         }
         if (status != OpStatus::kRetryAfterGrow)
             break;
@@ -1045,12 +1018,10 @@ KvStore::multiOpSingleShard(Session &session, bool writes)
         // transaction from parking mid-composite.
         PinSpan pin(shards_, session.tokens_, session.slices_);
         const std::size_t cap = shard.capacity();
-        session.undo_.clear();
         session.reclaim_.clear();
         std::vector<std::uint64_t> reclaim;
         std::int64_t tomb_delta = 0;
         std::uint64_t lsn = 0;
-        session.walOps_.clear();
         try {
             shardSeqs_[slice.shard].value.fetch_add(
                 1, std::memory_order_acq_rel);
@@ -1059,11 +1030,9 @@ KvStore::multiOpSingleShard(Session &session, bool writes)
                     applyOpsUndoTx(shard, tx,
                                    grouped.data() + slice.begin,
                                    grouped.data() + slice.end,
-                                   session.undo_, 0, tomb_delta,
-                                   reclaim,
+                                   session.undo_, tomb_delta, reclaim,
                                    durable() ? &session.walOps_
-                                             : nullptr,
-                                   0);
+                                             : nullptr);
                     if (durable())
                         lsn = shard.walTicketTx(tx);
                 });
@@ -1154,7 +1123,7 @@ KvStore::multiOpTwoPhaseRead(Session &session)
         }
         const ReadView view{
             ReadView::Mode::kSnapshot,
-            commitSeq_.load(std::memory_order_acquire)};
+            commitSeq_->load(std::memory_order_acquire)};
         for (const auto &slice : slices) {
             Shard &shard = *shards_[slice.shard];
             shard.poly().run(
@@ -1268,9 +1237,8 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             // conflicting preparer only ever waits on lower-numbered
             // shards' pending intents it meets while preparing a
             // higher one — wait chains strictly ascend, so they
-            // cannot cycle. (No latches anywhere: snapshot readers
-            // order themselves against this window through the
-            // record's commit sequence alone.)
+            // cannot cycle. Snapshot readers order themselves against
+            // this window through the record's commit sequence alone.
             std::vector<std::uint64_t> slice_reclaim;
             for (const auto &slice : slices) {
                 Shard &shard = *shards_[slice.shard];
@@ -1512,7 +1480,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                 // not survive recovery, which the ack contract
                 // permits for un-acknowledged operations).
                 const std::uint64_t commit_seq =
-                    commitSeq_.fetch_add(1, std::memory_order_acq_rel) +
+                    commitSeq_->fetch_add(1, std::memory_order_acq_rel) +
                     1;
                 recorder_.record(obs::TraceKind::kTwoPhaseReserve, -1,
                                  commit_seq, slices.size());
@@ -1675,151 +1643,6 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
     }
 }
 
-KvStore::OpStatus
-KvStore::multiOpLatched(Session &session, bool writes)
-{
-    const auto &grouped = session.scratch_;
-    const auto &slices = session.slices_;
-
-    PinSpan pin(shards_, session.tokens_, slices);
-
-    // Releases latches (reverse order) even when a backend throws
-    // something other than TxAbort mid-commit (e.g. bad_alloc):
-    // leaked exclusive latches would wedge the shards for every
-    // future operation.
-    const auto release = [&](std::size_t locked) {
-        while (locked > 0) {
-            --locked;
-            if (writes)
-                latches_[slices[locked].shard]->unlock();
-            else
-                latches_[slices[locked].shard]->unlock_shared();
-        }
-    };
-
-    bool full = false;
-    std::uint32_t full_shard = 0;
-    std::size_t full_capacity = 0;
-    std::size_t locked = 0;
-    try {
-        // Shard-ordered latch acquisition: the slices come out of the
-        // sort in ascending shard index, every participant uses the
-        // same order, so no deadlock.
-        for (const auto &slice : slices) {
-            if (writes)
-                latches_[slice.shard]->lock();
-            else
-                latches_[slice.shard]->lock_shared();
-            ++locked;
-        }
-
-        if (!writes) {
-            std::vector<std::uint64_t> reclaim;
-            for (const auto &slice : slices) {
-                Shard &shard = *shards_[slice.shard];
-                // kGet-only slices can never fail on capacity.
-                bool space_ok_unused = true;
-                std::size_t consumed_unused = 0;
-                std::int64_t tomb_unused = 0;
-                shard.poly().run(
-                    session.tokens_[slice.shard], [&](polytm::Tx &tx) {
-                        applyOpsInTx(shard, tx,
-                                     grouped.data() + slice.begin,
-                                     grouped.data() + slice.end,
-                                     space_ok_unused, consumed_unused,
-                                     tomb_unused, reclaim);
-                    });
-            }
-        } else {
-            session.undo_.clear();
-            session.undoRanges_.clear();
-            session.reclaim_.clear();
-            std::vector<std::uint64_t> slice_reclaim;
-            std::vector<std::int64_t> tomb_deltas;
-            std::size_t applied = 0;
-            for (const auto &slice : slices) {
-                Shard &shard = *shards_[slice.shard];
-                const std::size_t cap = shard.capacity();
-                const auto undo_mark = static_cast<std::uint32_t>(
-                    session.undo_.size());
-                std::int64_t tomb_delta = 0;
-                try {
-                    shard.poly().run(
-                        session.tokens_[slice.shard],
-                        [&](polytm::Tx &tx) {
-                            applyOpsUndoTx(
-                                shard, tx,
-                                grouped.data() + slice.begin,
-                                grouped.data() + slice.end,
-                                session.undo_, undo_mark, tomb_delta,
-                                slice_reclaim);
-                        });
-                } catch (const TableFullError &) {
-                    full = true;
-                    full_shard = slice.shard;
-                    full_capacity = cap;
-                }
-                if (full)
-                    break;
-                session.undoRanges_.emplace_back(
-                    undo_mark,
-                    static_cast<std::uint32_t>(session.undo_.size()));
-                tomb_deltas.push_back(tomb_delta);
-                for (const std::uint64_t ref : slice_reclaim)
-                    session.reclaim_.emplace_back(slice.shard, ref);
-                ++applied;
-            }
-            if (full) {
-                // The failing shard committed nothing (its transaction
-                // rolled back); restore the earlier shards from the
-                // compensation log, newest first, while the exclusive
-                // latches still shut every other observer out.
-                for (std::size_t j = applied; j-- > 0;) {
-                    Shard &shard = *shards_[slices[j].shard];
-                    const auto range = session.undoRanges_[j];
-                    shard.poly().run(
-                        session.tokens_[slices[j].shard],
-                        [&](polytm::Tx &tx) {
-                            restoreUndoRangeTx(shard, tx,
-                                               session.undo_,
-                                               range.first,
-                                               range.second);
-                        });
-                }
-                session.reclaim_.clear(); // pre-images restored
-            } else {
-                for (std::size_t j = 0; j < slices.size(); ++j) {
-                    std::size_t consumed = 0;
-                    const auto range = session.undoRanges_[j];
-                    for (std::uint32_t k = range.first;
-                         k < range.second; ++k) {
-                        consumed +=
-                            session.undo_[k].pre.state == kEmpty ? 1
-                                                                 : 0;
-                    }
-                    if (consumed > 0)
-                        shards_[slices[j].shard]->noteConsumed(
-                            consumed);
-                    if (tomb_deltas[j] != 0)
-                        shards_[slices[j].shard]->noteTombstones(
-                            tomb_deltas[j]);
-                }
-            }
-        }
-    } catch (...) {
-        release(locked);
-        throw;
-    }
-    release(locked);
-    if (full) {
-        Shard &shard = *shards_[full_shard];
-        return shard.tryGrow(session.tokens_[full_shard], full_capacity)
-                   ? OpStatus::kRetryAfterGrow
-                   : OpStatus::kFailed;
-    }
-    return OpStatus::kDone;
-}
-
 KvResult
 KvStore::applyBatch(Session &session, Batch &batch)
 {
@@ -1873,13 +1696,14 @@ KvStore::applyBatch(Session &session, Batch &batch)
         const auto run_ops = [&](const TaggedOp *begin,
                                  const TaggedOp *end) {
             std::uint64_t lsn = 0;
-            runOnShard(session, slice.shard, [&](polytm::Tx &tx) {
-                applyOpsInTx(shard, tx, begin, end, space_ok, consumed,
-                             tomb_delta, reclaim,
-                             durable() ? &session.walOps_ : nullptr);
-                if (durable())
-                    lsn = shard.walTicketTx(tx);
-            });
+            shard.poly().run(
+                session.tokens_[slice.shard], [&](polytm::Tx &tx) {
+                    applyOpsInTx(shard, tx, begin, end, space_ok,
+                                 consumed, tomb_delta, reclaim,
+                                 durable() ? &session.walOps_ : nullptr);
+                    if (durable())
+                        lsn = shard.walTicketTx(tx);
+                });
             // Group commit: append now, ride ONE barrier per touched
             // shard at the end of its slice (the batch is the window).
             if (durable() && !session.walOps_.empty()) {
@@ -2236,21 +2060,6 @@ KvStore::checkpointShard(Session &session, std::size_t s)
                      static_cast<std::int32_t>(s), commitSequence(),
                      image.entries.size(), chunks);
     return true;
-}
-
-KvStore::SnapshotReadStats
-KvStore::snapshotReadStats() const
-{
-    // Thin view over the registry counters (the instruments ARE the
-    // stats now); kept so existing callers and tests stay source-
-    // compatible.
-    SnapshotReadStats out;
-    out.rounds = snapRounds_.total();
-    out.retries = snapRetries_.total();
-    out.escalations = snapEscalations_.total();
-    for (const auto &shard : shards_)
-        out.pendingWaits += shard->snapshotPendingWaits();
-    return out;
 }
 
 obs::TelemetrySnapshot

@@ -10,73 +10,56 @@
  * Concurrency design. Single-key operations are plain per-shard TM
  * transactions. Cross-shard atomicity cannot come from TM alone
  * (shards are separate PolyTM universes), so a writing multi-key
- * transaction commits through one of two protocols, selected by
- * KvStoreOptions::commitMode:
+ * transaction commits through a 2PC-style protocol *over* the TM
+ * layer. Per touched shard (ascending shard order — no deadlock), one
+ * short *prepare* transaction validates the shard's reads and
+ * publishes per-slot write intents pointing at a shared commit
+ * record; the commit point then (1) reserves the store-wide commit
+ * sequence and stamps it into the record, (2) bumps every touched
+ * shard's sequence in the padded epoch vector, and (3) flips the
+ * record PENDING → COMMITTED with one atomic store; *finalize*
+ * transactions fold the intents into the live slot words. Single-key
+ * traffic keeps flowing the whole time: a reader that hits an intent
+ * resolves it against the commit record without blocking (pre-image
+ * while PENDING, post-image once COMMITTED), and a writer folds
+ * finished intents itself, waiting only out the short PENDING window
+ * of its exact slot. A multiOp whose ops all land on one shard skips
+ * the protocol: one TM transaction is already atomic.
  *
- *  - kTwoPhase (default): a 2PC-style commit *over* the TM layer.
- *    Per touched shard (ascending shard order — no deadlock), one
- *    short *prepare* transaction validates the shard's reads and
- *    publishes per-slot write intents pointing at a shared commit
- *    record; the commit point then (1) reserves the store-wide commit
- *    sequence and stamps it into the record, (2) bumps every touched
- *    shard's sequence in the padded epoch vector, and (3) flips the
- *    record PENDING → COMMITTED with one atomic store; *finalize*
- *    transactions fold the intents into the live slot words.
- *    Single-key traffic keeps flowing the whole time: a reader that
- *    hits an intent resolves it against the commit record without
- *    blocking (pre-image while PENDING, post-image once COMMITTED),
- *    and a writer folds finished intents itself, waiting only out the
- *    short PENDING window of its exact slot.
+ * Read-only multiOps and scans take a *snapshot-epoch* read: they
+ * sample the touched shards' sequences and then the store-wide commit
+ * sequence once, execute validation-free against that timestamp — an
+ * intent's commit is included iff its record sequence is within the
+ * snapshot, so resolving an in-flight 2PC never forces a retry round
+ * — and re-check the touched shards' sequences at the end. A round
+ * repeats only when a cross-shard commit actually flipped on a
+ * touched shard inside it (ordering (1)-(3) above guarantees a
+ * straddling round either sees the commit's sequence stamp or fails
+ * the trailing check, so a torn pre/post mix can never validate); on
+ * a write-free workload every round settles first try with zero
+ * retries and zero waits (the snapshot_* counters in telemetry()).
+ * Liveness under a sustained cross-shard commit storm on exactly the
+ * touched shards is probabilistic, not hard-bounded: after
+ * kSnapshotBackoffRounds failed rounds the reader sleeps with capped
+ * exponential backoff (counted as an escalation), which converges
+ * unless commits land inside *every* round indefinitely. No lock is
+ * held anywhere on this path, so the per-shard tuners see real TM
+ * aborts — the contention signal the recommender needs — instead of
+ * lock convoys. Reads mixed into a *writing* multiOp keep the
+ * wait-out-the-intent fallback (prepareGetTx) — they must observe the
+ * values their own commit builds on.
  *
- *    Read-only multiOps and scans take a *snapshot-epoch* read: they
- *    sample the touched shards' sequences and then the store-wide
- *    commit sequence once, execute validation-free against that
- *    timestamp — an intent's commit is included iff its record
- *    sequence is within the snapshot, so resolving an in-flight 2PC
- *    never forces a retry round — and re-check the touched shards'
- *    sequences at the end. A round repeats only when a cross-shard
- *    commit actually flipped on a touched shard inside it (ordering
- *    (1)-(3) above guarantees a straddling round either sees the
- *    commit's sequence stamp or fails the trailing check, so a torn
- *    pre/post mix can never validate); on a write-free workload every
- *    round settles first try with zero retries and zero waits
- *    (snapshotReadStats() exposes the counters). Liveness under a
- *    sustained cross-shard commit storm on exactly the touched
- *    shards is probabilistic, not hard-bounded: after
- *    kSnapshotBackoffRounds failed rounds the reader sleeps with
- *    capped exponential backoff (counted as an escalation), which
- *    converges unless commits land inside *every* round
- *    indefinitely — the deliberate trade for deleting the old
- *    exclusive-latch escalation and the shared-latch cost it imposed
- *    on every writer. Since no latches are
- *    held anywhere on this path, the per-shard tuners see real TM
- *    aborts — the contention signal the recommender needs — instead
- *    of latch convoys. Reads mixed into a *writing* multiOp keep the
- *    wait-out-the-intent fallback (prepareGetTx) — they must observe
- *    the values their own commit builds on.
- *
- *  - kLatch (legacy, kept for A/B measurement): a per-shard
- *    reader/writer latch above TM. Single-key ops and batches take
- *    their shard's latch shared; a writing multiOp takes every
- *    touched shard's latch exclusive in ascending shard order and
- *    applies each shard's portion as one TM transaction, freezing all
- *    other traffic on those shards for the whole composite.
- *
- * Latches/2PC vs the ThreadGate: the per-shard tuner may disable a
- * worker thread (parallelism degree), which parks it inside PolyTM. A
- * parked thread must never strand a resource other operations wait on
- * — an exclusive latch (kLatch) or a PENDING intent (kTwoPhase). Two
- * mechanisms guarantee it: latched single-key/batch paths use
- * PolyTm::tryRun (never parks; on refusal the latch is released
- * before waitRunnable), and a multiOp pins its tokens for the
- * latched / prepare-to-finalize span (the paper's §4.2 escape hatch),
- * making any gate pause bounded by an in-flight algorithm switch. In
- * kTwoPhase mode single-key ops hold nothing across a park, so they
- * use the plain blocking path with no latch at all.
+ * 2PC vs the ThreadGate: the per-shard tuner may disable a worker
+ * thread (parallelism degree), which parks it inside PolyTm::run. A
+ * parked thread must never strand a PENDING intent other operations
+ * wait on, so a writing multiOp pins its tokens for the
+ * prepare-to-finalize span (the paper's §4.2 escape hatch), making
+ * any gate pause bounded by an in-flight algorithm switch. Single-key
+ * ops hold nothing across a park, so they run unpinned.
  *
  * Batching. A Batch stages operations and flushes them grouped by
- * shard, one TM transaction per shard group — amortizing latch and
- * begin/commit costs. Batches are atomic per shard, not across shards.
+ * shard, one TM transaction per shard group — amortizing begin/commit
+ * costs. Batches are atomic per shard, not across shards.
  */
 
 #ifndef PROTEUS_KVSTORE_KVSTORE_HPP
@@ -86,7 +69,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -100,15 +82,6 @@
 #include "obs/metric_registry.hpp"
 
 namespace proteus::kvstore {
-
-/** How writing multiOps achieve cross-shard atomicity. */
-enum class CommitMode : int
-{
-    /** Whole-shard exclusive latches (legacy A/B baseline). */
-    kLatch = 0,
-    /** Non-blocking 2PC over the TM layer (write intents). */
-    kTwoPhase,
-};
 
 /**
  * Store-wide health. Transitions are monotonic (a store never
@@ -185,8 +158,6 @@ struct KvStoreOptions
     std::uint64_t defaultTtlNanos = 0;
     /** Initial TM configuration applied to every shard. */
     polytm::TmConfig initial{};
-    /** Cross-shard commit protocol (see file comment). */
-    CommitMode commitMode = CommitMode::kTwoPhase;
     /**
      * Gates flight-recorder trace capture (2PC phases, retries,
      * maintenance, retunes). The metric-registry counters stay on
@@ -197,9 +168,7 @@ struct KvStoreOptions
     bool telemetry = true;
     /**
      * Durability level (see wal.hpp). Anything but kOff requires
-     * walDir and CommitMode::kTwoPhase (the latch protocol logs no
-     * 2PC outcome records, so a crash could tear a cross-shard
-     * composite). Construction replays whatever the directory holds
+     * walDir. Construction replays whatever the directory holds
      * (crash recovery) before serving.
      */
     Durability durability = Durability::kOff;
@@ -245,7 +214,6 @@ class KvStore
     ~KvStore();
 
     int numShards() const { return static_cast<int>(shards_.size()); }
-    CommitMode commitMode() const { return commitMode_; }
     std::size_t shardOf(std::uint64_t key) const;
     Shard &shard(std::size_t i) { return *shards_[i]; }
     const Shard &shard(std::size_t i) const { return *shards_[i]; }
@@ -275,7 +243,6 @@ class KvStore
                 intents_ = std::move(other.intents_);
                 intentRanges_ = std::move(other.intentRanges_);
                 undo_ = std::move(other.undo_);
-                undoRanges_ = std::move(other.undoRanges_);
                 seqSnapshot_ = std::move(other.seqSnapshot_);
                 reclaim_ = std::move(other.reclaim_);
                 newBlobs_ = std::move(other.newBlobs_);
@@ -348,11 +315,8 @@ class KvStore
         std::vector<WriteIntent *> intents_;
         std::vector<std::pair<std::uint32_t, std::uint32_t>>
             intentRanges_;
-        /** Compensation log (latch mode + single-shard fast path) and
-         *  per-slice ranges. */
+        /** Compensation log of the single-shard fast path. */
         std::vector<Undo> undo_;
-        std::vector<std::pair<std::uint32_t, std::uint32_t>>
-            undoRanges_;
         /** Per-round shard-sequence snapshot (2PC read validation). */
         std::vector<std::uint64_t> seqSnapshot_;
         /**
@@ -432,32 +396,30 @@ class KvStore
     /**
      * Multi-key transaction. Results land in each op's ok/value/bytes
      * fields. A put/add that runs out of table space aborts the
-     * composite with **no effect** — all-or-nothing in both commit
-     * modes (2PC aborts the commit record before anything is visible;
-     * latch mode rolls already-applied shards back through a
-     * compensation log while still holding every latch) — after which
-     * the store grows the full shard online and retries the whole
+     * composite with **no effect** — all-or-nothing (2PC aborts the
+     * commit record before anything is visible; the single-shard
+     * path's transaction rolls back, or reverts itself from its
+     * compensation log on an irrevocable backend) — after which the
+     * store grows the full shard online and retries the whole
      * composite transparently. Returns false only when growth is
      * capped (maxLog2SlotsPerShard) and the insert still cannot fit;
      * the ops' result fields are unspecified after a false return.
      *
      * Atomicity contract. A *writing* multiOp is atomic to every
-     * observer in both modes: under kLatch it holds its shards
-     * exclusively; under kTwoPhase its writes become visible together
-     * at the commit-record flip, and any observer that catches the
-     * finalize in progress reads through the committed intents. A
-     * *read-only* multiOp observes a consistent cross-shard snapshot
-     * with respect to writing multiOps (kLatch: shared latches;
-     * kTwoPhase: the snapshot-epoch read — in-flight intents resolve
-     * against the sampled commit sequence, and the round repeats only
-     * if a cross-shard commit flipped on a *touched* shard inside
-     * it). In neither mode is it a
-     * serializable snapshot against independent *single-key* writers:
-     * another session's two sequential puts to different shards may
-     * be observed out of program order. Under kTwoPhase, reads mixed
-     * into a *writing* multiOp are exact for keys the composite also
-     * writes (read-your-writes) and per-shard consistent otherwise,
-     * but do not form a global snapshot.
+     * observer: its writes become visible together at the
+     * commit-record flip, and any observer that catches the finalize
+     * in progress reads through the committed intents. A *read-only*
+     * multiOp observes a consistent cross-shard snapshot with respect
+     * to writing multiOps (the snapshot-epoch read: in-flight intents
+     * resolve against the sampled commit sequence, and the round
+     * repeats only if a cross-shard commit flipped on a *touched*
+     * shard inside it). It is not a serializable snapshot against
+     * independent *single-key* writers: another session's two
+     * sequential puts to different shards may be observed out of
+     * program order. Reads mixed into a *writing* multiOp are exact
+     * for keys the composite also writes (read-your-writes) and
+     * per-shard consistent otherwise, but do not form a global
+     * snapshot.
      */
     KvResult multiOp(Session &session, std::vector<KvOp> &ops);
 
@@ -516,18 +478,6 @@ class KvStore
     KvResult applyBatch(Session &session, Batch &batch);
 
     /**
-     * Sum of per-shard PolyTM stats. This is a *weak* snapshot: each
-     * shard's per-thread profiles are sampled in turn while commits
-     * continue, so totals from different shards (or commits vs
-     * aborts) may differ by operations in flight during the walk —
-     * every value is real, but the sum is not a single point in time.
-     * The same holds for telemetry(): one pass, weak per metric.
-     * Quiesce the store first when exact cross-counter invariants
-     * are needed (the tests do).
-     */
-    polytm::PolyStats totalStats() const;
-
-    /**
      * Store-wide commit sequence: the read timestamp snapshot reads
      * sample, reserved by every cross-shard 2PC at its commit point
      * (so it counts commits that reached the commit point, including
@@ -535,29 +485,8 @@ class KvStore
      */
     std::uint64_t commitSequence() const
     {
-        return commitSeq_.load(std::memory_order_acquire);
+        return commitSeq_->load(std::memory_order_acquire);
     }
-
-    /** Snapshot-epoch read-path telemetry (all monotonic). On a
-     *  write-free workload retries, pendingWaits and escalations must
-     *  all stay zero — the new-test + CI gate for the validation-free
-     *  read path. */
-    struct SnapshotReadStats
-    {
-        /** Snapshot read rounds completed (multiOp reads + scans). */
-        std::uint64_t rounds = 0;
-        /** Rounds repeated because a cross-shard commit flipped on a
-         *  touched shard inside them (trailing sequence mismatch). */
-        std::uint64_t retries = 0;
-        /** In-flight commit verdicts briefly waited out (the commit
-         *  had reserved a sequence inside the reader's snapshot). */
-        std::uint64_t pendingWaits = 0;
-        /** Reads that exhausted the yield budget and entered the
-         *  sleeping-backoff regime (sustained commit storm on exactly
-         *  the touched shards). */
-        std::uint64_t escalations = 0;
-    };
-    SnapshotReadStats snapshotReadStats() const;
 
     /** The store's instrument registry. External publishers (e.g.
      *  the traffic driver) register their own metrics here so one
@@ -574,9 +503,14 @@ class KvStore
     /**
      * One-pass walk of every registered metric — the native striped
      * counters/histograms plus the bridged TM / arena / shard stats —
-     * stamped with the store-wide commit sequence. Weak-snapshot
-     * semantics (see totalStats()); render with toJson() /
-     * toPrometheus().
+     * stamped with the store-wide commit sequence. This is a *weak*
+     * snapshot: each metric is read in turn while operations
+     * continue (a bridged TM total samples every shard's per-thread
+     * profiles one after another), so values from different metrics
+     * or shards may differ by operations in flight during the walk —
+     * every value is real, but the set is not a single point in time.
+     * Quiesce the store first when exact cross-counter invariants are
+     * needed (the tests do). Render with toJson() / toPrometheus().
      */
     obs::TelemetrySnapshot telemetry() const;
 
@@ -634,31 +568,10 @@ class KvStore
     const RecoveryInfo &recoveryInfo() const { return recoveryInfo_; }
 
   private:
-    /**
-     * Run `body` as one transaction on shard `s`. kTwoPhase: plain
-     * blocking run — the body holds no external resource, so parking
-     * is harmless. kLatch: under the shard's shared latch, without
-     * ever holding the latch while parked (tryRun refusals release
-     * the latch, wait for admission, retry).
-     */
-    template <typename F>
-    void
-    runOnShard(Session &session, std::size_t s, F &&body)
-    {
-        polytm::PolyTm &poly = shards_[s]->poly();
-        if (commitMode_ == CommitMode::kTwoPhase) {
-            poly.run(session.tokens_[s], body);
-            return;
-        }
-        for (;;) {
-            {
-                std::shared_lock<std::shared_mutex> lk(*latches_[s]);
-                if (poly.tryRun(session.tokens_[s], body))
-                    return;
-            }
-            poly.waitRunnable(session.tokens_[s]);
-        }
-    }
+    /** Sum of per-shard PolyTM stats: the source of the tm_commits /
+     *  tm_aborts* bridges (same weak-snapshot semantics as
+     *  telemetry()). */
+    polytm::PolyStats totalStats() const;
 
     /** Writing-path verdicts: committed; table-full with the shard
      *  already grown (caller re-runs the whole composite); or a hard
@@ -671,7 +584,7 @@ class KvStore
     };
 
     /** Yield-only retry budget before a snapshot read backs off with
-     *  sleeps (counted as an escalation in SnapshotReadStats). */
+     *  sleeps (counted in snapshot_escalations). */
     static constexpr int kSnapshotBackoffRounds = 64;
 
     /** Per-round backoff shared by the snapshot read paths. */
@@ -683,8 +596,6 @@ class KvStore
      * (it receives the transaction and the ReadView) validation-free,
      * and re-check the shard sequence — repeating only when a
      * cross-shard commit actually flipped on this shard mid-round.
-     * (Latch mode bumps no sequences, so its rounds settle on the
-     * first try; the shared latch inside runOnShard is its ordering.)
      */
     template <typename F>
     void
@@ -699,11 +610,10 @@ class KvStore
             // guaranteed to have reserved its (visible) sequence
             // within our snapshot — see the file comment.
             const ReadView view{ReadView::Mode::kSnapshot,
-                                commitSeq_.load(
+                                commitSeq_->load(
                                     std::memory_order_acquire)};
-            runOnShard(session, s, [&](polytm::Tx &tx) {
-                body(tx, view);
-            });
+            shards_[s]->poly().run(session.tokens_[s],
+                                   [&](polytm::Tx &tx) { body(tx, view); });
             snapRounds_.add(1, s);
             if (seq.load(std::memory_order_acquire) == s0)
                 return;
@@ -716,11 +626,10 @@ class KvStore
     }
 
     /** All ops on one shard: one TM transaction is already atomic, so
-     *  the cross-shard protocol (either one) is skipped entirely. */
+     *  the cross-shard protocol is skipped entirely. */
     OpStatus multiOpSingleShard(Session &session, bool writes);
     OpStatus multiOpTwoPhaseWrite(Session &session);
     void multiOpTwoPhaseRead(Session &session);
-    OpStatus multiOpLatched(Session &session, bool writes);
 
     /** Free / keep the blobs staged for this multiOp's kPutBytes ops
      *  (kept on success — they are live table values now). */
@@ -738,7 +647,6 @@ class KvStore
     void spillOwnerLimbos(Session &session);
 
     KvStoreOptions options_;
-    CommitMode commitMode_ = CommitMode::kTwoPhase;
     /**
      * Observability plane. Declared before shards_ (destroyed after
      * them): the shards hold raw pointers into the recorder, and the
@@ -766,12 +674,12 @@ class KvStore
     obs::Counter &healthTransitions_;
     obs::Histogram &walFsyncNanos_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    /** kLatch-mode ordering only; the 2PC paths never touch these. */
-    std::vector<std::unique_ptr<std::shared_mutex>> latches_;
     /** Store-wide commit sequence: reserved (fetch_add) by every 2PC
      *  at its commit point *before* the per-shard bumps and the
-     *  status flip; snapshot reads sample it as their timestamp. */
-    std::atomic<std::uint64_t> commitSeq_{0};
+     *  status flip; snapshot reads sample it as their timestamp. On
+     *  its own line: every operation reads shards_, and sharing a
+     *  line with it would cost each one a coherence miss per commit. */
+    PaddedAtomicU64 commitSeq_;
     /**
      * The snapshot-epoch vector: per-shard commit sequences on
      * private cache lines, bumped for every *touched* shard between

@@ -435,9 +435,9 @@ class Shard
                SlotImage *post = nullptr);
     /**
      * Compensation-log replay: force the slot for `key` back to the
-     * given pre-image (kEmpty state deletes). Runs inside the same
-     * revert transaction / latch window as the failed attempt, so the
-     * insert point is always available.
+     * given pre-image (kEmpty state deletes). Runs inside the failed
+     * attempt's own transaction (the in-place revert on an
+     * irrevocable backend), so the insert point is always available.
      */
     void restoreTx(polytm::Tx &tx, std::uint64_t key,
                    const SlotImage &pre);
@@ -552,7 +552,7 @@ class Shard
 
     /**
      * Post-commit bookkeeping shared by every direct put path (the
-     * Shard wrappers and KvStore's latch-aware ones): free the
+     * Shard wrappers and KvStore's single-key ones): free the
      * displaced blob handles, feed the consumed-slot heuristic, run a
      * maintenance tick. Call only after the put's transaction
      * committed.

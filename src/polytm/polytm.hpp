@@ -195,40 +195,53 @@ class PolyTm
      * Execute `body` as one atomic transaction, retrying on aborts
      * with bounded randomized backoff. The body may run many times;
      * it must be side-effect free apart from transactional accesses.
+     * Every attempt enters through the ThreadGate, so a thread the
+     * parallelism degree disables parks here (at entry or between
+     * retries) until a reconfigure re-enables it. A caller that must
+     * not park while it holds something other threads wait on pins
+     * itself first (setPinned).
      */
     template <typename F>
     void
     run(ThreadToken &token, F &&body)
     {
-        (void)runImpl<true>(token, body);
-    }
-
-    /**
-     * Like run(), but never parks: if this thread is disabled by the
-     * parallelism degree (at entry or between retry attempts),
-     * returns false with nothing committed. For callers holding
-     * external resources (latches) that a parked thread must not
-     * keep; pair with waitRunnable() — release the resource, wait,
-     * retry. Returns true after `body` committed.
-     */
-    template <typename F>
-    bool
-    tryRun(ThreadToken &token, F &&body)
-    {
-        return runImpl<false>(token, body);
-    }
-
-    /**
-     * Park until this thread is admitted by the current parallelism
-     * degree (no transaction is run). The admission can be revoked by
-     * a concurrent reconfigure at any time after return; callers use
-     * this only to avoid busy-spinning around tryRun().
-     */
-    void
-    waitRunnable(ThreadToken &token)
-    {
-        gate_.enter(token.tid);
-        gate_.exit(token.tid);
+        tm::TxDesc &desc = *token.desc;
+        desc.consecutiveAborts = 0;
+        for (;;) {
+            gate_.enter(token.tid);
+            tm::TmBackend *backend =
+                currentBackend_.load(std::memory_order_acquire);
+            if (desc.consecutiveAborts == 0) {
+                desc.htmBudgetLeft =
+                    cmBudget_.load(std::memory_order_relaxed);
+            }
+            try {
+                backend->txBegin(desc);
+                Tx tx(*backend, desc);
+                body(tx);
+                backend->txCommit(desc);
+                counters_[token.tid]->commits.fetch_add(
+                    1, std::memory_order_relaxed);
+                desc.consecutiveAborts = 0;
+                gate_.exit(token.tid);
+                return;
+            } catch (const tm::TxAbort &abort) {
+                onAbort(token, desc, *backend, abort);
+                gate_.exit(token.tid);
+                tm::backoffOnAbort(desc);
+            } catch (...) {
+                // Foreign exception out of the body (e.g. bad_alloc):
+                // roll the open transaction back so its locks release,
+                // drop the RUN bit — a leaked RUN would make the next
+                // reconfigure() spin forever — and let it propagate.
+                try {
+                    backend->abortTx(desc, tm::AbortCause::kExplicit);
+                } catch (const tm::TxAbort &) {
+                }
+                gate_.exit(token.tid);
+                throw;
+            }
+        }
     }
 
     /**
@@ -243,7 +256,10 @@ class PolyTm
     /**
      * Forbid PolyTM from disabling this thread when shrinking the
      * parallelism degree (paper §4.2's programmer escape hatch); it
-     * may still be paused briefly while switching algorithms.
+     * may still be paused briefly while switching algorithms. A pin
+     * admits a thread the degree had disabled; unpinning puts such a
+     * thread back behind the gate, so a transient pin never defeats
+     * the configured degree.
      */
     void setPinned(int tid, bool pinned);
 
@@ -270,61 +286,6 @@ class PolyTm
     tm::TmBackend &backendFor(tm::BackendKind kind);
 
   private:
-    /**
-     * Shared retry loop behind run()/tryRun(): gate admission (parking
-     * when kBlocking, refusal otherwise), budget reload, begin / body /
-     * commit, profiling, abort handling with backoff. Returns true
-     * once the body committed; false only when !kBlocking and the
-     * gate refused admission (nothing committed).
-     */
-    template <bool kBlocking, typename F>
-    bool
-    runImpl(ThreadToken &token, F &&body)
-    {
-        tm::TxDesc &desc = *token.desc;
-        desc.consecutiveAborts = 0;
-        for (;;) {
-            if constexpr (kBlocking) {
-                gate_.enter(token.tid);
-            } else {
-                if (!gate_.tryEnter(token.tid))
-                    return false;
-            }
-            tm::TmBackend *backend =
-                currentBackend_.load(std::memory_order_acquire);
-            if (desc.consecutiveAborts == 0) {
-                desc.htmBudgetLeft =
-                    cmBudget_.load(std::memory_order_relaxed);
-            }
-            try {
-                backend->txBegin(desc);
-                Tx tx(*backend, desc);
-                body(tx);
-                backend->txCommit(desc);
-                counters_[token.tid]->commits.fetch_add(
-                    1, std::memory_order_relaxed);
-                desc.consecutiveAborts = 0;
-                gate_.exit(token.tid);
-                return true;
-            } catch (const tm::TxAbort &abort) {
-                onAbort(token, desc, *backend, abort);
-                gate_.exit(token.tid);
-                tm::backoffOnAbort(desc);
-            } catch (...) {
-                // Foreign exception out of the body (e.g. bad_alloc):
-                // roll the open transaction back so its locks release,
-                // drop the RUN bit — a leaked RUN would make the next
-                // reconfigure() spin forever — and let it propagate.
-                try {
-                    backend->abortTx(desc, tm::AbortCause::kExplicit);
-                } catch (const tm::TxAbort &) {
-                }
-                gate_.exit(token.tid);
-                throw;
-            }
-        }
-    }
-
     struct ThreadCounters
     {
         std::atomic<std::uint64_t> commits{0};

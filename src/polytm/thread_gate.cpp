@@ -39,19 +39,6 @@ ThreadGate::enter(int tid)
     }
 }
 
-bool
-ThreadGate::tryEnter(int tid)
-{
-    checkTid(tid);
-    Slot &slot = slots_[tid];
-    const std::uint64_t val =
-        slot.state->fetch_add(kRun, std::memory_order_acq_rel);
-    if ((val & kBlockMask) == 0)
-        return true;
-    slot.state->fetch_sub(kRun, std::memory_order_acq_rel);
-    return false;
-}
-
 void
 ThreadGate::exit(int tid)
 {

@@ -34,7 +34,9 @@ class ThreadGate
   public:
     /**
      * Announce intent to run a transaction; blocks (parking on the
-     * thread's condvar) while the thread is disabled.
+     * thread's condvar) while the thread is disabled. This is the
+     * only way in: a caller that must not park keeps itself enabled
+     * instead (PolyTm::setPinned).
      *
      * Every entry point validates `tid` against tm::kMaxThreads and
      * throws std::out_of_range on violation: a driver spawning more
@@ -42,14 +44,6 @@ class ThreadGate
      * past the slot array.
      */
     void enter(int tid);
-
-    /**
-     * Non-parking enter: acquires the RUN bit like enter(), but if the
-     * thread is disabled, undoes it and returns false instead of
-     * parking — for callers that hold external resources (ProteusKV's
-     * shard latches) which must never be held by a parked thread.
-     */
-    bool tryEnter(int tid);
 
     /** Transaction attempt finished (commit or abort). */
     void exit(int tid);

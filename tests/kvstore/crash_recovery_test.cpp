@@ -70,7 +70,6 @@ hunterOptions(const std::string &wal_dir, Durability mode)
     KvStoreOptions options;
     options.numShards = 4;
     options.log2SlotsPerShard = 12;
-    options.commitMode = CommitMode::kTwoPhase;
     options.initial = {tm::BackendKind::kTl2, 16, {}};
     options.telemetry = true; // armCrash fires through record()
     options.durability = mode;

@@ -67,7 +67,6 @@ chaosOptions(const std::string &wal_dir, Durability mode)
     KvStoreOptions options;
     options.numShards = 4;
     options.log2SlotsPerShard = 12;
-    options.commitMode = CommitMode::kTwoPhase;
     options.initial = {tm::BackendKind::kTl2, 16, {}};
     options.telemetry = true;
     options.durability = mode;

@@ -163,9 +163,9 @@ TEST(KvTunableTest, AutoTunerDrivesAllShardsConcurrently)
     traffic_options.threads = 2;
     traffic_options.phases = {TrafficMix::preset(MixKind::kReadHeavy)};
     traffic_options.phases[0].keySpace = 1024;
-    // Cross-shard multiOps racing the tuner's degree changes: the
-    // latched multi-key path must never wedge on a parked latch
-    // holder (regression for the tryRun/pinning design).
+    // Cross-shard multiOps racing the tuner's degree changes: a 2PC
+    // commit must never wedge on a parked thread holding PENDING
+    // intents (regression for the pinned prepare-to-finalize span).
     traffic_options.phases[0].multiRatio = 0.05;
     TrafficDriver driver(store, traffic_options);
     driver.preload(512);

@@ -2,8 +2,7 @@
  * KvStore tests: deterministic shard routing, batch semantics, and —
  * the critical ones — atomicity of cross-shard multi-key transactions
  * observed by 8+ concurrent threads, and all-or-nothing table-full
- * aborts. Concurrency/atomicity tests run under both commit protocols
- * (legacy exclusive latches and the 2PC-over-TM intent protocol).
+ * aborts through the 2PC-over-TM intent protocol.
  */
 
 #include <gtest/gtest.h>
@@ -19,13 +18,11 @@ namespace proteus::kvstore {
 namespace {
 
 KvStoreOptions
-smallStore(int shards, unsigned log2_slots = 10,
-           CommitMode mode = CommitMode::kTwoPhase)
+smallStore(int shards, unsigned log2_slots = 10)
 {
     KvStoreOptions options;
     options.numShards = shards;
     options.log2SlotsPerShard = log2_slots;
-    options.commitMode = mode;
     // Parallelism degree high enough that every test session stays
     // enabled; degree-shrinking behaviour is covered by polytm tests.
     options.initial = {tm::BackendKind::kTl2, 16, {}};
@@ -35,10 +32,9 @@ smallStore(int shards, unsigned log2_slots = 10,
 /** Like smallStore but with online growth disabled (the fixed-capacity
  *  stance the table-full semantics are specified against). */
 KvStoreOptions
-pinnedStore(int shards, unsigned log2_slots,
-            CommitMode mode = CommitMode::kTwoPhase)
+pinnedStore(int shards, unsigned log2_slots)
 {
-    KvStoreOptions options = smallStore(shards, log2_slots, mode);
+    KvStoreOptions options = smallStore(shards, log2_slots);
     options.maxLog2SlotsPerShard = log2_slots;
     return options;
 }
@@ -142,15 +138,9 @@ TEST(KvStoreTest, OpenSessionFailureLeaksNoRegistrations)
     store.closeSession(session);
 }
 
-/** Commit-protocol-parameterized suite: everything below must hold
- *  under both the latch and the 2PC commit. */
-class KvStoreCommitModeTest : public ::testing::TestWithParam<CommitMode>
+TEST(KvStoreTest, MultiOpReadsAndWritesAcrossShards)
 {
-};
-
-TEST_P(KvStoreCommitModeTest, MultiOpReadsAndWritesAcrossShards)
-{
-    KvStore store(smallStore(4, 10, GetParam()));
+    KvStore store(smallStore(4, 10));
     auto session = store.openSession();
 
     std::vector<KvOp> ops;
@@ -169,9 +159,9 @@ TEST_P(KvStoreCommitModeTest, MultiOpReadsAndWritesAcrossShards)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, MultiOpSeesItsOwnWrites)
+TEST(KvStoreTest, MultiOpSeesItsOwnWrites)
 {
-    KvStore store(smallStore(4, 10, GetParam()));
+    KvStore store(smallStore(4, 10));
     auto session = store.openSession();
     ASSERT_TRUE(store.put(session, 5, 50));
 
@@ -261,23 +251,22 @@ runTableFullScenario(KvStoreOptions options)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, TableFullMultiOpAbortsAllOrNothing)
+TEST(KvStoreTest, TableFullMultiOpAbortsAllOrNothing)
 {
-    runTableFullScenario(pinnedStore(2, 4, GetParam()));
+    runTableFullScenario(pinnedStore(2, 4));
 }
 
-TEST_P(KvStoreCommitModeTest,
-       TableFullAbortIsCleanOnIrrevocableBackend)
+TEST(KvStoreTest, TableFullAbortIsCleanOnIrrevocableBackend)
 {
     // An irrevocable backend writes in place and cannot roll back;
     // the abort paths must revert by hand instead of relying on the
     // TM's rollback.
-    KvStoreOptions options = pinnedStore(2, 4, GetParam());
+    KvStoreOptions options = pinnedStore(2, 4);
     options.initial = irrevocableConfig();
     runTableFullScenario(options);
 }
 
-TEST_P(KvStoreCommitModeTest, TransfersStayAtomicOnIrrevocableBackend)
+TEST(KvStoreTest, TransfersStayAtomicOnIrrevocableBackend)
 {
     // Smoke the pending-intent wait/fold paths where tx.retry() is
     // illegal (irrevocable fallback): concurrent transfers + snapshots
@@ -287,7 +276,7 @@ TEST_P(KvStoreCommitModeTest, TransfersStayAtomicOnIrrevocableBackend)
     constexpr int kWriters = 3;
     constexpr int kTransfers = 200;
 
-    KvStoreOptions options = smallStore(4, 10, GetParam());
+    KvStoreOptions options = smallStore(4, 10);
     options.initial = irrevocableConfig();
     KvStore store(options);
     {
@@ -343,7 +332,7 @@ TEST_P(KvStoreCommitModeTest, TransfersStayAtomicOnIrrevocableBackend)
            "backend";
 }
 
-TEST_P(KvStoreCommitModeTest, MultiShardTransfersStayAtomicUnder8Threads)
+TEST(KvStoreTest, MultiShardTransfersStayAtomicUnder8Threads)
 {
     // Bank invariant: kKeys accounts start at kInitial each; writers
     // move random amounts between random accounts with cross-shard
@@ -355,7 +344,7 @@ TEST_P(KvStoreCommitModeTest, MultiShardTransfersStayAtomicUnder8Threads)
     constexpr int kReaders = 2;
     constexpr int kTransfersPerWriter = 400;
 
-    KvStore store(smallStore(4, 10, GetParam()));
+    KvStore store(smallStore(4, 10));
     {
         auto session = store.openSession();
         for (std::uint64_t key = 0; key < kKeys; ++key)
@@ -431,11 +420,11 @@ TEST_P(KvStoreCommitModeTest, MultiShardTransfersStayAtomicUnder8Threads)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, SingleKeyOpsRaceMultiOpsWithoutCorruption)
+TEST(KvStoreTest, SingleKeyOpsRaceMultiOpsWithoutCorruption)
 {
     // Mixed traffic: single-key put/get racing cross-shard multiOps
     // on overlapping keys, under the selected commit protocol.
-    KvStore store(smallStore(2, 10, GetParam()));
+    KvStore store(smallStore(2, 10));
     std::atomic<bool> stop{false};
     std::vector<std::thread> threads;
 
@@ -475,12 +464,12 @@ TEST_P(KvStoreCommitModeTest, SingleKeyOpsRaceMultiOpsWithoutCorruption)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, ElasticShardsGrowInsteadOfFailing)
+TEST(KvStoreTest, ElasticShardsGrowInsteadOfFailing)
 {
     // 2 shards of 16 slots each, growth unbounded: 400 inserts (≈12x
     // the initial per-shard capacity) must all land, via single-key
     // puts and multiOps alike, with every key readable afterwards.
-    KvStore store(smallStore(2, 4, GetParam()));
+    KvStore store(smallStore(2, 4));
     auto session = store.openSession();
 
     const std::size_t initial_cap = store.shard(0).capacity();
@@ -516,9 +505,9 @@ TEST_P(KvStoreCommitModeTest, ElasticShardsGrowInsteadOfFailing)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, WideValuesRoundTripThroughAllPaths)
+TEST(KvStoreTest, WideValuesRoundTripThroughAllPaths)
 {
-    KvStore store(smallStore(2, 8, GetParam()));
+    KvStore store(smallStore(2, 8));
     auto session = store.openSession();
 
     const auto pattern = [](std::uint64_t key, std::size_t len) {
@@ -575,12 +564,12 @@ TEST_P(KvStoreCommitModeTest, WideValuesRoundTripThroughAllPaths)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, WideValuesSurviveAbortOnIrrevocable)
+TEST(KvStoreTest, WideValuesSurviveAbortOnIrrevocable)
 {
     // A multiOp that overwrites a 128-byte value and then fails on a
     // pinned-full shard must restore the wide value byte-for-byte —
     // on an irrevocable backend this runs the manual in-place revert.
-    KvStoreOptions options = pinnedStore(2, 4, GetParam());
+    KvStoreOptions options = pinnedStore(2, 4);
     options.initial = irrevocableConfig();
     KvStore store(options);
     auto session = store.openSession();
@@ -622,9 +611,9 @@ TEST_P(KvStoreCommitModeTest, WideValuesSurviveAbortOnIrrevocable)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, TtlExpiresLazilyAndSweeps)
+TEST(KvStoreTest, TtlExpiresLazilyAndSweeps)
 {
-    KvStore store(smallStore(2, 8, GetParam()));
+    KvStore store(smallStore(2, 8));
     auto session = store.openSession();
 
     constexpr std::uint64_t kTtl = 40ull * 1000 * 1000; // 40 ms
@@ -654,9 +643,9 @@ TEST_P(KvStoreCommitModeTest, TtlExpiresLazilyAndSweeps)
     store.closeSession(session);
 }
 
-TEST_P(KvStoreCommitModeTest, DefaultTtlFromOptionsApplies)
+TEST(KvStoreTest, DefaultTtlFromOptionsApplies)
 {
-    KvStoreOptions options = smallStore(2, 8, GetParam());
+    KvStoreOptions options = smallStore(2, 8);
     options.defaultTtlNanos = 40ull * 1000 * 1000;
     KvStore store(options);
     auto session = store.openSession();
@@ -699,7 +688,7 @@ TEST(TrafficCacheTest, TtlChurnDropsHitRate)
         << "TTL churn must evict (hit-rate drop invisible)";
 }
 
-TEST_P(KvStoreCommitModeTest, SnapshotReadsUnderWriteStormStayConsistent)
+TEST(KvStoreTest, SnapshotReadsUnderWriteStormStayConsistent)
 {
     // Hammer the snapshot-epoch read path with a cross-shard write
     // storm: totals must still be conserved (every in-flight commit
@@ -711,7 +700,7 @@ TEST_P(KvStoreCommitModeTest, SnapshotReadsUnderWriteStormStayConsistent)
     constexpr int kWriters = 3;
     constexpr int kTransfers = 300;
 
-    KvStoreOptions options = smallStore(4, 10, GetParam());
+    KvStoreOptions options = smallStore(4, 10);
     KvStore store(options);
     {
         auto session = store.openSession();
@@ -764,13 +753,6 @@ TEST_P(KvStoreCommitModeTest, SnapshotReadsUnderWriteStormStayConsistent)
     EXPECT_FALSE(violation.load())
         << "an escalated snapshot read observed a torn transfer";
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    CommitModes, KvStoreCommitModeTest,
-    ::testing::Values(CommitMode::kLatch, CommitMode::kTwoPhase),
-    [](const ::testing::TestParamInfo<CommitMode> &info) {
-        return info.param == CommitMode::kLatch ? "Latch" : "TwoPhase";
-    });
 
 } // namespace
 } // namespace proteus::kvstore

@@ -7,7 +7,7 @@
  *
  *  - put() never reports table-full on a growable shard;
  *  - no inserted key is lost and no value (word or wide) is torn by a
- *    relocation, in either commit mode;
+ *    relocation;
  *  - transferred totals are conserved across resizes (every snapshot
  *    taken mid-run and the final quiesced sum agree);
  *  - draining the migration afterwards accounts for every entry.
@@ -45,16 +45,11 @@ widePayload(std::uint64_t key)
     return bytes;
 }
 
-class ResizeTortureTest : public ::testing::TestWithParam<CommitMode>
-{
-};
-
-TEST_P(ResizeTortureTest, GrowthUnderTransfersAndScansLosesNothing)
+TEST(ResizeTortureTest, GrowthUnderTransfersAndScansLosesNothing)
 {
     KvStoreOptions options;
     options.numShards = 2;
     options.log2SlotsPerShard = kLog2Slots;
-    options.commitMode = GetParam();
     options.initial = {tm::BackendKind::kTl2, 16, {}};
     KvStore store(options);
 
@@ -218,13 +213,6 @@ TEST_P(ResizeTortureTest, GrowthUnderTransfersAndScansLosesNothing)
 
     store.closeSession(session);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    CommitModes, ResizeTortureTest,
-    ::testing::Values(CommitMode::kLatch, CommitMode::kTwoPhase),
-    [](const ::testing::TestParamInfo<CommitMode> &info) {
-        return info.param == CommitMode::kLatch ? "Latch" : "TwoPhase";
-    });
 
 } // namespace
 } // namespace proteus::kvstore

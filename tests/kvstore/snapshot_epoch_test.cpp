@@ -2,9 +2,9 @@
  * Snapshot-epoch read-path suite:
  *
  *  1. Linearizability hunter — concurrent cross-shard pair transfers
- *     race validation-free snapshot reads and scans under both commit
- *     modes; total money must be conserved in every snapshot and the
- *     store-wide commit sequence must be monotonic per observer.
+ *     race validation-free snapshot reads and scans; total money must
+ *     be conserved in every snapshot and the store-wide commit
+ *     sequence must be monotonic per observer.
  *  2. Validation-free guarantee — on a write-free workload every
  *     snapshot round settles first try: zero retries, zero pending
  *     waits, zero escalations (the acceptance counter).
@@ -31,28 +31,23 @@ namespace proteus::kvstore {
 namespace {
 
 KvStoreOptions
-smallStore(int shards, unsigned log2_slots, CommitMode mode)
+smallStore(int shards, unsigned log2_slots)
 {
     KvStoreOptions options;
     options.numShards = shards;
     options.log2SlotsPerShard = log2_slots;
-    options.commitMode = mode;
     options.initial = {tm::BackendKind::kTl2, 16, {}};
     return options;
 }
 
-class SnapshotEpochTest : public ::testing::TestWithParam<CommitMode>
-{
-};
-
-TEST_P(SnapshotEpochTest, TransfersConserveUnderSnapshotReadsAndScans)
+TEST(SnapshotEpochTest, TransfersConserveUnderSnapshotReadsAndScans)
 {
     constexpr std::uint64_t kKeys = 48;
     constexpr std::uint64_t kInitial = 100;
     constexpr int kWriters = 3;
     constexpr int kTransfers = 400;
 
-    KvStore store(smallStore(4, 10, GetParam()));
+    KvStore store(smallStore(4, 10));
     {
         auto session = store.openSession();
         for (std::uint64_t key = 0; key < kKeys; ++key)
@@ -148,10 +143,10 @@ TEST_P(SnapshotEpochTest, TransfersConserveUnderSnapshotReadsAndScans)
     store.closeSession(session);
 }
 
-TEST_P(SnapshotEpochTest, WriteFreeWorkloadReadsValidationFree)
+TEST(SnapshotEpochTest, WriteFreeWorkloadReadsValidationFree)
 {
     constexpr std::uint64_t kKeys = 1 << 10;
-    KvStore store(smallStore(4, 12, GetParam()));
+    KvStore store(smallStore(4, 12));
     {
         auto session = store.openSession();
         std::string payload(64, 'p');
@@ -167,6 +162,7 @@ TEST_P(SnapshotEpochTest, WriteFreeWorkloadReadsValidationFree)
         store.closeSession(session);
     }
 
+    const obs::TelemetrySnapshot pre = store.telemetry();
     std::vector<std::thread> threads;
     for (int r = 0; r < 4; ++r) {
         threads.emplace_back([&, r] {
@@ -201,19 +197,15 @@ TEST_P(SnapshotEpochTest, WriteFreeWorkloadReadsValidationFree)
     // The acceptance criterion: a write-free workload pays ZERO
     // validation retries, verdict waits, or escalations — every
     // snapshot round settles on its first try.
-    const KvStore::SnapshotReadStats stats = store.snapshotReadStats();
-    EXPECT_GT(stats.rounds, 0u);
-    EXPECT_EQ(stats.retries, 0u);
-    EXPECT_EQ(stats.pendingWaits, 0u);
-    EXPECT_EQ(stats.escalations, 0u);
+    const obs::TelemetrySnapshot post = store.telemetry();
+    const auto delta = [&](const char *name) {
+        return post.value(name) - pre.value(name);
+    };
+    EXPECT_GT(delta("snapshot_rounds"), 0u);
+    EXPECT_EQ(delta("snapshot_retries"), 0u);
+    EXPECT_EQ(delta("snapshot_pending_waits"), 0u);
+    EXPECT_EQ(delta("snapshot_escalations"), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    CommitModes, SnapshotEpochTest,
-    ::testing::Values(CommitMode::kLatch, CommitMode::kTwoPhase),
-    [](const ::testing::TestParamInfo<CommitMode> &info) {
-        return info.param == CommitMode::kLatch ? "Latch" : "TwoPhase";
-    });
 
 namespace {
 
@@ -250,7 +242,7 @@ TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
     constexpr int kWriters = 2;
     constexpr int kVersions = 1500;
 
-    KvStore store(smallStore(2, 10, CommitMode::kTwoPhase));
+    KvStore store(smallStore(2, 10));
     {
         auto session = store.openSession();
         for (std::uint64_t key = 0; key < kKeys; ++key) {
@@ -347,7 +339,7 @@ TEST(DeleteChurnTest, TombstoneChurnCompactsInsteadOfGrowing)
     constexpr unsigned kLog2Slots = 8; // 256 slots
     constexpr std::uint64_t kChurn = 20000;
 
-    KvStore store(smallStore(1, kLog2Slots, CommitMode::kTwoPhase));
+    KvStore store(smallStore(1, kLog2Slots));
     auto session = store.openSession();
     const std::size_t initial_capacity = store.shard(0).capacity();
 
@@ -376,7 +368,7 @@ TEST(DeleteChurnTest, CappedShardSurvivesChurnViaCompaction)
     // recover through same-size compaction instead of failing puts.
     constexpr unsigned kLog2Slots = 8;
     KvStoreOptions options =
-        smallStore(1, kLog2Slots, CommitMode::kTwoPhase);
+        smallStore(1, kLog2Slots);
     options.maxLog2SlotsPerShard = kLog2Slots; // pinned capacity
     KvStore store(options);
 

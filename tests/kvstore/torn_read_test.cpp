@@ -1,7 +1,7 @@
 /**
  * Torn-read hunter: concurrent single-key readers and snapshot
  * readers race writing multiOps and assert that no observer ever
- * sees a half-committed composite, under both commit protocols.
+ * sees a half-committed composite.
  *
  * Each writer owns one key pair (A, B) routed to *different* shards
  * and repeatedly writes both keys to the same monotonically
@@ -50,16 +50,11 @@ versionOf(std::uint64_t value)
     return value & 0xffffffffull;
 }
 
-class TornReadTest : public ::testing::TestWithParam<CommitMode>
-{
-};
-
-TEST_P(TornReadTest, NoObserverSeesHalfCommittedComposite)
+TEST(TornReadTest, NoObserverSeesHalfCommittedComposite)
 {
     KvStoreOptions options;
     options.numShards = 4;
     options.log2SlotsPerShard = 10;
-    options.commitMode = GetParam();
     options.initial = {tm::BackendKind::kTl2, 16, {}};
     KvStore store(options);
 
@@ -188,13 +183,6 @@ TEST_P(TornReadTest, NoObserverSeesHalfCommittedComposite)
     }
     store.closeSession(session);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    CommitModes, TornReadTest,
-    ::testing::Values(CommitMode::kLatch, CommitMode::kTwoPhase),
-    [](const ::testing::TestParamInfo<CommitMode> &info) {
-        return info.param == CommitMode::kLatch ? "Latch" : "TwoPhase";
-    });
 
 } // namespace
 } // namespace proteus::kvstore

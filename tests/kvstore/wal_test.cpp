@@ -48,7 +48,6 @@ class WalTest : public ::testing::Test
         KvStoreOptions options;
         options.numShards = shards;
         options.log2SlotsPerShard = 10;
-        options.commitMode = CommitMode::kTwoPhase;
         options.initial = {tm::BackendKind::kTl2, 16, {}};
         options.durability = mode;
         options.walDir = dir_.string();
@@ -89,10 +88,6 @@ TEST_F(WalTest, OptionsValidationRejectsBrokenConfigs)
 
     o = base;
     o.walDir.clear();
-    expect_invalid(o);
-
-    o = base;
-    o.commitMode = CommitMode::kLatch;
     expect_invalid(o);
 
     o = base;

@@ -130,7 +130,6 @@ TEST(FlightRecorderTest, RacingKvStoreCommitsMergeInCommitSeqOrder)
     KvStoreOptions options;
     options.numShards = 4;
     options.log2SlotsPerShard = 10;
-    options.commitMode = CommitMode::kTwoPhase;
     options.initial = {tm::BackendKind::kTl2, 16, {}};
     KvStore store(options);
 

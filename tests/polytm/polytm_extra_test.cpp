@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "polytm/polytm.hpp"
@@ -166,35 +168,42 @@ TEST(PolyTmExtraTest, ThreadsBeyondMaxRejected)
         poly.deregisterThread(t);
 }
 
-TEST(PolyTmExtraTest, TryRunRespectsDegreeAndPinUnpinIsSymmetric)
+TEST(PolyTmExtraTest, UnpinReblocksAThreadOnlyItsPinAdmitted)
 {
-    // Degree 1: tid 1 starts disabled, so tryRun must refuse without
-    // parking. A pin enables it; the unpin must re-disable it (a
-    // transient pin, as used by KvStore::multiOp, may not defeat the
-    // configured parallelism degree permanently).
+    // Degree 1: tid 1 is disabled. A pin admits it; the unpin must put
+    // it back behind the gate (a transient pin, as KvStore::multiOp
+    // takes, may not defeat the configured degree permanently), so its
+    // next run() parks until a reconfigure raises the degree.
     PolyTm poly(TmConfig{tm::BackendKind::kTl2, 1, {}});
     auto token0 = poly.registerThread();
     auto token1 = poly.registerThread();
     TxField<int> field(0);
-
     auto bump = [&](Tx &tx) { tx.write(field, tx.read(field) + 1); };
-    EXPECT_TRUE(poly.tryRun(token0, bump));
-    EXPECT_FALSE(poly.tryRun(token1, bump)) << "tid 1 is disabled";
-    EXPECT_EQ(field.rawGet(), 1);
 
     poly.setPinned(token1.tid, true);
-    EXPECT_TRUE(poly.tryRun(token1, bump));
+    poly.run(token1, bump);
+    EXPECT_EQ(field.rawGet(), 1) << "the pin admits tid 1 at P=1";
     poly.setPinned(token1.tid, false);
-    EXPECT_FALSE(poly.tryRun(token1, bump))
+
+    std::atomic<bool> committed{false};
+    std::thread worker([&] {
+        poly.run(token1, bump);
+        committed.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(committed.load())
         << "unpin must put the thread back behind the gate";
-    EXPECT_EQ(field.rawGet(), 2);
+    EXPECT_EQ(field.rawGet(), 1);
 
     // Raising the degree admits it again.
     poly.reconfigure({tm::BackendKind::kTl2, 2, {}});
-    EXPECT_TRUE(poly.tryRun(token1, bump));
-    EXPECT_EQ(field.rawGet(), 3);
+    for (int i = 0; i < 1000 && !committed.load(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(committed.load()) << "P=2 must admit tid 1";
+    poly.resumeAllForShutdown(); // never leave the worker parked
+    worker.join();
+    EXPECT_EQ(field.rawGet(), 2);
 
-    poly.resumeAllForShutdown();
     poly.deregisterThread(token0);
     poly.deregisterThread(token1);
 }

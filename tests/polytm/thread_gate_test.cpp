@@ -115,6 +115,11 @@ TEST(ThreadGateTest, BlockUnblockRaceWithEnteringThread)
             gate.exit(0);
         }
     });
+    // Toggle only once the worker is hammering: on a loaded host the
+    // 200 toggles can otherwise finish before the worker first runs,
+    // and the race under test never happens.
+    while (entries.load() == 0)
+        std::this_thread::yield();
 
     for (int i = 0; i < 200; ++i) {
         gate.block(0);
