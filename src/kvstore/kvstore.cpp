@@ -1,6 +1,5 @@
 #include "kvstore/kvstore.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -774,20 +773,30 @@ applyOpsUndoTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
 
 /**
  * Group `ops` by home shard into the session's reusable scratch:
- * each shard index is computed exactly once, a stable sort on the
- * cached index preserves program order within one shard, the absolute
- * TTL deadline of every put is fixed once per multiOp (so retries
- * agree on it), and the contiguous slices are recorded so the
+ * each shard index is computed exactly once, a counting pass over the
+ * shards (via `tagged`) preserves program order within one shard, the
+ * absolute TTL deadline of every put is fixed once per multiOp (so
+ * retries agree on it), and the contiguous slices are recorded so the
  * pin/prepare/finalize passes walk a precomputed list. Steady state
- * allocates nothing.
+ * allocates nothing: every buffer is a session vector that keeps its
+ * capacity.
+ *
+ * Grouping doubles as a read-ahead (hints only; see
+ * Shard::prefetchSlot): the first wave starts every op's home-record
+ * miss while the ops are still being tagged, the second peeks at the
+ * now-arriving records of byte reads and starts their blob misses, so
+ * the transactions that follow find one op's chain of dependent
+ * misses overlapped with every other op's.
  */
 void
 groupByShard(const KvStore &store, std::uint64_t default_ttl,
-             std::vector<KvOp> &ops, std::vector<TaggedOp> &scratch,
+             std::vector<KvOp> &ops, std::vector<TaggedOp> &tagged,
+             std::vector<TaggedOp> &grouped,
              std::vector<KvStore::Session::ShardSlice> &slices)
 {
-    scratch.clear();
-    scratch.reserve(ops.size());
+    tagged.clear();
+    // slices[s].end counts shard s's ops until the prefix pass.
+    slices.assign(static_cast<std::size_t>(store.numShards()), {0, 0, 0});
     std::uint64_t now = 0;
     for (KvOp &op : ops) {
         std::uint64_t expiry = 0;
@@ -801,22 +810,26 @@ groupByShard(const KvStore &store, std::uint64_t default_ttl,
                 expiry = now + ttl;
             }
         }
-        scratch.push_back(
-            {static_cast<std::uint32_t>(store.shardOf(op.key)), &op,
-             expiry});
+        const auto shard = static_cast<std::uint32_t>(store.shardOf(op.key));
+        store.shard(shard).prefetchSlot(op.key);
+        tagged.push_back({shard, &op, expiry});
+        ++slices[shard].end;
     }
-    std::stable_sort(scratch.begin(), scratch.end(),
-                     [](const TaggedOp &a, const TaggedOp &b) {
-                         return a.shard < b.shard;
-                     });
-    slices.clear();
-    for (std::uint32_t i = 0; i < scratch.size();) {
-        std::uint32_t end = i;
-        while (end < scratch.size() &&
-               scratch[end].shard == scratch[i].shard)
-            ++end;
-        slices.push_back({scratch[i].shard, i, end});
-        i = end;
+    std::uint32_t at = 0;
+    for (std::uint32_t s = 0; s < slices.size(); ++s) {
+        const std::uint32_t count = slices[s].end;
+        slices[s] = {s, at, at};
+        at += count;
+    }
+    grouped.resize(tagged.size());
+    for (const TaggedOp &t : tagged)
+        grouped[slices[t.shard].end++] = t;
+    std::erase_if(slices, [](const KvStore::Session::ShardSlice &slice) {
+        return slice.begin == slice.end;
+    });
+    for (const TaggedOp &t : grouped) {
+        if (t.op->kind == KvOp::Kind::kGetBytes)
+            store.shard(t.shard).prefetchValue(t.op->key);
     }
 }
 
@@ -866,8 +879,8 @@ KvStore::multiOp(Session &session, std::vector<KvOp> &ops)
         if (const KvStatus gate = admitWrite(); gate != KvStatus::kOk)
             return gate;
     }
-    groupByShard(*this, options_.defaultTtlNanos, ops, session.scratch_,
-                 session.slices_);
+    groupByShard(*this, options_.defaultTtlNanos, ops, session.tagged_,
+                 session.scratch_, session.slices_);
     if (session.slices_.empty())
         return KvStatus::kOk;
     session.walStatus_ = KvStatus::kOk;
@@ -1649,7 +1662,7 @@ KvStore::applyBatch(Session &session, Batch &batch)
     if (const KvStatus gate = admitWrite(); gate != KvStatus::kOk)
         return gate;
     groupByShard(*this, options_.defaultTtlNanos, batch.ops_,
-                 session.scratch_, session.slices_);
+                 session.tagged_, session.scratch_, session.slices_);
     const auto &grouped = session.scratch_;
     session.walStatus_ = KvStatus::kOk;
     for (std::size_t idx = 0; idx < grouped.size(); ++idx) {

@@ -238,6 +238,7 @@ class KvStore
                 std::swap(store_, other.store_);
                 ctx_.swap(other.ctx_);
                 tokens_.swap(other.tokens_);
+                tagged_ = std::move(other.tagged_);
                 scratch_ = std::move(other.scratch_);
                 slices_ = std::move(other.slices_);
                 intents_ = std::move(other.intents_);
@@ -304,7 +305,9 @@ class KvStore
         std::vector<polytm::ThreadToken> tokens_;
         /** Reusable multiOp/batch grouping scratch (hot path stays
          *  allocation-free in steady state): ops tagged with their
-         *  home shard, and the contiguous per-shard slices. */
+         *  home shard in program order, the same ops grouped by
+         *  shard, and the contiguous per-shard slices. */
+        std::vector<TaggedOp> tagged_;
         std::vector<TaggedOp> scratch_;
         std::vector<ShardSlice> slices_;
         /** 2PC state: commit record + intent arena (lazily created,
@@ -420,6 +423,13 @@ class KvStore
      * for keys the composite also writes (read-your-writes) and
      * per-shard consistent otherwise, but do not form a global
      * snapshot.
+     *
+     * Read-ahead. Before the first transaction, grouping the ops by
+     * shard also issues hint-only prefetches for all of them: every
+     * op's home slot record, then, for byte reads, the blob each
+     * record names (Shard::prefetchSlot / prefetchValue). The ops' independent cache misses then overlap
+     * instead of queueing one lookup behind the other. The hints
+     * decide nothing: the transactions read and validate as before.
      */
     KvResult multiOp(Session &session, std::vector<KvOp> &ops);
 
@@ -473,7 +483,8 @@ class KvStore
      * Returns false only when growth is capped and an insert still
      * cannot fit. This is also the loop that drives background
      * maintenance: each flushed shard advances its migration /
-     * TTL-sweep walker afterwards.
+     * TTL-sweep walker afterwards. Grouping issues the same hint-only
+     * read-ahead as multiOp before the first shard's transaction.
      */
     KvResult applyBatch(Session &session, Batch &batch);
 

@@ -40,6 +40,19 @@ stateIsValue(std::uint64_t state)
     return slotStateIsValue(state);
 }
 
+/** Non-transactional load of a TM-visible slot word, for hints only.
+ *  Every backend accesses data words atomically, so the relaxed load
+ *  races with nothing; its value steers a prefetch and nothing else. */
+inline std::uint64_t
+peekWord(const std::uint64_t &word)
+{
+    return reinterpret_cast<const std::atomic<std::uint64_t> &>(word).load(
+        std::memory_order_relaxed);
+}
+
+/** Slots prefetchValue peeks at from the home slot before giving up. */
+constexpr std::size_t kPeekSlots = 4;
+
 /** Numeric decode of an inline ValueRef (zero-padded to 8 bytes). */
 inline std::uint64_t
 inlineNumeric(ValueRef ref)
@@ -236,6 +249,35 @@ Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
         lane_filter = 0xffffu;
     }
     return insert_at; // table.slots when the table has no reusable slot
+}
+
+void
+Shard::prefetchSlot(std::uint64_t key) const
+{
+    const ShardTable &table =
+        *epochMirror_.load(std::memory_order_acquire)->live;
+    const SlotRecord &rec = table.records[homeSlot(table, key)];
+    prefetchLines(&rec, sizeof(SlotRecord));
+}
+
+void
+Shard::prefetchValue(std::uint64_t key) const
+{
+    const ShardTable &table =
+        *epochMirror_.load(std::memory_order_acquire)->live;
+    std::size_t slot = homeSlot(table, key);
+    for (std::size_t step = 0; step < kPeekSlots; ++step) {
+        const SlotRecord &rec = table.records[slot];
+        const std::uint64_t state = peekWord(rec.state);
+        if (state == kEmpty)
+            return;
+        if (peekWord(rec.key) == key) {
+            if (state == kFullRef)
+                ValueArena::prefetchBlob(peekWord(rec.value));
+            return;
+        }
+        slot = (slot + 1) & table.mask;
+    }
 }
 
 bool

@@ -76,6 +76,19 @@
  * could be holding). Intents record the table they were installed in,
  * so a 2PC that straddles a grow finalizes against the right slots.
  *
+ * Read-ahead. prefetchSlot/prefetchValue let a multi-key caller start
+ * every op's cache misses before its transactions run. They reach the
+ * live table through the non-transactional epoch mirror, read slot
+ * words only with relaxed atomic loads (every TM backend writes them
+ * atomically, so the peeks race with nothing), and dereference nothing
+ * they read: a blob handle is only ever prefetched, never loaded. A
+ * hint can therefore go stale (a grow, a delete, a displaced blob)
+ * but never unsafe: every table and epoch it can reach stays mapped
+ * until shard destruction (retired ones included), arena chunks are
+ * never released while the arena lives, and a prefetch of any address
+ * cannot fault. A stale hint costs a wasted prefetch; the transactions
+ * still read and validate every word that decides an answer.
+ *
  * Resize vs compaction. A doubling grow is triggered by consumed
  * slots crossing growLoadPercent — unless tombstones dominate the
  * consumed count (delete churn), in which case the shard migrates
@@ -374,6 +387,25 @@ class Shard
                      std::size_t limit,
                      std::vector<std::pair<std::uint64_t, std::uint64_t>>
                          *out = nullptr);
+
+    /**
+     * Read-ahead hints for a lookup of `key` that a transaction will
+     * run soon; KvStore's multiOp and applyBatch issue them for all
+     * their ops before the first transaction, so the ops' independent
+     * DRAM misses overlap instead of queueing behind each other. They
+     * run outside any transaction, need no registration or gate
+     * admission, and decide nothing: the transactions still do every
+     * read, so a stale hint (a grow or a write in between) costs a
+     * wasted prefetch and never a wrong answer.
+     *  - prefetchSlot: the key's home slot record in the live table
+     *    (one or two lines).
+     *  - prefetchValue: peeks at the records from the home slot on
+     *    with relaxed atomic loads and, when one holds `key` with a
+     *    blob value, prefetches the blob. Issue it after prefetchSlot
+     *    has had time to bring the record in.
+     */
+    void prefetchSlot(std::uint64_t key) const;
+    void prefetchValue(std::uint64_t key) const;
 
     /**
      * Transactional primitives for composition: run inside a caller-

@@ -63,6 +63,7 @@
 
 #include "common/cacheline.hpp"
 #include "common/epoch.hpp"
+#include "common/hints.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace proteus::kvstore {
@@ -289,6 +290,22 @@ class ValueArena
      */
     void readBlobPinned(ValueRef ref, std::string *out) const;
 
+    /**
+     * Read-ahead hint: prefetch the leading lines (header and first
+     * payload bytes) of the blob `ref` names; a no-op for inline refs.
+     * Address arithmetic only, and chunks stay mapped while the arena
+     * lives, so a stale or recycled handle costs a wasted prefetch.
+     */
+    static void
+    prefetchBlob(ValueRef ref)
+    {
+        if (valueRefIsBlob(ref)) {
+            prefetchLines(reinterpret_cast<const void *>(
+                              ref & kValueRefPtrMask),
+                          kPrefetchBytes);
+        }
+    }
+
     /** Bytes currently handed out to live blobs (capacity, not len). */
     std::size_t bytesLive() const
     {
@@ -355,6 +372,8 @@ class ValueArena
     };
 
     static constexpr std::size_t kChunkWords = 1 << 15; // 256 KiB
+    /** Bytes prefetchBlob covers from the blob's first word. */
+    static constexpr std::size_t kPrefetchBytes = 192;
 
     static std::size_t classOf(std::size_t len);
     static std::size_t classOfCapacity(std::size_t cap_bytes);

@@ -4,6 +4,29 @@
 
 namespace proteus::tm {
 
+namespace {
+
+// Data words are accessed atomically (relaxed: the global lock orders
+// transactions), like every other backend does: code outside any
+// transaction, such as the KV store's read-ahead peeks, may load the
+// same words, and mixing plain and atomic accesses on one word is a
+// data race. On x86-64 these compile to plain moves.
+std::uint64_t
+loadWord(const std::uint64_t *addr)
+{
+    return reinterpret_cast<const std::atomic<std::uint64_t> *>(addr)->load(
+        std::memory_order_relaxed);
+}
+
+void
+storeWord(std::uint64_t *addr, std::uint64_t value)
+{
+    reinterpret_cast<std::atomic<std::uint64_t> *>(addr)->store(
+        value, std::memory_order_relaxed);
+}
+
+} // namespace
+
 void
 SpinLock::lock()
 {
@@ -44,7 +67,7 @@ GlobalLockTm::txBegin(TxDesc &tx)
 std::uint64_t
 GlobalLockTm::txRead(TxDesc &, const std::uint64_t *addr)
 {
-    return *addr;
+    return loadWord(addr);
 }
 
 void
@@ -55,8 +78,8 @@ GlobalLockTm::txWrite(TxDesc &tx, std::uint64_t *addr,
     // address (the write set doubles as the undo log here — its
     // `value` field holds the OLD word, not the new one).
     if (tx.writeSet.find(addr) == nullptr)
-        tx.writeSet.put(addr, *addr);
-    *addr = value;
+        tx.writeSet.put(addr, loadWord(addr));
+    storeWord(addr, value);
 }
 
 void
@@ -76,7 +99,7 @@ GlobalLockTm::rollback(TxDesc &tx)
     if (tx.inFallback) {
         auto &entries = tx.writeSet.entries();
         for (std::size_t i = entries.size(); i-- > 0;)
-            *entries[i].addr = entries[i].value;
+            storeWord(entries[i].addr, entries[i].value);
         tx.writeSet.clear();
         tx.inFallback = false;
         lock_.unlock();

@@ -12,7 +12,9 @@
  * rollback semantics hold here too, and callers that wait by retrying
  * (the KV store's intent resolution) may do so under the global lock.
  * The undo log costs one hash probe per transactional write; reads
- * stay raw loads.
+ * stay single loads (relaxed atomics, like every backend's data-word
+ * accesses, so hint-only peeks outside transactions race with
+ * nothing).
  */
 
 #ifndef PROTEUS_TM_GLOBAL_LOCK_HPP

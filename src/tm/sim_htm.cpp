@@ -3,6 +3,8 @@
 #include <cassert>
 #include <thread>
 
+#include "common/fault.hpp"
+
 namespace proteus::tm {
 
 namespace {
@@ -251,14 +253,35 @@ SimHtm::hwWrite(TxDesc &tx, std::uint64_t *addr, std::uint64_t value)
     }
 }
 
+void
+SimHtm::awaitOwnerRelease(const void *addr)
+{
+    // A hardware commit is one step on real HTM; here it is two
+    // (hwPreCommitChecks, then hwWriteBackAndRelease), and the
+    // fallback lock can be taken between them, too late for
+    // doomAllActive to stop the committer. Its buffered writes land
+    // only at write-back, so touching a word it still owns would read
+    // the pre-image or be overwritten: wait until the owner releases
+    // (a committer after its write-back, a doomed owner on abort).
+    // The fallback path itself never owns a stripe. An owner that
+    // appears after the check is a doomed hardware transaction (none
+    // begin while the fallback lock is held), which never writes back.
+    const Orec &owner = owners_.forAddr(addr);
+    SpinWaiter waiter;
+    while (owner.load(std::memory_order_seq_cst).locked())
+        waiter.pause();
+}
+
 std::uint64_t
 SimHtm::txRead(TxDesc &tx, const std::uint64_t *addr)
 {
     // Atomic even in the irrevocable fallback: speculative readers
     // access the same words through loadWord, and mixing plain and
     // atomic accesses on one location is a (TSan-visible) data race.
-    if (tx.inFallback)
+    if (tx.inFallback) {
+        awaitOwnerRelease(addr);
         return loadWord(addr);
+    }
     return hwRead(tx, addr);
 }
 
@@ -266,6 +289,7 @@ void
 SimHtm::txWrite(TxDesc &tx, std::uint64_t *addr, std::uint64_t value)
 {
     if (tx.inFallback) {
+        awaitOwnerRelease(addr);
         storeWord(addr, value);
         return;
     }
@@ -309,6 +333,11 @@ SimHtm::txCommit(TxDesc &tx)
         return;
     }
     hwPreCommitChecks(tx);
+    // Test hook: an armed point yields here, widening the window in
+    // which a fallback transaction can start (see awaitOwnerRelease).
+    static fault::FaultPoint commit_window("htm.commit_window");
+    if (commit_window.fire() != 0)
+        std::this_thread::yield();
     hwWriteBackAndRelease(tx);
 }
 

@@ -95,6 +95,10 @@ class SimHtm : public TmBackend
     /** Doom every registered thread currently in a hardware tx. */
     void doomAllActive(int except_tid);
 
+    /** Fallback accesses: wait while a hardware transaction owns
+     *  `addr`'s stripe (see sim_htm.cpp). */
+    void awaitOwnerRelease(const void *addr);
+
     /** Abort if this tx was doomed by a conflicting access. */
     void checkDoomed(TxDesc &tx);
 

@@ -13,11 +13,23 @@
  *    would fail the tag check) and must never observe a version going
  *    backwards on the same key — a resolver preferring a stale
  *    pre-image after the post-image was visible would.
+ *
+ * The read-ahead hunter races the multiOp read-ahead (hint-only
+ * prefetches and relaxed peeks of slot records, issued outside any
+ * transaction and before gate admission) against every way a record
+ * or its blob can change underneath it, on an STM and on the global
+ * lock: byte churn that displaces and recycles blobs, deletes,
+ * TTL expiry, pending 2PC intents and online grows that swap the live
+ * table. Every byte read must still decode to its own key, and
+ * transfers must conserve their total in every snapshot and at the
+ * end.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -183,6 +195,219 @@ TEST(TornReadTest, NoObserverSeesHalfCommittedComposite)
     }
     store.closeSession(session);
 }
+
+constexpr std::uint64_t kAccounts = 16;
+constexpr std::uint64_t kBalance = 1000;
+constexpr std::uint64_t kStableBase = 1 << 20;   // always present
+constexpr std::uint64_t kVolatileBase = 2 << 20; // deleted / expiring
+constexpr std::uint64_t kGrowBase = 3 << 20;     // inserted mid-run
+constexpr std::uint64_t kWideKeys = 64;
+constexpr std::uint64_t kGrowKeys = 1500;
+constexpr int kWriterIters = 1500;
+constexpr int kTransfers = 400;
+
+/** key (8 bytes), nonce (8 bytes), then filler derived from both. */
+std::string
+wideBytes(std::uint64_t key, std::uint64_t nonce)
+{
+    std::string out(16 + (key * 7 + nonce * 13) % 240, '\0');
+    std::memcpy(out.data(), &key, 8);
+    std::memcpy(out.data() + 8, &nonce, 8);
+    for (std::size_t i = 16; i < out.size(); ++i)
+        out[i] = static_cast<char>((key * 131 + nonce + i) & 0xff);
+    return out;
+}
+
+bool
+decodesTo(const std::string &bytes, std::uint64_t key)
+{
+    if (bytes.size() < 16)
+        return false;
+    std::uint64_t k = 0;
+    std::uint64_t nonce = 0;
+    std::memcpy(&k, bytes.data(), 8);
+    std::memcpy(&nonce, bytes.data() + 8, 8);
+    return k == key && bytes == wideBytes(key, nonce);
+}
+
+class ReadAheadRaceTest : public ::testing::TestWithParam<tm::BackendKind>
+{
+};
+
+TEST_P(ReadAheadRaceTest, HintsNeverChangeAnAnswer)
+{
+    KvStoreOptions options;
+    options.numShards = 4;
+    options.log2SlotsPerShard = 8; // the grower forces several grows
+    options.initial = {GetParam(), 16, {}};
+    KvStore store(options);
+
+    {
+        auto session = store.openSession();
+        for (std::uint64_t a = 0; a < kAccounts; ++a)
+            ASSERT_TRUE(store.put(session, a, kBalance));
+        for (std::uint64_t k = 0; k < kWideKeys; ++k) {
+            for (std::uint64_t base : {kStableBase, kVolatileBase}) {
+                const std::string v = wideBytes(base + k, 0);
+                ASSERT_TRUE(store.putBytes(session, base + k, v.data(),
+                                           v.size()));
+            }
+        }
+        store.closeSession(session);
+    }
+    const std::size_t initial_capacity = store.shard(0).capacity();
+
+    std::atomic<int> writers_left{5};
+    std::atomic<bool> misread{false};
+    std::atomic<bool> lost{false};
+    std::atomic<bool> unbalanced{false};
+    std::vector<std::thread> threads;
+    const auto writer = [&](auto body) {
+        threads.emplace_back([&, body] {
+            auto session = store.openSession();
+            body(session);
+            store.closeSession(session);
+            writers_left.fetch_sub(1);
+        });
+    };
+
+    // Byte churn: single puts and cross-shard 2PC pairs rewrite the
+    // stable keys, displacing (and so recycling) their blobs and
+    // leaving pending intents on the records readers peek at.
+    writer([&](KvStore::Session &session) {
+        Rng rng(7);
+        std::vector<KvOp> pair(2);
+        for (int i = 1; i <= kWriterIters; ++i) {
+            const std::uint64_t a = kStableBase + rng.nextBounded(kWideKeys);
+            std::uint64_t b = kStableBase + rng.nextBounded(kWideKeys);
+            while (store.shardOf(b) == store.shardOf(a))
+                b = kStableBase + rng.nextBounded(kWideKeys);
+            if (i % 2 == 0) {
+                const std::string v = wideBytes(a, i);
+                store.putBytes(session, a, v.data(), v.size());
+                continue;
+            }
+            pair[0] = {KvOp::Kind::kPutBytes, a, 0, false, wideBytes(a, i)};
+            pair[1] = {KvOp::Kind::kPutBytes, b, 0, false, wideBytes(b, i)};
+            store.multiOp(session, pair);
+        }
+    });
+    // Deletes and TTL expiry: volatile keys vanish, come back with or
+    // without a 50 us deadline, and leave tombstones behind.
+    writer([&](KvStore::Session &session) {
+        Rng rng(11);
+        for (int i = 1; i <= kWriterIters; ++i) {
+            const std::uint64_t k =
+                kVolatileBase + rng.nextBounded(kWideKeys);
+            if (i % 3 == 0) {
+                store.del(session, k);
+                continue;
+            }
+            const std::string v = wideBytes(k, i);
+            store.putBytes(session, k, v.data(), v.size(),
+                           i % 3 == 1 ? 50'000 : 0);
+        }
+    });
+    // Online grows: fresh inserts push every shard past its load
+    // threshold several times, swapping the live table under readers.
+    writer([&](KvStore::Session &session) {
+        for (std::uint64_t k = 0; k < kGrowKeys; ++k) {
+            const std::string v = wideBytes(kGrowBase + k, 1);
+            if (store.putBytes(session, kGrowBase + k, v.data(), v.size())
+                    .status != KvStatus::kOk)
+                lost.store(true);
+        }
+    });
+    // Cross-shard 2PC transfers between numeric accounts.
+    for (int t = 0; t < 2; ++t) {
+        writer([&, t](KvStore::Session &session) {
+            Rng rng(20 + static_cast<unsigned>(t));
+            std::vector<KvOp> transfer(2);
+            for (int i = 0; i < kTransfers; ++i) {
+                const std::uint64_t from = rng.nextBounded(kAccounts);
+                std::uint64_t to = rng.nextBounded(kAccounts);
+                while (store.shardOf(to) == store.shardOf(from))
+                    to = rng.nextBounded(kAccounts);
+                const auto amount = 1 + rng.nextBounded(50);
+                transfer[0] = {KvOp::Kind::kAdd, from, -amount, false};
+                transfer[1] = {KvOp::Kind::kAdd, to, amount, false};
+                store.multiOp(session, transfer);
+            }
+        });
+    }
+
+    // Readers: 4-key byte multiOps over every key class, and now and
+    // then a snapshot of every account.
+    for (int r = 0; r < 2; ++r) {
+        threads.emplace_back([&, r] {
+            auto session = store.openSession();
+            Rng rng(40 + static_cast<unsigned>(r));
+            std::vector<KvOp> reads(4);
+            std::vector<KvOp> accounts(kAccounts);
+            for (int i = 0; writers_left.load() > 0; ++i) {
+                for (KvOp &op : reads) {
+                    const std::uint64_t bases[] = {kStableBase,
+                                                   kVolatileBase, kGrowBase};
+                    const std::uint64_t base = bases[rng.nextBounded(3)];
+                    op.kind = KvOp::Kind::kGetBytes;
+                    op.key = base + rng.nextBounded(
+                                        base == kGrowBase ? kGrowKeys
+                                                          : kWideKeys);
+                    op.ok = false;
+                }
+                store.multiOp(session, reads);
+                for (const KvOp &op : reads) {
+                    if (op.ok && !decodesTo(op.bytes, op.key))
+                        misread.store(true);
+                    if (!op.ok && op.key < kVolatileBase)
+                        lost.store(true); // stable keys never vanish
+                }
+                if (i % 8 != 0)
+                    continue;
+                for (std::uint64_t a = 0; a < kAccounts; ++a)
+                    accounts[a] = {KvOp::Kind::kGet, a, 0, false};
+                store.multiOp(session, accounts);
+                std::uint64_t sum = 0;
+                for (const KvOp &op : accounts)
+                    sum += op.value;
+                if (sum != kAccounts * kBalance)
+                    unbalanced.store(true);
+            }
+            store.closeSession(session);
+        });
+    }
+
+    for (auto &thread : threads)
+        thread.join();
+
+    EXPECT_FALSE(misread.load()) << "a byte read decoded to another key";
+    EXPECT_FALSE(lost.load()) << "a stable key read absent or a put failed";
+    EXPECT_FALSE(unbalanced.load()) << "a snapshot broke conservation";
+    EXPECT_GT(store.shard(0).capacity(), initial_capacity)
+        << "no grow ran under the readers";
+
+    auto session = store.openSession();
+    std::uint64_t sum = 0;
+    for (std::uint64_t a = 0; a < kAccounts; ++a) {
+        std::uint64_t balance = 0;
+        ASSERT_TRUE(store.get(session, a, &balance));
+        sum += balance;
+    }
+    EXPECT_EQ(sum, kAccounts * kBalance);
+    std::string bytes;
+    for (std::uint64_t k = 0; k < kWideKeys; ++k) {
+        ASSERT_TRUE(store.getBytes(session, kStableBase + k, &bytes));
+        EXPECT_TRUE(decodesTo(bytes, kStableBase + k));
+    }
+    store.closeSession(session);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StmAndGlobalLock, ReadAheadRaceTest,
+    ::testing::Values(tm::BackendKind::kTl2, tm::BackendKind::kGlobalLock),
+    [](const ::testing::TestParamInfo<tm::BackendKind> &info) {
+        return std::string(tm::backendName(info.param));
+    });
 
 } // namespace
 } // namespace proteus::kvstore

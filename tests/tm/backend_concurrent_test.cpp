@@ -29,32 +29,46 @@ class BackendConcurrentTest : public ::testing::TestWithParam<BackendKind>
     }
 };
 
-TEST_P(BackendConcurrentTest, CounterIncrementsAreAtomic)
+/** `threads` threads each make 2000 transactional increments of one
+ *  word; returns the final count. */
+std::uint64_t
+countIncrements(TmBackend &backend, int threads)
 {
-    auto backend = make();
-    constexpr int kThreads = 4;
     constexpr int kIncrementsPerThread = 2000;
     std::uint64_t counter = 0;
 
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
             TxDesc desc(t, 1000 + t);
-            backend->registerThread(desc);
+            backend.registerThread(desc);
             for (int i = 0; i < kIncrementsPerThread; ++i) {
-                runTx(*backend, desc, [&](TxDesc &d) {
-                    backend->txWrite(d, &counter,
-                                     backend->txRead(d, &counter) + 1);
+                runTx(backend, desc, [&](TxDesc &d) {
+                    backend.txWrite(d, &counter,
+                                    backend.txRead(d, &counter) + 1);
                 });
             }
-            backend->deregisterThread(desc);
+            backend.deregisterThread(desc);
         });
     }
-    for (auto &th : threads)
+    for (auto &th : pool)
         th.join();
+    return counter;
+}
 
-    EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) *
-                           kIncrementsPerThread);
+TEST_P(BackendConcurrentTest, CounterIncrementsAreAtomic)
+{
+    auto backend = make();
+    EXPECT_EQ(countIncrements(*backend, 4), 4u * 2000);
+}
+
+TEST_P(BackendConcurrentTest, CounterIncrementsAreAtomicEightThreads)
+{
+    // On hosts with fewer cores than threads, preemption lands inside
+    // commits, where the emulated HTM's fallback path once read words
+    // a committer still owned (see SimHtm::awaitOwnerRelease).
+    auto backend = make();
+    EXPECT_EQ(countIncrements(*backend, 8), 8u * 2000);
 }
 
 TEST_P(BackendConcurrentTest, BankTransfersConserveTotal)

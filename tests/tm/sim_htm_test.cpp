@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "tm/test_util.hpp"
 
 namespace proteus::tm {
@@ -280,6 +281,46 @@ TEST(SimHtmTest, ConcurrentStressMixedFallback)
     for (const auto &a : accounts)
         total += a;
     EXPECT_EQ(total, 3200u);
+}
+
+TEST(SimHtmTest, FallbackWaitsOutHardwareCommitInFlight)
+{
+    // Regression: a fallback transaction that starts between a
+    // hardware commit's checks and its write-back must not touch the
+    // words that commit still owns, or its increment overwrites the
+    // committer's (lost updates). The armed point yields inside every
+    // hardware commit, holding that window open wide.
+    fault::FaultSpec always;
+    always.trigger = fault::FaultSpec::Trigger::kProbability;
+    always.probability = 1.0;
+    always.oneShot = false;
+    fault::arm("htm.commit_window", always);
+
+    SimHtm htm({}, 14);
+    constexpr int kThreads = 4;
+    constexpr int kIncrementsPerThread = 2000;
+    std::uint64_t counter = 0;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            TxDesc desc(t, 500 + t);
+            htm.registerThread(desc);
+            for (int i = 0; i < kIncrementsPerThread; ++i) {
+                testing::runTx(htm, desc, [&](TxDesc &d) {
+                    htm.txWrite(d, &counter, htm.txRead(d, &counter) + 1);
+                });
+            }
+            htm.deregisterThread(desc);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    const std::uint64_t fires = fault::firesOf("htm.commit_window");
+    fault::disarmAll();
+
+    EXPECT_GT(fires, 0u) << "no hardware commit reached the window";
+    EXPECT_EQ(counter,
+              static_cast<std::uint64_t>(kThreads) * kIncrementsPerThread);
 }
 
 } // namespace
