@@ -3,9 +3,12 @@
  * Cache-line sized padding helpers.
  *
  * Hot words that many threads write (clocks, thread gates, per-thread
- * counters, a shard's WAL ticket) live on private cache lines to avoid
- * false sharing; every such word in this codebase goes through one of
- * these wrappers.
+ * counters, a shard's WAL ticket, the store's commit sequence), and
+ * hot words that every transaction reads (PolyTM's dispatch words: the
+ * current backend and the HTM contention-management knobs, kept off
+ * the line of PolyTM's admin mutex), live on private cache lines to
+ * avoid false sharing; every such word in this codebase goes through
+ * one of these wrappers.
  *
  * Orecs are the deliberate exception: they pack 8 to a line, one per
  * word of one data line (see tm/orec.hpp). A table of 64K orecs is

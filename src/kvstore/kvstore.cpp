@@ -416,7 +416,7 @@ KvStore::put(Session &session, std::uint64_t key, std::uint64_t value,
     const std::uint64_t expiry = ttl == 0 ? 0 : nowNanos() + ttl;
     if (expiry != 0)
         shard.noteTtlUsed();
-    std::vector<std::uint64_t> reclaim;
+    std::vector<std::uint64_t> &reclaim = session.displaced_;
     for (;;) {
         const std::size_t cap = shard.capacity();
         bool ok = false;
@@ -466,7 +466,7 @@ KvStore::putBytes(Session &session, std::uint64_t key, const void *data,
     } catch (const std::bad_alloc &) {
         return KvStatus::kNoMemory; // nothing staged, nothing written
     }
-    std::vector<std::uint64_t> reclaim;
+    std::vector<std::uint64_t> &reclaim = session.displaced_;
     for (;;) {
         const std::size_t cap = shard.capacity();
         bool ok = false;
@@ -508,7 +508,7 @@ KvStore::del(Session &session, std::uint64_t key)
     Shard &shard = *shards_[s];
     bool ok = false;
     SlotImage pre;
-    std::vector<std::uint64_t> reclaim;
+    std::vector<std::uint64_t> &reclaim = session.displaced_;
     std::uint64_t lsn = 0;
     shard.poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
         reclaim.clear();
@@ -1032,7 +1032,7 @@ KvStore::multiOpSingleShard(Session &session, bool writes)
         PinSpan pin(shards_, session.tokens_, session.slices_);
         const std::size_t cap = shard.capacity();
         session.reclaim_.clear();
-        std::vector<std::uint64_t> reclaim;
+        std::vector<std::uint64_t> &reclaim = session.displaced_;
         std::int64_t tomb_delta = 0;
         std::uint64_t lsn = 0;
         try {
@@ -1252,7 +1252,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             // higher one — wait chains strictly ascend, so they
             // cannot cycle. Snapshot readers order themselves against
             // this window through the record's commit sequence alone.
-            std::vector<std::uint64_t> slice_reclaim;
+            std::vector<std::uint64_t> &slice_reclaim = session.displaced_;
             for (const auto &slice : slices) {
                 Shard &shard = *shards_[slice.shard];
                 const std::size_t cap = shard.capacity();
@@ -1697,7 +1697,7 @@ KvStore::applyBatch(Session &session, Batch &batch)
     }
 
     bool ok = true;
-    std::vector<std::uint64_t> reclaim;
+    std::vector<std::uint64_t> &reclaim = session.displaced_;
     if (durable())
         session.walBatchEnds_.assign(shards_.size(), 0);
     for (const auto &slice : session.slices_) {

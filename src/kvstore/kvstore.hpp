@@ -246,6 +246,7 @@ class KvStore
                 undo_ = std::move(other.undo_);
                 seqSnapshot_ = std::move(other.seqSnapshot_);
                 reclaim_ = std::move(other.reclaim_);
+                displaced_ = std::move(other.displaced_);
                 newBlobs_ = std::move(other.newBlobs_);
                 retryOps_ = std::move(other.retryOps_);
                 arenaCaches_.swap(other.arenaCaches_);
@@ -330,6 +331,11 @@ class KvStore
          * transaction ran, so retried attempts never double-capture.
          */
         std::vector<std::pair<std::uint32_t, std::uint64_t>> reclaim_;
+        /** Displaced blob handles of one shard's write transaction (a
+         *  single-key write, a multiOp slice, a batch slice), captured
+         *  by the shard's write primitives. Reused across calls, so
+         *  overwriting a blob value allocates nothing. */
+        std::vector<std::uint64_t> displaced_;
         /** Blobs allocated up-front for kPutBytes ops; freed only when
          *  the whole multiOp ultimately fails (never published). */
         std::vector<std::pair<std::uint32_t, std::uint64_t>> newBlobs_;

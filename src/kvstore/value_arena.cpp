@@ -1,7 +1,6 @@
 #include "kvstore/value_arena.hpp"
 
 #include <new>
-#include <stdexcept>
 
 #include "common/fault.hpp"
 
@@ -53,29 +52,6 @@ packHead(std::uint64_t tag, const std::atomic<std::uint64_t> *ptr)
 }
 
 } // namespace
-
-std::size_t
-ValueArena::classOf(std::size_t len)
-{
-    std::size_t cls = 0;
-    std::size_t cap = kMinClassBytes;
-    while (cap < len && cls + 1 < kNumClasses) {
-        cap <<= 1;
-        ++cls;
-    }
-    if (cap < len)
-        throw std::length_error("ValueArena: blob too large");
-    return cls;
-}
-
-std::size_t
-ValueArena::classOfCapacity(std::size_t cap_bytes)
-{
-    std::size_t cls = 0;
-    while ((kMinClassBytes << cls) < cap_bytes)
-        ++cls;
-    return cls;
-}
 
 std::atomic<std::uint64_t> *
 ValueArena::carve(std::size_t words)
@@ -193,7 +169,7 @@ ValueRef
 ValueArena::allocBlob(const void *data, std::size_t len, Cache *cache)
 {
     const std::size_t cls = classOf(len);
-    const std::size_t cap_bytes = kMinClassBytes << cls;
+    const std::size_t cap_bytes = classCapacity(cls);
     allocs_.fetch_add(1, std::memory_order_relaxed);
 
     std::atomic<std::uint64_t> *blob = nullptr;
@@ -232,7 +208,7 @@ ValueArena::freeBlob(ValueRef ref, Cache *cache)
     std::atomic<std::uint64_t> *blob = blobOf(ref);
     const std::size_t cap_bytes = capBytesOf(blob);
     bytesLive_.fetch_sub(cap_bytes, std::memory_order_relaxed);
-    const std::size_t cls = classOfCapacity(cap_bytes);
+    const std::size_t cls = classOf(cap_bytes);
     if (cache != nullptr &&
         cache->classes_[cls].count < Cache::kMagazine) {
         cache->classes_[cls].blobs[cache->classes_[cls].count++] = blob;
@@ -354,7 +330,7 @@ ValueArena::recycle(std::atomic<std::uint64_t> *blob)
     // read the old even stamp.
     std::atomic_thread_fence(std::memory_order_release);
     recycled_.fetch_add(1, std::memory_order_relaxed);
-    pushFree(classOfCapacity(capBytesOf(blob)), blob);
+    pushFree(classOf(capBytesOf(blob)), blob);
 }
 
 void
@@ -365,7 +341,7 @@ ValueArena::recycleInto(std::atomic<std::uint64_t> *blob, Cache *cache)
     blob[0].fetch_add(2, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_release);
     recycled_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t cls = classOfCapacity(capBytesOf(blob));
+    const std::size_t cls = classOf(capBytesOf(blob));
     if (cache != nullptr &&
         cache->classes_[cls].count < Cache::kMagazine) {
         cache->classes_[cls].blobs[cache->classes_[cls].count++] = blob;

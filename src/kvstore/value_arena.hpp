@@ -54,10 +54,12 @@
 #define PROTEUS_KVSTORE_VALUE_ARENA_HPP
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -117,8 +119,57 @@ inlineRefCopy(ValueRef ref, std::string *out)
 class ValueArena
 {
   public:
+    /**
+     * Size classes, by payload capacity (a blob adds a 16-byte header):
+     * 16-byte steps up to 256 B, then four classes per doubling up to
+     * kMaxBlobBytes — the spacing jemalloc uses. Rounding a non-empty
+     * payload up to its class wastes at most 15 B up to 256 B and less
+     * than 25% of the length above it.
+     */
     static constexpr std::size_t kMinClassBytes = 16;
-    static constexpr std::size_t kNumClasses = 16; // 16 B .. 512 KiB
+    static constexpr std::size_t kMaxBlobBytes = std::size_t{512} << 10;
+    static constexpr unsigned kLog2LinearMax = 8; // 16-byte steps to 256 B
+    static constexpr unsigned kLog2PerDoubling = 2; // 4 classes/doubling
+    static constexpr std::size_t kLinearClasses =
+        (std::size_t{1} << kLog2LinearMax) / kMinClassBytes;
+    static constexpr std::size_t kPerDoubling = std::size_t{1}
+                                                << kLog2PerDoubling;
+    static constexpr std::size_t kNumClasses =
+        kLinearClasses +
+        kPerDoubling * (std::bit_width(kMaxBlobBytes) - 1 - kLog2LinearMax);
+
+    /**
+     * Class of a `len`-byte payload: the smallest class whose capacity
+     * holds it, in O(1). Capacities strictly increase with the class,
+     * so a class's own capacity maps back to that class (the inverse
+     * the free paths use). Throws std::length_error above
+     * kMaxBlobBytes.
+     */
+    static constexpr std::size_t
+    classOf(std::size_t len)
+    {
+        if (len > kMaxBlobBytes)
+            throw std::length_error("ValueArena: blob too large");
+        if (len <= kLinearClasses * kMinClassBytes)
+            return len <= kMinClassBytes ? 0 : (len - 1) / kMinClassBytes;
+        // 2^k < len <= 2^(k+1): the doubling's steps are 2^(k-2) wide,
+        // so (len - 1) >> (k - 2) lies in [kPerDoubling, 2*kPerDoubling).
+        const unsigned k = std::bit_width(len - 1) - 1;
+        return kLinearClasses + (k - kLog2LinearMax) * kPerDoubling +
+               ((len - 1) >> (k - kLog2PerDoubling)) - kPerDoubling;
+    }
+
+    /** Payload capacity of class `cls` (< kNumClasses). */
+    static constexpr std::size_t
+    classCapacity(std::size_t cls)
+    {
+        if (cls < kLinearClasses)
+            return (cls + 1) * kMinClassBytes;
+        const std::size_t doubling = (cls - kLinearClasses) / kPerDoubling;
+        const std::size_t step = (cls - kLinearClasses) % kPerDoubling;
+        return (kPerDoubling + 1 + step)
+               << (kLog2LinearMax - kLog2PerDoubling + doubling);
+    }
 
     /**
      * Per-session free-blob magazine (one bounded stack per size
@@ -375,8 +426,6 @@ class ValueArena
     /** Bytes prefetchBlob covers from the blob's first word. */
     static constexpr std::size_t kPrefetchBytes = 192;
 
-    static std::size_t classOf(std::size_t len);
-    static std::size_t classOfCapacity(std::size_t cap_bytes);
     std::atomic<std::uint64_t> *carve(std::size_t words);
     /** Write `len` bytes under the seqlock protocol; returns handle. */
     ValueRef publish(std::atomic<std::uint64_t> *blob,
@@ -416,6 +465,10 @@ class ValueArena
     std::atomic<std::uint64_t> retired_{0};
     std::atomic<std::uint64_t> recycled_{0};
 };
+
+static_assert(ValueArena::kNumClasses == 60);
+static_assert(ValueArena::classCapacity(ValueArena::kNumClasses - 1) ==
+              ValueArena::kMaxBlobBytes);
 
 } // namespace proteus::kvstore
 

@@ -33,11 +33,12 @@ PolyTm::PolyTm(TmConfig initial, tm::SimHtmConfig htm_config,
         std::make_unique<tm::HybridNorecTm>(htm_config, log2_orecs);
 
     config_ = initial;
-    currentBackend_.store(backends_[idx(initial.backend)].get(),
-                          std::memory_order_release);
-    cmBudget_.store(initial.cm.htmBudget, std::memory_order_relaxed);
-    cmPolicy_.store(static_cast<int>(initial.cm.capacityPolicy),
-                    std::memory_order_relaxed);
+    dispatch_->backend.store(backends_[idx(initial.backend)].get(),
+                             std::memory_order_release);
+    dispatch_->cmBudget.store(initial.cm.htmBudget,
+                              std::memory_order_relaxed);
+    dispatch_->cmPolicy.store(static_cast<int>(initial.cm.capacityPolicy),
+                              std::memory_order_relaxed);
 }
 
 PolyTm::~PolyTm() = default;
@@ -134,7 +135,7 @@ PolyTm::onAbort(ThreadToken &token, tm::TxDesc &desc,
     if (kind == BackendKind::kSimHtm || kind == BackendKind::kHybridNorec) {
         if (abort.cause == tm::AbortCause::kCapacity) {
             switch (static_cast<tm::CapacityPolicy>(
-                cmPolicy_.load(std::memory_order_relaxed))) {
+                dispatch_->cmPolicy.load(std::memory_order_relaxed))) {
               case tm::CapacityPolicy::kGiveUp:
                 desc.htmBudgetLeft = 0;
                 break;
@@ -161,9 +162,10 @@ PolyTm::reconfigure(const TmConfig &config)
     std::lock_guard<std::mutex> lk(adminMutex_);
 
     // CM knobs first: these never need quiescence.
-    cmBudget_.store(config.cm.htmBudget, std::memory_order_relaxed);
-    cmPolicy_.store(static_cast<int>(config.cm.capacityPolicy),
-                    std::memory_order_relaxed);
+    dispatch_->cmBudget.store(config.cm.htmBudget,
+                              std::memory_order_relaxed);
+    dispatch_->cmPolicy.store(static_cast<int>(config.cm.capacityPolicy),
+                              std::memory_order_relaxed);
 
     const bool same_backend = config.backend == config_.backend;
     const bool same_threads = config.threads == config_.threads;
@@ -188,7 +190,7 @@ PolyTm::reconfigure(const TmConfig &config)
         tm::TmBackend *next =
             backends_[static_cast<std::size_t>(config.backend)].get();
         next->reset();
-        currentBackend_.store(next, std::memory_order_release);
+        dispatch_->backend.store(next, std::memory_order_release);
     }
 
     // Step (iii): parallelism degree -> P.

@@ -210,10 +210,10 @@ class PolyTm
         for (;;) {
             gate_.enter(token.tid);
             tm::TmBackend *backend =
-                currentBackend_.load(std::memory_order_acquire);
+                dispatch_->backend.load(std::memory_order_acquire);
             if (desc.consecutiveAborts == 0) {
                 desc.htmBudgetLeft =
-                    cmBudget_.load(std::memory_order_relaxed);
+                    dispatch_->cmBudget.load(std::memory_order_relaxed);
             }
             try {
                 backend->txBegin(desc);
@@ -300,11 +300,23 @@ class PolyTm
     bool enabledUnder(const TmConfig &config, int tid) const;
 
     ThreadGate gate_;
-    std::atomic<tm::TmBackend *> currentBackend_{nullptr};
 
-    std::atomic<int> cmBudget_{5};
-    std::atomic<int> cmPolicy_{
-        static_cast<int>(tm::CapacityPolicy::kDecrease)};
+    /**
+     * The words every run() attempt reads. Layout rule: they share a
+     * cache line with nothing else. Writers that take adminMutex_
+     * (setPinned on every pin and unpin of a writing multiOp,
+     * registration) would otherwise evict the line from every thread
+     * dispatching on this instance.
+     */
+    struct DispatchWords
+    {
+        std::atomic<tm::TmBackend *> backend{nullptr};
+        std::atomic<int> cmBudget{5};
+        std::atomic<int> cmPolicy{
+            static_cast<int>(tm::CapacityPolicy::kDecrease)};
+    };
+    static_assert(sizeof(Padded<DispatchWords>) == kCacheLineSize);
+    Padded<DispatchWords> dispatch_;
 
     mutable std::mutex adminMutex_;
     TmConfig config_;

@@ -4,7 +4,9 @@
  * a session's scratch buffers have grown to size, neither read-only
  * nor writing multiOps allocate: grouping, the read-ahead, the
  * snapshot-read rounds and the 2PC prepare/finalize passes all reuse
- * session-owned memory.
+ * session-owned memory. Blob overwrites (single-key putBytes and
+ * putBytes inside single-shard and cross-shard multiOps) allocate
+ * nothing either: the displaced handles land in a session buffer.
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +203,95 @@ TEST_F(MultiOpAllocTest, WritingMultiOpsAllocateNothing)
     allocationsOver(kWarmup, write);
     EXPECT_EQ(allocationsOver(kMeasured, write), 0u);
     EXPECT_TRUE(all_ok);
+}
+
+/**
+ * Overwriting a blob value displaces the old blob, and the write path
+ * captures its handle for deferred reclamation. The capture buffer is
+ * session-owned, so after warm-up a blob overwrite allocates nothing:
+ * the new blob comes from the session's magazine and the old one
+ * recycles through the session's owner limbo.
+ */
+class BlobOverwriteAllocTest : public MultiOpAllocTest
+{
+  protected:
+    /** Wide keys whose home shard is `shard`. */
+    std::vector<std::uint64_t>
+    wideKeysOn(std::size_t shard) const
+    {
+        std::vector<std::uint64_t> keys;
+        for (std::uint64_t k = 0; k < kKeys; ++k) {
+            if (store_->shardOf(kWideBase + k) == shard)
+                keys.push_back(kWideBase + k);
+        }
+        return keys;
+    }
+
+    /** A wide value written over existing blob values. */
+    const std::string value_ = std::string(kWideBytes, 'z');
+};
+
+TEST_F(BlobOverwriteAllocTest, PutBytesOverBlobAllocatesNothing)
+{
+    bool all_ok = true;
+    const auto write = [&](int i) {
+        const std::uint64_t key =
+            kWideBase + static_cast<std::uint64_t>(i) % kKeys;
+        all_ok &= store_->putBytes(session_, key, value_.data(),
+                                   value_.size())
+                      .status == KvStatus::kOk;
+    };
+    allocationsOver(kWarmup, write);
+    EXPECT_EQ(allocationsOver(kMeasured, write), 0u);
+    EXPECT_TRUE(all_ok);
+}
+
+TEST_F(BlobOverwriteAllocTest, SingleShardMultiOpPutBytesAllocatesNothing)
+{
+    const std::vector<std::uint64_t> keys = wideKeysOn(0);
+    ASSERT_GE(keys.size(), 4u);
+    std::vector<KvOp> ops(2);
+    for (KvOp &op : ops) {
+        op.kind = KvOp::Kind::kPutBytes;
+        op.bytes = value_;
+    }
+    bool all_ok = true;
+    const auto write = [&](int i) {
+        for (std::size_t j = 0; j < ops.size(); ++j)
+            ops[j].key = keys[(static_cast<std::size_t>(i) * 2 + j) %
+                              keys.size()];
+        all_ok &= store_->multiOp(session_, ops).status == KvStatus::kOk;
+    };
+    allocationsOver(kWarmup, write);
+    EXPECT_EQ(allocationsOver(kMeasured, write), 0u);
+    EXPECT_TRUE(all_ok);
+}
+
+TEST_F(BlobOverwriteAllocTest, CrossShardMultiOpPutBytesAllocatesNothing)
+{
+    const std::vector<std::uint64_t> first = wideKeysOn(0);
+    const std::vector<std::uint64_t> second = wideKeysOn(1);
+    ASSERT_FALSE(first.empty());
+    ASSERT_FALSE(second.empty());
+    std::vector<KvOp> ops(2);
+    for (KvOp &op : ops) {
+        op.kind = KvOp::Kind::kPutBytes;
+        op.bytes = value_;
+    }
+    bool all_ok = true;
+    const auto write = [&](int i) {
+        const auto n = static_cast<std::size_t>(i);
+        ops[0].key = first[n % first.size()];
+        ops[1].key = second[n % second.size()];
+        all_ok &= store_->multiOp(session_, ops).status == KvStatus::kOk;
+    };
+    allocationsOver(kWarmup, write);
+    EXPECT_EQ(allocationsOver(kMeasured, write), 0u);
+    EXPECT_TRUE(all_ok);
+    // The 2PC writes landed.
+    std::string out;
+    EXPECT_TRUE(store_->getBytes(session_, first[0], &out));
+    EXPECT_EQ(out, value_);
 }
 
 } // namespace

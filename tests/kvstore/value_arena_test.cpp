@@ -1,0 +1,414 @@
+/**
+ * ValueArena on its own, without a store around it:
+ *
+ *  1. The size-class map for every payload length up to the maximum:
+ *     the class holds the length, wastes at most 15 B (up to 256 B) or
+ *     under 25% (above), is the smallest class that fits, never
+ *     decreases with the length, and maps its own capacity back to
+ *     itself. Longer payloads throw std::length_error.
+ *  2. Copy-out round trips at every class edge.
+ *  3. Recycling: a freed blob is reused only within its class, a
+ *     recycled blob's stale handle fails the stamp check, and an
+ *     owner-limbo retire waits out a reader section that opened before
+ *     it.
+ *  4. Accounting: bytesLive() returns to 0 once every blob is gone.
+ *  5. A four-thread alloc/free/retire stress over mixed lengths with
+ *     optimistic and pinned readers (for the sanitizer jobs).
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/epoch.hpp"
+#include "common/rng.hpp"
+#include "kvstore/value_arena.hpp"
+
+namespace proteus::kvstore {
+namespace {
+
+using Arena = ValueArena;
+
+std::uint64_t
+addressOf(ValueRef ref)
+{
+    return ref & kValueRefPtrMask;
+}
+
+/** `len` bytes that differ from any other (len, seed) pair's. */
+std::string
+pattern(std::size_t len, std::uint64_t seed)
+{
+    std::string out(len, '\0');
+    for (std::size_t i = 0; i < len; ++i)
+        out[i] = static_cast<char>((seed * 131 + i * 7 + (i >> 8)) & 0xff);
+    return out;
+}
+
+TEST(ValueArenaTest, ClassMapBoundsWasteForEveryLength)
+{
+    std::size_t prev_cls = 0;
+    std::size_t bad_len = 0;
+    int failures = 0;
+    for (std::size_t len = 0; len <= Arena::kMaxBlobBytes; ++len) {
+        const std::size_t cls = Arena::classOf(len);
+        const std::size_t cap = Arena::classCapacity(cls);
+        const std::size_t waste = cap - len;
+        const bool holds = cls < Arena::kNumClasses && cap >= len;
+        const bool bounded =
+            len == 0 ? cls == 0
+            : len <= 256 ? waste <= 15
+                         : 4 * waste < len;
+        const bool smallest =
+            cls == 0 || Arena::classCapacity(cls - 1) < len;
+        const bool monotone = cls == prev_cls || cls == prev_cls + 1;
+        if (!(holds && bounded && smallest && monotone)) {
+            if (failures++ == 0)
+                bad_len = len;
+        }
+        prev_cls = cls;
+    }
+    EXPECT_EQ(failures, 0) << "first failing length " << bad_len;
+    EXPECT_EQ(prev_cls, Arena::kNumClasses - 1);
+    EXPECT_EQ(Arena::classOf(Arena::kMaxBlobBytes), Arena::kNumClasses - 1);
+    EXPECT_THROW(Arena::classOf(Arena::kMaxBlobBytes + 1),
+                 std::length_error);
+
+    // Exact capacity -> class inverse (what freeBlob and the recycle
+    // paths derive from a blob's meta word).
+    for (std::size_t cls = 0; cls < Arena::kNumClasses; ++cls) {
+        EXPECT_EQ(Arena::classOf(Arena::classCapacity(cls)), cls);
+        EXPECT_EQ(Arena::classCapacity(cls) % 16, 0u);
+        if (cls > 0) {
+            EXPECT_LT(Arena::classCapacity(cls - 1),
+                      Arena::classCapacity(cls));
+        }
+    }
+}
+
+TEST(ValueArenaTest, OversizedBlobThrowsLengthError)
+{
+    Arena arena;
+    const std::string big(Arena::kMaxBlobBytes + 1, 'x');
+    EXPECT_THROW(arena.allocBlob(big.data(), big.size()), std::length_error);
+    EXPECT_EQ(arena.bytesLive(), 0u);
+    EXPECT_EQ(arena.stats().carves, 0u);
+}
+
+TEST(ValueArenaTest, RoundTripsAtEveryClassEdge)
+{
+    Arena arena;
+    EpochDomain readers(1);
+    EpochSlot &slot = *readers.claimSlot(0);
+    std::uint64_t seed = 1;
+    for (std::size_t cls = 0; cls < Arena::kNumClasses; ++cls) {
+        const std::size_t cap = Arena::classCapacity(cls);
+        for (const std::size_t len : {cap, cap + 1}) {
+            if (len > Arena::kMaxBlobBytes)
+                continue;
+            const std::string value = pattern(len, seed++);
+            const std::size_t live = arena.bytesLive();
+            const ValueRef ref = arena.allocBlob(value.data(), len);
+            ASSERT_TRUE(valueRefIsBlob(ref));
+            // The blob landed in the class the map names.
+            EXPECT_EQ(arena.bytesLive() - live,
+                      Arena::classCapacity(Arena::classOf(len)))
+                << "len " << len;
+
+            std::string out;
+            ASSERT_TRUE(arena.readBlob(ref, &out)) << "len " << len;
+            EXPECT_EQ(out, value) << "len " << len;
+            std::uint64_t word = 0;
+            ASSERT_TRUE(arena.readBlobWord(ref, &word));
+            std::uint64_t expect_word = 0;
+            std::memcpy(&expect_word, value.data(), len < 8 ? len : 8);
+            EXPECT_EQ(word, expect_word) << "len " << len;
+            {
+                EpochPin pin(readers, slot);
+                out.clear();
+                arena.readBlobPinned(ref, &out);
+            }
+            EXPECT_EQ(out, value) << "len " << len;
+            arena.freeBlob(ref);
+        }
+    }
+    EXPECT_EQ(arena.bytesLive(), 0u);
+}
+
+TEST(ValueArenaTest, FreedBlobIsReusedWithinItsClassOnly)
+{
+    Arena arena;
+    const std::string a(100, 'a'); // class capacity 112
+    const ValueRef first = arena.allocBlob(a.data(), a.size());
+    arena.freeBlob(first);
+
+    // Next class up (113..128): must not receive the freed 112-B blob.
+    const std::string b(120, 'b');
+    const ValueRef other = arena.allocBlob(b.data(), b.size());
+    EXPECT_NE(addressOf(other), addressOf(first));
+
+    // Same class, different length: reuses it.
+    const std::string c(97, 'c');
+    const ValueRef reused = arena.allocBlob(c.data(), c.size());
+    EXPECT_EQ(addressOf(reused), addressOf(first));
+    std::string out;
+    ASSERT_TRUE(arena.readBlob(reused, &out));
+    EXPECT_EQ(out, c);
+
+    // Through a session magazine: same rule, no shared list touched.
+    Arena::Cache cache;
+    arena.freeBlob(reused, &cache);
+    const std::uint64_t hits = arena.stats().magazineHits;
+    const std::string d(112, 'd');
+    const ValueRef from_cache = arena.allocBlob(d.data(), d.size(), &cache);
+    EXPECT_EQ(addressOf(from_cache), addressOf(first));
+    EXPECT_EQ(arena.stats().magazineHits, hits + 1);
+
+    arena.freeBlob(other, &cache);
+    arena.freeBlob(from_cache, &cache);
+    arena.flushCache(cache);
+    EXPECT_EQ(arena.bytesLive(), 0u);
+}
+
+TEST(ValueArenaTest, StaleHandleFailsAfterRecycle)
+{
+    Arena arena;
+    EpochDomain readers(1);
+    const std::string v1 = pattern(200, 1);
+    const ValueRef stale = arena.allocBlob(v1.data(), v1.size());
+    arena.retireBlob(stale);
+    EXPECT_EQ(arena.limboCount(), 1u);
+    arena.reclaim(readers); // nobody pinned: recycles at once
+    EXPECT_EQ(arena.limboCount(), 0u);
+    EXPECT_EQ(arena.stats().recycled, 1u);
+
+    std::string out;
+    std::uint64_t word = 0;
+    EXPECT_FALSE(arena.readBlob(stale, &out));
+    EXPECT_FALSE(arena.readBlobWord(stale, &word));
+
+    // The recycled blob serves the next alloc of its class under a new
+    // stamp: the new handle reads, the stale one still fails.
+    const std::string v2 = pattern(193, 2);
+    const ValueRef fresh = arena.allocBlob(v2.data(), v2.size());
+    ASSERT_EQ(addressOf(fresh), addressOf(stale));
+    EXPECT_NE(fresh, stale);
+    ASSERT_TRUE(arena.readBlob(fresh, &out));
+    EXPECT_EQ(out, v2);
+    EXPECT_FALSE(arena.readBlob(stale, &out));
+    arena.freeBlob(fresh);
+}
+
+TEST(ValueArenaTest, OwnerLimboWaitsForEarlierReaderSection)
+{
+    Arena arena;
+    EpochDomain readers(2);
+    EpochSlot &reader = *readers.claimSlot(0);
+    Arena::OwnerLimbo limbo;
+    Arena::Cache cache;
+
+    const std::string value = pattern(150, 3);
+    const ValueRef ref = arena.allocBlob(value.data(), value.size(), &cache);
+    std::string out;
+    {
+        EpochPin pin(readers, reader);
+        arena.retireOwned(ref, limbo, readers, &cache);
+        EXPECT_EQ(limbo.size(), 1u);
+        arena.drainOwned(limbo, readers, &cache);
+        // The section opened before the retire: the blob must stay.
+        EXPECT_EQ(limbo.size(), 1u);
+        EXPECT_EQ(arena.stats().recycled, 0u);
+        arena.readBlobPinned(ref, &out);
+        EXPECT_EQ(out, value);
+        ASSERT_TRUE(arena.readBlob(ref, &out));
+        EXPECT_EQ(out, value);
+    }
+    arena.drainOwned(limbo, readers, &cache);
+    EXPECT_TRUE(limbo.empty());
+    EXPECT_EQ(arena.stats().recycled, 1u);
+    EXPECT_FALSE(arena.readBlob(ref, &out));
+
+    // Recycled into the owner's magazine: the next same-class alloc
+    // takes it from there.
+    const std::uint64_t hits = arena.stats().magazineHits;
+    const ValueRef again = arena.allocBlob(value.data(), value.size(), &cache);
+    EXPECT_EQ(addressOf(again), addressOf(ref));
+    EXPECT_EQ(arena.stats().magazineHits, hits + 1);
+    arena.freeBlob(again, &cache);
+    arena.flushCache(cache);
+}
+
+TEST(ValueArenaTest, BytesLiveReturnsToZero)
+{
+    Arena arena;
+    EpochDomain readers(1);
+    Arena::OwnerLimbo limbo;
+    Arena::Cache cache;
+    Rng rng(7);
+    std::vector<ValueRef> refs;
+    std::size_t expect_live = 0;
+    for (int i = 0; i < 300; ++i) {
+        const std::size_t len =
+            i % 50 == 0 ? 8192 + rng.nextBounded(60000) : rng.nextBounded(700);
+        const std::string value = pattern(len, static_cast<std::uint64_t>(i));
+        refs.push_back(arena.allocBlob(value.data(), len, &cache));
+        expect_live += Arena::classCapacity(Arena::classOf(len));
+    }
+    EXPECT_EQ(arena.bytesLive(), expect_live);
+
+    // A third each through freeBlob, the shared limbo and an owner
+    // limbo.
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        switch (i % 3) {
+          case 0:
+            arena.freeBlob(refs[i], &cache);
+            break;
+          case 1:
+            arena.retireBlob(refs[i]);
+            break;
+          default:
+            arena.retireOwned(refs[i], limbo, readers, &cache);
+            break;
+        }
+    }
+    EXPECT_EQ(arena.bytesLive(), 0u);
+    arena.drainOwned(limbo, readers, &cache);
+    arena.reclaim(readers);
+    arena.flushCache(cache);
+    EXPECT_TRUE(limbo.empty());
+    EXPECT_EQ(arena.limboCount(), 0u);
+    const Arena::Stats stats = arena.stats();
+    EXPECT_EQ(stats.retired, 200u);
+    EXPECT_EQ(stats.recycled, stats.retired);
+    EXPECT_EQ(arena.bytesLive(), 0u);
+}
+
+/** Payload of a published blob: its seed in the first 8 bytes, then
+ *  pattern bytes; the length follows from the seed. */
+std::size_t
+publishedLen(std::uint64_t seed)
+{
+    return seed % 16 == 0 ? 4096 + seed % 12289 : 16 + seed % 400;
+}
+
+std::string
+publishedValue(std::uint64_t seed)
+{
+    std::string value = pattern(publishedLen(seed), seed);
+    std::memcpy(value.data(), &seed, sizeof(seed));
+    return value;
+}
+
+bool
+holdsPublishedValue(const std::string &bytes)
+{
+    if (bytes.size() < sizeof(std::uint64_t))
+        return false;
+    std::uint64_t seed = 0;
+    std::memcpy(&seed, bytes.data(), sizeof(seed));
+    return bytes == publishedValue(seed);
+}
+
+TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
+{
+    constexpr int kThreads = 4;
+    constexpr int kIters = 20000;
+    constexpr std::size_t kShared = 16;
+
+    Arena arena;
+    EpochDomain readers(kThreads);
+    // Published handles, read by every thread. Only retire paths ever
+    // dispose of them; private blobs are never published, so freeBlob
+    // stays legal for those.
+    std::vector<std::atomic<ValueRef>> shared(kShared);
+    for (std::size_t i = 0; i < kShared; ++i) {
+        const std::string value = publishedValue(i + 1);
+        shared[i].store(arena.allocBlob(value.data(), value.size()));
+    }
+
+    std::atomic<int> bad_reads{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            EpochSlot &slot = *readers.claimSlot(static_cast<std::size_t>(t));
+            Arena::Cache cache;
+            Arena::OwnerLimbo limbo;
+            Rng rng(static_cast<std::uint64_t>(100 + t));
+            std::string out;
+            for (int i = 0; i < kIters; ++i) {
+                const std::uint64_t seed =
+                    (static_cast<std::uint64_t>(t + 1) << 32) |
+                    static_cast<std::uint64_t>(i);
+                const std::size_t pick = rng.nextBounded(kShared);
+                switch (rng.nextBounded(4)) {
+                  case 0: {
+                    // Private blob of a mixed length: alloc, read, free.
+                    const std::size_t len = rng.nextBounded(8) == 0
+                                                ? rng.nextBounded(20000)
+                                                : rng.nextBounded(300);
+                    const std::string value = pattern(len, seed);
+                    const ValueRef ref =
+                        arena.allocBlob(value.data(), len, &cache);
+                    if (!arena.readBlob(ref, &out) || out != value)
+                        bad_reads.fetch_add(1);
+                    arena.freeBlob(ref, &cache);
+                    break;
+                  }
+                  case 1: {
+                    // Displace a published blob; retire the old one
+                    // through the owner limbo or the shared limbo.
+                    const std::string value = publishedValue(seed);
+                    const ValueRef ref =
+                        arena.allocBlob(value.data(), value.size(), &cache);
+                    const ValueRef old = shared[pick].exchange(ref);
+                    if (rng.nextBounded(2) == 0) {
+                        arena.retireOwned(old, limbo, readers, &cache);
+                    } else {
+                        arena.retireBlob(old);
+                        arena.reclaim(readers);
+                    }
+                    break;
+                  }
+                  case 2: {
+                    // Optimistic reader: a stamp mismatch is allowed,
+                    // a wrong payload is not.
+                    if (arena.readBlob(shared[pick].load(), &out) &&
+                        !holdsPublishedValue(out))
+                        bad_reads.fetch_add(1);
+                    break;
+                  }
+                  default: {
+                    // Pinned reader: cannot fail, must be exact.
+                    EpochPin pin(readers, slot);
+                    arena.readBlobPinned(shared[pick].load(), &out);
+                    if (!holdsPublishedValue(out))
+                        bad_reads.fetch_add(1);
+                    break;
+                  }
+                }
+            }
+            arena.drainOwned(limbo, readers, &cache);
+            arena.spillOwned(limbo);
+            arena.flushCache(cache);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_EQ(bad_reads.load(), 0);
+    for (std::atomic<ValueRef> &ref : shared)
+        arena.retireBlob(ref.load());
+    arena.reclaim(readers);
+    EXPECT_EQ(arena.limboCount(), 0u);
+    EXPECT_EQ(arena.bytesLive(), 0u);
+    const Arena::Stats stats = arena.stats();
+    EXPECT_EQ(stats.recycled, stats.retired);
+}
+
+} // namespace
+} // namespace proteus::kvstore
