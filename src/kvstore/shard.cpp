@@ -122,33 +122,21 @@ Shard::keyHash(std::uint64_t key)
     return mix64(key);
 }
 
-void
-Shard::ctrlSetTx(polytm::Tx &tx, ShardTable &table, std::size_t slot,
-                 std::uint8_t byte)
-{
-    const std::size_t word = slot >> 3;
-    const unsigned shift = static_cast<unsigned>(slot & 7) * 8;
-    const std::uint64_t cur = tx.readWord(&table.ctrl[word]);
-    const std::uint64_t next =
-        (cur & ~(std::uint64_t{0xff} << shift)) |
-        (std::uint64_t{byte} << shift);
-    if (next != cur)
-        tx.writeWord(&table.ctrl[word], next);
-}
-
 std::size_t
-Shard::probeScalar(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
-                   bool *found)
+Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
+             bool *found)
 {
     *found = false;
     std::size_t insert_at = table.slots; // first tombstone seen, if any
     std::size_t slot = homeSlot(table, key);
     for (std::size_t step = 0; step < table.slots; ++step) {
-        // The common probe is one or two slots long; when it runs
-        // past that the chain is streaming — pull the next slot's
-        // record in early so the TM read barrier hits warm cache.
         const std::size_t next = (slot + 1) & table.mask;
-        PROTEUS_PREFETCH(&table.records[next]);
+        // Most probes end at the home slot (a hit or a virgin empty
+        // slot). One that has left it is streaming down a chain: pull
+        // the next record in early so the TM read barrier hits warm
+        // cache.
+        if (step != 0)
+            PROTEUS_PREFETCH(&table.records[next]);
         SlotRecord &rec = table.records[slot];
         const std::uint64_t state = tx.readWord(&rec.state);
         if (state == kEmpty)
@@ -162,91 +150,6 @@ Shard::probeScalar(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
             return slot;
         }
         slot = next;
-    }
-    return insert_at; // table.slots when the table has no reusable slot
-}
-
-std::size_t
-Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
-             bool *found)
-{
-    if (PROTEUS_UNLIKELY(table.slots < kCtrlGroupSlots ||
-                         simd::forceScalarProbe()))
-        return probeScalar(tx, table, key, found);
-    *found = false;
-    const std::uint64_t hash = mix64(key);
-    const std::size_t home =
-        static_cast<std::size_t>(hash) & table.mask;
-    // Fast path: the common probe ends at the home slot — a direct
-    // hit or a virgin empty slot. Identical TM-read cost to the old
-    // slot walk (state word, then key word); only contended chains
-    // pay for ctrl words.
-    {
-        SlotRecord &rec = table.records[home];
-        const std::uint64_t state = tx.readWord(&rec.state);
-        if (state == kEmpty)
-            return home;
-        if (state != kTombstone &&
-            PROTEUS_LIKELY(tx.readWord(&rec.key) == key)) {
-            *found = true;
-            return home;
-        }
-    }
-    // Group scan: two TM ctrl reads cover 16 slots; matching runs on
-    // the returned register values (no memory loads — see
-    // common/simd.hpp). Candidates are fingerprint hits plus every
-    // empty/tombstone hint; each one is verified against the
-    // transactional state/key words, and the walk terminates only on
-    // a TM-read kEmpty — the hints steer, the slot words decide. The
-    // ctrl reads also cover the *skipped* lanes through the read set:
-    // any committed state-class change rewrites the slot's ctrl byte,
-    // so a straddling transaction that skipped the slot validates
-    // against the change like any other conflicting read.
-    const std::uint8_t fp = ctrlFingerprint(hash);
-    const std::size_t num_groups = table.slots / kCtrlGroupSlots;
-    const std::size_t group_mask = num_groups - 1;
-    std::size_t insert_at = table.slots;
-    std::size_t group = home / kCtrlGroupSlots;
-    const auto home_lane = static_cast<unsigned>(home & 15);
-    // The home group's leading lanes are not on this key's chain;
-    // they are re-scanned as the chain's true tail if the walk wraps
-    // the whole table.
-    std::uint32_t lane_filter = ~std::uint32_t{0} << home_lane;
-    for (std::size_t gi = 0; gi <= num_groups; ++gi) {
-        if (PROTEUS_UNLIKELY(gi == num_groups)) {
-            if (home_lane == 0)
-                break; // chain start was group-aligned: fully covered
-            lane_filter = ~(~std::uint32_t{0} << home_lane) & 0xffffu;
-        }
-        const std::size_t base = group * kCtrlGroupSlots;
-        const std::uint64_t lo = tx.readWord(&table.ctrl[group * 2]);
-        const std::uint64_t hi =
-            tx.readWord(&table.ctrl[group * 2 + 1]);
-        std::uint32_t cand = (simd::matchByte16(lo, hi, fp) |
-                              simd::matchHighBit16(lo, hi)) &
-                             lane_filter;
-        while (cand != 0) {
-            const unsigned lane =
-                static_cast<unsigned>(std::countr_zero(cand));
-            cand &= cand - 1;
-            const std::size_t slot = base + lane;
-            SlotRecord &rec = table.records[slot];
-            const std::uint64_t state = tx.readWord(&rec.state);
-            if (state == kEmpty)
-                return insert_at < table.slots ? insert_at : slot;
-            if (state == kTombstone) {
-                if (insert_at == table.slots)
-                    insert_at = slot;
-            } else if (tx.readWord(&rec.key) == key) {
-                *found = true;
-                return slot;
-            } else {
-                ctrlFalsePositives_.fetch_add(
-                    1, std::memory_order_relaxed);
-            }
-        }
-        group = (group + 1) & group_mask;
-        lane_filter = 0xffffu;
     }
     return insert_at; // table.slots when the table has no reusable slot
 }
@@ -450,8 +353,6 @@ Shard::resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
         if (stateIsValue(new_state)) {
             tx.writeWord(&rec.value, new_value);
             tx.writeWord(&rec.expiry, new_expiry);
-        } else {
-            ctrlSetTx(tx, table, slot, kCtrlTombstone);
         }
     } else if (tx.readWord(&rec.state) == kPendingInsert) {
         // Aborted (or recycled-underneath-us — then this transaction
@@ -459,7 +360,6 @@ Shard::resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
         // roll back): tombstone, never back to empty — concurrent
         // probe chains may already run past this slot.
         tx.writeWord(&rec.state, kTombstone);
-        ctrlSetTx(tx, table, slot, kCtrlTombstone);
     }
     tx.writeWord(&rec.intent, 0);
 }
@@ -702,7 +602,6 @@ Shard::putSlotTx(polytm::Tx &tx, std::uint64_t key,
     tx.writeWord(&rec.key, key);
     tx.writeWord(&rec.value, value);
     tx.writeWord(&rec.expiry, expiry);
-    ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     return true;
 }
 
@@ -739,7 +638,6 @@ Shard::delTx(polytm::Tx &tx, std::uint64_t key, SlotImage *pre,
     if (reclaim && image.state == kFullRef)
         reclaim->push_back(image.value);
     tx.writeWord(&ref.table->records[ref.slot].state, kTombstone);
-    ctrlSetTx(tx, *ref.table, ref.slot, kCtrlTombstone);
     // Expired entries are already logically absent: reclaim the slot
     // but report the delete as a miss.
     return image.expiry == 0 || image.expiry > nowNanos();
@@ -801,7 +699,6 @@ Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
     tx.writeWord(&rec.key, key);
     tx.writeWord(&rec.value, unsigned_delta);
     tx.writeWord(&rec.expiry, 0);
-    ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     if (post)
         *post = SlotImage{kFull, unsigned_delta, 0};
     return true;
@@ -821,14 +718,10 @@ Shard::restoreTx(polytm::Tx &tx, std::uint64_t key, const SlotImage &pre)
         tx.writeWord(&rec.state, pre.state);
         tx.writeWord(&rec.value, pre.value);
         tx.writeWord(&rec.expiry, pre.expiry);
-        ctrlSetTx(tx, *ref.table, ref.slot,
-                  ctrlFingerprint(keyHash(key)));
         return;
     }
-    if (found) {
+    if (found)
         tx.writeWord(&ref.table->records[ref.slot].state, kTombstone);
-        ctrlSetTx(tx, *ref.table, ref.slot, kCtrlTombstone);
-    }
 }
 
 WriteIntent *
@@ -909,7 +802,6 @@ Shard::preparePutTx(polytm::Tx &tx, CommitRecord *record,
     const bool reused_tombstone = tx.readWord(&rec.state) == kTombstone;
     tx.writeWord(&rec.state, kPendingInsert);
     tx.writeWord(&rec.key, key);
-    ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     installIntent(tx, record, arena, out, *ref.table, ref.slot,
                   new_state, value, expiry)
         ->claimedTombstone = reused_tombstone;
@@ -1038,7 +930,6 @@ Shard::prepareAddTx(polytm::Tx &tx, CommitRecord *record,
     const bool reused_tombstone = tx.readWord(&rec.state) == kTombstone;
     tx.writeWord(&rec.state, kPendingInsert);
     tx.writeWord(&rec.key, key);
-    ctrlSetTx(tx, *ref.table, ref.slot, ctrlFingerprint(keyHash(key)));
     installIntent(tx, record, arena, out, *ref.table, ref.slot, kFull,
                   unsigned_delta, 0)
         ->claimedTombstone = reused_tombstone;
@@ -1146,8 +1037,6 @@ Shard::finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
                      intent->newValue.load(std::memory_order_relaxed));
         tx.writeWord(&rec.expiry,
                      intent->newExpiry.load(std::memory_order_relaxed));
-    } else {
-        ctrlSetTx(tx, table, slot, kCtrlTombstone);
     }
     tx.writeWord(&rec.intent, 0);
     if (tombstone_delta) {
@@ -1171,10 +1060,8 @@ Shard::abortIntentTx(polytm::Tx &tx, WriteIntent *intent)
     const std::uint64_t word = tx.readWord(&rec.intent);
     if (intentOf(word) != intent)
         return; // a helping writer already discarded it
-    if (tx.readWord(&rec.state) == kPendingInsert) {
+    if (tx.readWord(&rec.state) == kPendingInsert)
         tx.writeWord(&rec.state, kTombstone);
-        ctrlSetTx(tx, table, slot, kCtrlTombstone);
-    }
     tx.writeWord(&rec.intent, 0);
 }
 
@@ -1566,10 +1453,16 @@ Shard::migrateChunk(polytm::ThreadToken &token)
         ShardTable &live = *cur->live;
         const auto migrate_slot = [&](std::size_t slot) -> bool {
             SlotRecord &src = old->records[slot];
+            std::uint64_t state = tx.readWord(&src.state);
+            // Empty and tombstone slots never carry an intent: one
+            // read skips them.
+            if (state == kEmpty || state == kTombstone)
+                return true;
             const std::uint64_t word = tx.readWord(&src.intent);
-            if (word != 0)
+            if (word != 0) {
                 resolveForeignIntentTx(tx, *old, slot, word);
-            const std::uint64_t state = tx.readWord(&src.state);
+                state = tx.readWord(&src.state);
+            }
             if (!stateIsValue(state))
                 return true;
             const std::uint64_t value = tx.readWord(&src.value);
@@ -1577,7 +1470,6 @@ Shard::migrateChunk(polytm::ThreadToken &token)
             if (deadline != 0 && deadline <= nowNanos()) {
                 // Expired: drop instead of moving.
                 tx.writeWord(&src.state, kTombstone);
-                ctrlSetTx(tx, *old, slot, kCtrlTombstone);
                 if (state == kFullRef)
                     reclaim.push_back(value);
                 return true;
@@ -1591,7 +1483,6 @@ Shard::migrateChunk(polytm::ThreadToken &token)
                 // live copy is the relocated (or newer) one — drop
                 // the old-table copy.
                 tx.writeWord(&src.state, kTombstone);
-                ctrlSetTx(tx, *old, slot, kCtrlTombstone);
                 if (state == kFullRef)
                     reclaim.push_back(value);
                 return true;
@@ -1610,43 +1501,12 @@ Shard::migrateChunk(polytm::ThreadToken &token)
             tx.writeWord(&to.key, key);
             tx.writeWord(&to.value, value);
             tx.writeWord(&to.expiry, deadline);
-            ctrlSetTx(tx, live, dst, ctrlFingerprint(keyHash(key)));
             tx.writeWord(&src.state, kTombstone);
-            ctrlSetTx(tx, *old, slot, kCtrlTombstone);
             return true;
         };
-        if (old->slots < kCtrlGroupSlots) {
-            for (std::size_t slot = begin; slot < end; ++slot)
-                if (!migrate_slot(slot))
-                    return;
-            return;
-        }
-        // Ctrl-guided walk: one TM read skips 8 empty/tombstone slots.
-        // Unlike the probe, the walker leans on the ctrl words as
-        // transactional truth, which they are — every committed state
-        // CLASS change rewrites its ctrl byte in the same transaction,
-        // and intents only ever sit on fingerprint-class slots, so a
-        // skipped lane can hide neither a value nor an intent.
-        const std::size_t first_word = begin >> 3;
-        const std::size_t last_word = (end + 7) >> 3;
-        for (std::size_t word = first_word; word < last_word; ++word) {
-            const std::size_t base = word << 3;
-            std::uint32_t lanes = 0xffu;
-            if (base < begin)
-                lanes &= ~std::uint32_t{0} << (begin - base);
-            if (base + 8 > end)
-                lanes &= ~(~std::uint32_t{0} << (end - base)) & 0xffu;
-            const std::uint64_t bytes = tx.readWord(&old->ctrl[word]);
-            std::uint32_t cand =
-                ~simd::matchHighBit16(bytes, 0) & lanes;
-            while (cand != 0) {
-                const unsigned lane =
-                    static_cast<unsigned>(std::countr_zero(cand));
-                cand &= cand - 1;
-                if (!migrate_slot(base + lane))
-                    return;
-            }
-        }
+        for (std::size_t slot = begin; slot < end; ++slot)
+            if (!migrate_slot(slot))
+                return;
     });
     for (const std::uint64_t ref : reclaim)
         retireBlob(ref); // a doomed scan may still hold the handles
@@ -1700,50 +1560,20 @@ Shard::recountTombstonesLocked(polytm::ThreadToken &token,
     // Migration seeds the new table's tombstone estimate only through
     // per-op deltas, so the count drifts across rotations (the old
     // table's garbage vanished with it, foreign deletes raced the
-    // walk). The ctrl bytes are transactionally exact, so one chunked
-    // pass over them resyncs the estimate at 1/8 the TM reads of a
-    // state-word walk. Concurrent deletes may still slip a delta in
-    // while we scan — the estimate only feeds the tombstoneHeavy
-    // heuristic, and the next rotation resyncs again.
-    const std::size_t words = live.ctrl.size();
-    constexpr std::size_t kStride = 512; // ctrl words per transaction
+    // walk). One chunked pass over the state words resyncs it.
+    // Concurrent deletes may still slip a delta in while we scan —
+    // the estimate only feeds the tombstoneHeavy heuristic, and the
+    // next rotation resyncs again.
+    constexpr std::size_t kStride = 512; // slots per transaction
     std::int64_t total = 0;
-    for (std::size_t w0 = 0; w0 < words; w0 += kStride) {
-        const std::size_t w1 = std::min(words, w0 + kStride);
+    for (std::size_t s0 = 0; s0 < live.slots; s0 += kStride) {
+        const std::size_t s1 = std::min(live.slots, s0 + kStride);
         std::int64_t count = 0;
         poly_.run(token, [&](polytm::Tx &tx) {
             count = 0; // retried attempts restart
-            for (std::size_t w = w0; w < w1; ++w) {
-                const std::uint64_t bytes =
-                    tx.readWord(&live.ctrl[w]);
-                count += std::popcount(
-                    simd::matchByte16(bytes, 0, kCtrlTombstone) &
-                    0xffu);
-#ifdef PROTEUS_ASSERT_CTRL_SYNC
-                // Sanitizer builds: every ctrl byte must agree with
-                // its slot's state class inside one transaction.
-                for (unsigned lane = 0; lane < 8; ++lane) {
-                    const std::size_t slot = (w << 3) + lane;
-                    if (slot >= live.slots)
-                        break;
-                    const auto byte = static_cast<std::uint8_t>(
-                        bytes >> (8 * lane));
-                    const std::uint64_t state =
-                        tx.readWord(&live.records[slot].state);
-                    const bool ok =
-                        state == kEmpty
-                            ? byte == kCtrlEmpty
-                            : state == kTombstone
-                                  ? byte == kCtrlTombstone
-                                  : byte ==
-                                        ctrlFingerprint(keyHash(
-                                            tx.readWord(
-                                                &live.records[slot].key)));
-                    if (!ok)
-                        std::abort(); // ctrl/state desync
-                }
-#endif
-            }
+            for (std::size_t slot = s0; slot < s1; ++slot)
+                count += tx.readWord(&live.records[slot].state) ==
+                         kTombstone;
         });
         total += count;
     }
@@ -1768,58 +1598,21 @@ Shard::sweepChunk(polytm::ThreadToken &token)
         TableEpoch *cur = epochTx(tx);
         if (cur->live != &live)
             return; // table rotated under the clock hand
-        const auto sweep_slot = [&](std::size_t slot) {
-            // Slots under an intent belong to an in-flight commit;
-            // leave them to their owner.
-            SlotRecord &rec = live.records[slot];
-            if (tx.readWord(&rec.intent) != 0)
-                return;
+        const std::size_t steps = std::min(chunk, live.slots);
+        for (std::size_t step = 0; step < steps; ++step) {
+            // Only value slots can expire. Slots under an intent
+            // belong to an in-flight commit; leave them to their owner.
+            SlotRecord &rec = live.records[(begin + step) & live.mask];
             const std::uint64_t state = tx.readWord(&rec.state);
-            if (!stateIsValue(state))
-                return;
+            if (!stateIsValue(state) || tx.readWord(&rec.intent) != 0)
+                continue;
             const std::uint64_t deadline = tx.readWord(&rec.expiry);
             if (deadline != 0 && deadline <= nowNanos()) {
                 if (state == kFullRef)
                     reclaim.push_back(tx.readWord(&rec.value));
                 tx.writeWord(&rec.state, kTombstone);
-                ctrlSetTx(tx, live, slot, kCtrlTombstone);
                 ++expired_count;
             }
-        };
-        if (live.slots < kCtrlGroupSlots) {
-            std::size_t slot = begin;
-            for (std::size_t step = 0; step < chunk; ++step) {
-                sweep_slot(slot);
-                slot = (slot + 1) & live.mask;
-            }
-            return;
-        }
-        // Ctrl-guided: the clock hand skips 8 empty/tombstone slots
-        // per TM read (see migrateChunk for why skipping on ctrl is
-        // sound for walkers).
-        std::size_t slot = begin;
-        std::size_t remaining = std::min(chunk, live.slots);
-        while (remaining > 0) {
-            const std::size_t word = slot >> 3;
-            const auto first_lane = static_cast<unsigned>(slot & 7);
-            const std::size_t in_word =
-                std::min<std::size_t>(8 - first_lane, remaining);
-            const std::uint32_t lanes =
-                (in_word == 8 ? 0xffu
-                              : ~(~std::uint32_t{0} << in_word) &
-                                    0xffu)
-                << first_lane;
-            const std::uint64_t bytes = tx.readWord(&live.ctrl[word]);
-            std::uint32_t cand =
-                ~simd::matchHighBit16(bytes, 0) & lanes;
-            while (cand != 0) {
-                const unsigned lane =
-                    static_cast<unsigned>(std::countr_zero(cand));
-                cand &= cand - 1;
-                sweep_slot((word << 3) + lane);
-            }
-            slot = (slot + in_word) & live.mask;
-            remaining -= in_word;
         }
     });
     for (const std::uint64_t ref : reclaim)
@@ -1894,7 +1687,7 @@ std::size_t
 Shard::findSlotQuiesced(std::uint64_t key) const
 {
     // Test hook: raw probe over the quiesced live table (no TM, no
-    // concurrency). Mirrors the scalar probe's termination rules.
+    // concurrency). Mirrors probe()'s termination rules.
     TableEpoch *ep = epochMirror_.load(std::memory_order_acquire);
     const ShardTable &table = *ep->live;
     std::size_t slot = homeSlot(table, key);
@@ -1907,28 +1700,6 @@ Shard::findSlotQuiesced(std::uint64_t key) const
         slot = (slot + 1) & table.mask;
     }
     return table.slots;
-}
-
-std::uint8_t
-Shard::ctrlByteQuiesced(std::size_t slot) const
-{
-    TableEpoch *ep = epochMirror_.load(std::memory_order_acquire);
-    const ShardTable &table = *ep->live;
-    return static_cast<std::uint8_t>(table.ctrl[slot >> 3] >>
-                                     (8 * (slot & 7)));
-}
-
-void
-Shard::setCtrlByteQuiesced(std::size_t slot, std::uint8_t byte)
-{
-    // Test hook: deliberately corrupt a ctrl byte on a quiesced table
-    // (corruption tests prove mismatched hints only add probes).
-    TableEpoch *ep = epochMirror_.load(std::memory_order_acquire);
-    ShardTable &table = *ep->live;
-    const unsigned shift = static_cast<unsigned>(slot & 7) * 8;
-    table.ctrl[slot >> 3] =
-        (table.ctrl[slot >> 3] & ~(std::uint64_t{0xff} << shift)) |
-        (std::uint64_t{byte} << shift);
 }
 
 Shard::CkptStep

@@ -7,11 +7,14 @@
  * Layout: a shard owns a chain of ShardTables plus a ValueArena for
  * wide values. A table is one array of 40-byte slot records (state /
  * key / value / expiry / intent words side by side, linear probing
- * with tombstones) and a packed array of control bytes. A home-slot
- * lookup reads only its record's words, so it touches one or two data
- * lines, and with the TM's line-local orecs (tm/orec.hpp) one or two
- * orec lines: about 3 cold lines instead of one line per word array
- * and per orec. All slot words are accessed only through
+ * with tombstones). A probe walks the records from the key's home
+ * slot; a home-slot lookup reads only its record's words, so it
+ * touches one or two data lines, and with the TM's line-local orecs
+ * (tm/orec.hpp) one or two orec lines: about 3 cold lines instead of
+ * one line per word array and per orec. The maintenance walkers
+ * (migration, TTL sweep, scan) read each slot's state word first and
+ * skip kEmpty/kTombstone slots on that one read: such slots never
+ * carry a write intent. All slot words are accessed only through
  * Tx::readWord/writeWord, so any mix of backends (STM, emulated HTM,
  * hybrid, global lock) serializes get/put/del/scan correctly — and
  * the shard can be re-tuned live by a per-shard ProteusRuntime
@@ -95,35 +98,12 @@
  * into a SAME-size table instead, shedding the tombstones without
  * doubling memory; a capped shard whose table fills with tombstones
  * compacts the same way rather than failing the insert.
- *
- * Control-byte filter (Swiss-table style). Each table carries one
- * byte per slot, packed 8-per-word in `ctrl`: 0x80 = never used,
- * 0xFF = tombstone, 0x00-0x7F = the 7-bit hash fingerprint of the
- * resident key (kPendingInsert slots carry their key's fingerprint
- * too — probers must find them to resolve the intent). The probe
- * reads two ctrl words per 16 slots through the TM — putting them in
- * the read set, so a skipped slot cannot change state behind a
- * straddling transaction's back — and byte-matches them 16 ways in
- * registers (common/simd.hpp). Only fingerprint-match / empty /
- * tombstone lanes fall through to the state/key words; correctness
- * still rests entirely on those transactional words — every candidate
- * is verified, termination only happens on a TM-read kEmpty state,
- * and a wrong hint in the safe directions (empty/tombstone/garbage
- * with bit 7 set over a live key, any fingerprint over an
- * empty/tombstone slot) costs extra verification reads, never a lost
- * key. Ctrl bytes are maintained *transactionally*: every site that
- * changes a slot's state class rewrites the slot's ctrl byte in the
- * same transaction (insert/delete/2PC prepare/finalize/abort/restore,
- * migration, TTL sweep), which keeps the filter exact at every
- * committed state. The maintenance walkers (migration, sweep, scan)
- * use the same words to skip empty/tombstone runs wholesale.
  */
 
 #ifndef PROTEUS_KVSTORE_SHARD_HPP
 #define PROTEUS_KVSTORE_SHARD_HPP
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -134,7 +114,6 @@
 #include "common/cacheline.hpp"
 #include "common/epoch.hpp"
 #include "common/line_array.hpp"
-#include "common/simd.hpp"
 #include "kvstore/commit_record.hpp"
 #include "kvstore/value_arena.hpp"
 #include "obs/flight_recorder.hpp"
@@ -230,29 +209,10 @@ slotStateIsValue(std::uint64_t state)
     return state == kFull || state == kFullRef;
 }
 
-/** Control-byte filter encoding (see the file comment): never-used /
- *  tombstone markers carry bit 7; resident keys carry their 7-bit
- *  fingerprint (bit 7 clear). */
-inline constexpr std::uint8_t kCtrlEmpty = 0x80;
-inline constexpr std::uint8_t kCtrlTombstone = 0xff;
-/** A ctrl word of 8 never-used slots (table construction fill). */
-inline constexpr std::uint64_t kCtrlEmptyWord = 0x8080808080808080ull;
-/** Slots matched per ctrl-group compare (two ctrl words). */
-inline constexpr std::size_t kCtrlGroupSlots = 16;
-
-/** 7-bit key fingerprint from the full mixed hash: the top 7 bits,
- *  disjoint from the low bits that pick the home slot. */
-inline std::uint8_t
-ctrlFingerprint(std::uint64_t hash)
-{
-    return static_cast<std::uint8_t>(hash >> 57);
-}
-
 /**
  * One slot's TM-visible words, adjacent so that a lookup's reads share
  * one or two cache lines (and, with line-local orecs, one or two orec
- * lines). Not padded: 40 B plus the ctrl byte is the whole per-slot
- * footprint.
+ * lines). Not padded: 40 B is the whole per-slot footprint.
  */
 struct SlotRecord
 {
@@ -270,18 +230,13 @@ static_assert(sizeof(SlotRecord) == 40, "slot records are 5 words");
 struct ShardTable
 {
     explicit ShardTable(std::size_t slot_count)
-        : slots(slot_count), mask(slot_count - 1), records(slot_count),
-          ctrl((slot_count + 7) / 8, kCtrlEmptyWord)
+        : slots(slot_count), mask(slot_count - 1), records(slot_count)
     {}
 
     const std::size_t slots;
     const std::size_t mask;
     /** Zero-initialised: every slot starts kEmpty with no intent. */
     LineArray<SlotRecord> records;
-    /** Control-byte filter, 8 slots per TM-visible word (slot s is
-     *  byte s&7 of word s>>3); see the file comment. Separate from the
-     *  records because the 16-lane group scan needs contiguous bytes. */
-    std::vector<std::uint64_t> ctrl;
 
     /** Heuristic non-kEmpty slot count (grow trigger; drift is ok). */
     std::atomic<std::size_t> consumed{0};
@@ -643,30 +598,16 @@ class Shard
     /** Live entries; quiesced-only (raw, non-transactional reads). */
     std::size_t sizeQuiesced() const;
 
-    /** The full mixed hash behind homeSlot()/ctrlFingerprint() —
-     *  exposed so tests can construct fingerprint collisions. */
+    /** The full mixed hash behind homeSlot() (its low bits pick the
+     *  home slot) — exposed so tests can build same-home chains. */
     static std::uint64_t keyHash(std::uint64_t key);
 
-    /** Probe slots whose ctrl fingerprint matched but whose key did
-     *  not (hash collisions plus deliberately corrupted hints): each
-     *  one cost exactly one extra verification read-pair. */
-    std::uint64_t
-    ctrlFalsePositives() const
-    {
-        return ctrlFalsePositives_.load(std::memory_order_relaxed);
-    }
-
     /**
-     * Quiesced-only test hooks for the control-byte filter: locate a
-     * key's live-table slot (slots() when absent), read a slot's ctrl
-     * byte, and overwrite one — the deliberate-corruption tests use
-     * the latter to prove wrong hints in the safe directions only add
-     * probes. Raw, non-transactional access; never call on a live
-     * store.
+     * Quiesced-only test hook: the live-table slot holding `key`
+     * (capacity() when absent), found by the same walk as probe()
+     * with raw, non-transactional reads. Never call on a live store.
      */
     std::size_t findSlotQuiesced(std::uint64_t key) const;
-    std::uint8_t ctrlByteQuiesced(std::size_t slot) const;
-    void setCtrlByteQuiesced(std::size_t slot, std::uint8_t byte);
 
     /**
      * WAL sequencing: draw the next log sequence number inside a
@@ -750,23 +691,18 @@ class Shard
     static std::size_t homeSlot(const ShardTable &table,
                                 std::uint64_t key);
 
+    /**
+     * Linear probe from `key`'s home slot: returns the key's slot
+     * (*found) or the insert point — the first tombstone passed, else
+     * the terminating kEmpty slot; table.slots when the table has
+     * neither.
+     */
     std::size_t probe(polytm::Tx &tx, ShardTable &table,
                       std::uint64_t key, bool *found);
-    /** Legacy slot-at-a-time probe: tiny tables (< one ctrl group)
-     *  and the bench's runtime scalar A/B leg. */
-    std::size_t probeScalar(polytm::Tx &tx, ShardTable &table,
-                            std::uint64_t key, bool *found);
 
-    /** Rewrite slot `slot`'s ctrl byte inside `tx` (read-modify-write
-     *  of its packed word); every slot-state-class change calls this
-     *  in the same transaction. */
-    static void ctrlSetTx(polytm::Tx &tx, ShardTable &table,
-                          std::size_t slot, std::uint8_t byte);
-
-    /** Resync the live table's heuristic tombstone count from the
-     *  (transactionally exact) ctrl words after a migration retires
-     *  its source; under PROTEUS_ASSERT_CTRL_SYNC also asserts every
-     *  slot's ctrl class matches its state class. growMutex_ held. */
+    /** Resync the live table's heuristic tombstone count from its
+     *  state words after a migration retires its source. growMutex_
+     *  held. */
     void recountTombstonesLocked(polytm::ThreadToken &token,
                                  ShardTable &live);
 
@@ -791,48 +727,21 @@ class Shard
         std::size_t count = 0;
         TableEpoch *ep = epochTx(tx);
         const auto walk = [&](ShardTable &table) {
-            // Ctrl-guided: one ctrl word covers 8 slots; only lanes
-            // whose byte carries a key fingerprint (bit 7 clear —
-            // kFull/kFullRef/kPendingInsert) touch the state words,
-            // so empty/tombstone runs cost one TM read per 8 slots.
-            // Same visit order as the old slot walk: `start`, then
-            // ascending with wraparound, the start word's leading
-            // lanes last.
+            // `start`, then ascending with wraparound. Empty and
+            // tombstone slots cost their state word alone; only value
+            // and pending slots go on to resolve their intent.
             const std::size_t start = homeSlot(table, start_key);
-            const std::size_t words = table.ctrl.size();
-            std::size_t word = start >> 3;
-            const auto start_lane = static_cast<unsigned>(start & 7);
-            for (std::size_t w = 0; w <= words && count < limit;
-                 ++w) {
-                std::uint32_t lanes = 0xffu;
-                if (w == 0) {
-                    lanes &= ~std::uint32_t{0} << start_lane;
-                } else if (w == words) {
-                    if (start_lane == 0)
-                        break; // start was word-aligned: fully covered
-                    lanes = ~(~std::uint32_t{0} << start_lane) & 0xffu;
-                }
-                const std::uint64_t bytes =
-                    tx.readWord(&table.ctrl[word]);
-                std::uint32_t cand =
-                    ~simd::matchHighBit16(bytes, 0) & lanes;
-                while (cand != 0 && count < limit) {
-                    const unsigned lane =
-                        static_cast<unsigned>(std::countr_zero(cand));
-                    cand &= cand - 1;
-                    const std::size_t slot = (word << 3) + lane;
-                    const std::uint64_t state =
-                        tx.readWord(&table.records[slot].state);
-                    if (state == kFull || state == kFullRef ||
-                        state == kPendingInsert) {
-                        LiveValue live;
-                        if (resolveSlotLiveTx(tx, table, slot, &live,
-                                              view) &&
-                            emit(table, slot, live))
-                            ++count;
-                    }
-                }
-                word = word + 1 == words ? 0 : word + 1;
+            for (std::size_t step = 0;
+                 step < table.slots && count < limit; ++step) {
+                const std::size_t slot = (start + step) & table.mask;
+                const std::uint64_t state =
+                    tx.readWord(&table.records[slot].state);
+                if (state == kEmpty || state == kTombstone)
+                    continue;
+                LiveValue live;
+                if (resolveSlotLiveTx(tx, table, slot, &live, view) &&
+                    emit(table, slot, live))
+                    ++count;
             }
         };
         // A key is live in at most one table, so walking both cannot
@@ -977,8 +886,6 @@ class Shard
 
     std::atomic<std::uint64_t> growCount_{0};
     std::atomic<std::uint64_t> compactCount_{0};
-    /** Fingerprint hits whose key compare failed (see accessor). */
-    std::atomic<std::uint64_t> ctrlFalsePositives_{0};
     std::atomic<std::uint64_t> maintainTicks_{0};
     /** Snapshot readers that waited out an in-flight commit verdict. */
     std::atomic<std::uint64_t> snapshotWaits_{0};

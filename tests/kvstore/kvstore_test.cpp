@@ -458,8 +458,9 @@ TEST(KvStoreTest, SingleKeyOpsRaceMultiOpsWithoutCorruption)
     auto session = store.openSession();
     std::uint64_t value = 0;
     for (std::uint64_t key = 0; key < 384; ++key) {
-        if (store.get(session, key, &value))
+        if (store.get(session, key, &value)) {
             EXPECT_EQ(value, key) << "value corrupted for key " << key;
+        }
     }
     store.closeSession(session);
 }

@@ -78,6 +78,63 @@ TEST(ShardTest, TombstonesAreReusedAndProbesCrossThem)
     shard.deregisterWorker(token);
 }
 
+TEST(ShardTest, SameHomeChainStaysReachableAcrossTombstones)
+{
+    Shard shard(tinyShard(8));
+    auto token = shard.registerWorker();
+
+    // 24 resident keys and one absent key, all with the same home slot
+    // in the 256-slot table: one 25-slot probe chain.
+    const std::size_t mask = shard.capacity() - 1;
+    const auto home = [&](std::uint64_t key) {
+        return static_cast<std::size_t>(Shard::keyHash(key)) & mask;
+    };
+    std::vector<std::uint64_t> keys{3};
+    std::uint64_t absent = 0;
+    for (std::uint64_t k = 4; keys.size() < 24 || absent == 0; ++k) {
+        if (home(k) != home(keys[0]))
+            continue;
+        if (keys.size() < 24)
+            keys.push_back(k);
+        else
+            absent = k;
+    }
+
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        ASSERT_TRUE(shard.put(token, keys[i], i));
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(shard.get(token, keys[i], &value)) << keys[i];
+        EXPECT_EQ(value, i);
+    }
+    EXPECT_FALSE(shard.get(token, absent, &value));
+
+    // Tombstone the front of the chain: the walk must cross them to
+    // the survivors.
+    for (std::size_t i = 0; i < 12; ++i)
+        ASSERT_TRUE(shard.del(token, keys[i]));
+    for (std::size_t i = 12; i < keys.size(); ++i) {
+        ASSERT_TRUE(shard.get(token, keys[i], &value)) << keys[i];
+        EXPECT_EQ(value, i);
+    }
+    for (std::size_t i = 0; i < 12; ++i) {
+        EXPECT_FALSE(shard.get(token, keys[i], &value)) << keys[i];
+        EXPECT_EQ(shard.findSlotQuiesced(keys[i]), shard.capacity());
+    }
+
+    // Reinsert into the tombstoned prefix; everything stays reachable.
+    for (std::size_t i = 0; i < 12; ++i)
+        ASSERT_TRUE(shard.put(token, keys[i], 900 + i));
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(shard.get(token, keys[i], &value)) << keys[i];
+        EXPECT_EQ(value, i < 12 ? 900 + i : i);
+    }
+    EXPECT_EQ(shard.sizeQuiesced(), keys.size());
+    EXPECT_EQ(shard.growCount(), 0u);
+
+    shard.deregisterWorker(token);
+}
+
 TEST(ShardTest, PinnedTableRejectsNewKeysButAcceptsOverwrites)
 {
     // maxLog2Slots == log2Slots restores the seed's fixed-capacity

@@ -115,8 +115,9 @@ TEST(FlightRecorderTest, ConcurrentRecordAndDumpStayWellFormed)
     const std::vector<TraceEvent> events = recorder.dumpRecent();
     for (std::size_t i = 1; i < events.size(); ++i) {
         EXPECT_GE(events[i].seq, events[i - 1].seq);
-        if (events[i].seq == events[i - 1].seq)
+        if (events[i].seq == events[i - 1].seq) {
             EXPECT_GT(events[i].order, events[i - 1].order);
+        }
     }
 }
 

@@ -178,9 +178,10 @@ TEST_P(NormalizerPropertyTest, DistillationPreservesRatios)
             const double rated =
                 ratings_.at(r, i) / ratings_.at(r, i + 1);
             worst = std::max(worst, std::abs(raw - rated));
-            if (preserves)
+            if (preserves) {
                 EXPECT_NEAR(raw, rated, 1e-9)
                     << "row " << r << " col " << i;
+            }
         }
     }
     if (!preserves) {

@@ -111,9 +111,10 @@ TEST_P(BackendSingleTest, AbortedWritesNeverVisible)
             // other backend buffers, and a buffered write must not
             // leak to memory before commit. Either way the abort
             // below must leave x == 5 — the semantic property.
-            if (GetParam() != BackendKind::kGlobalLock)
+            if (GetParam() != BackendKind::kGlobalLock) {
                 EXPECT_EQ(x, 5u)
                     << "redo-log write leaked before commit";
+            }
             backend_->abortTx(d, AbortCause::kExplicit);
         }
     });
