@@ -30,8 +30,9 @@ routeMix(std::uint64_t x)
  * Thrown out of a transaction body when a put/add finds no slot. A
  * foreign (non-TxAbort) exception, so PolyTm::run rolls the open
  * transaction back — nothing of the failing shard commits — and
- * rethrows for the multiOp driver to unwind the other shards and
- * grow-and-retry (or fail for good when growth is capped).
+ * rethrows for multiOp (which unwinds a 2PC's other shards) or
+ * applyBatch to grow-and-retry (or fail for good when growth is
+ * capped).
  */
 struct TableFullError
 {
@@ -581,14 +582,6 @@ tombstoneEffect(KvOp::Kind kind, bool applied, const SlotImage &pre)
     return 0;
 }
 
-/**
- * Apply one shard's slice of a composite op inside a transaction
- * (batch path: per-shard semantics, fitting prefix commits).
- * `consumed_empty` counts inserts that claimed a previously kEmpty
- * slot (the grow heuristic), `tombstone_delta` the net tombstones
- * minted/reused (the compaction heuristic); `reclaim` collects
- * displaced blob handles — all restart with the attempt.
- */
 /** Append `op`'s post-image to `wal_ops` (nullptr → store not
  *  durable). kAdd logs its computed result as a plain put, so replay
  *  never re-adds. */
@@ -625,14 +618,24 @@ captureWalOp(std::vector<wal::WalOp> *wal_ops, const KvOp &op,
     }
 }
 
+/**
+ * Apply one shard's slice of a composite op inside a transaction, in
+ * program order and all-or-nothing: a put/putBytes/add that finds no
+ * slot throws TableFullError out of the body, so PolyTm::run rolls the
+ * whole attempt back and the caller grows the shard and re-runs the
+ * slice (single-shard writing multiOps and batch slices alike).
+ * `consumed_empty` counts inserts that claimed a previously kEmpty
+ * slot (the grow heuristic), `tombstone_delta` the net tombstones
+ * minted/reused (the compaction heuristic); `reclaim` collects
+ * displaced blob handles — all restart with the attempt.
+ */
 void
 applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
-             const TaggedOp *end, bool &space_ok,
-             std::size_t &consumed_empty, std::int64_t &tombstone_delta,
+             const TaggedOp *end, std::size_t &consumed_empty,
+             std::int64_t &tombstone_delta,
              std::vector<std::uint64_t> &reclaim,
              std::vector<wal::WalOp> *wal_ops)
 {
-    space_ok = true; // retried attempts restart the accumulation
     consumed_empty = 0;
     tombstone_delta = 0;
     reclaim.clear();
@@ -644,12 +647,13 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
         SlotImage post;
         switch (op->kind) {
           case KvOp::Kind::kGet:
-            // getForUpdateTx, not getTx: batch results are documented
-            // per-shard atomic, so reads resolve foreign intents the
-            // way the write primitives do — a non-blocking pre-image
+            // getForUpdateTx, not getTx: reads in a writing slice
+            // resolve foreign intents the way the write primitives do
+            // (see Shard::prepareGetTx) — a non-blocking pre-image
             // could straddle a commit flip against another read or be
             // contradicted by a fold under a later write of the same
-            // key (irrevocable backends never re-run the read).
+            // key, and the flip is a plain store the TM does not
+            // track.
             op->ok = shard.getForUpdateTx(tx, op->key, &op->value);
             continue;
           case KvOp::Kind::kGetBytes:
@@ -658,13 +662,11 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
           case KvOp::Kind::kPut:
             op->ok = shard.putTx(tx, op->key, op->value, it->expiry,
                                  &pre, &reclaim);
-            space_ok &= op->ok;
             break;
           case KvOp::Kind::kPutBytes:
             // op->value holds the ValueRef staged by the caller.
             op->ok = shard.putRefTx(tx, op->key, op->value, it->expiry,
                                     &pre, &reclaim);
-            space_ok &= op->ok;
             break;
           case KvOp::Kind::kDel:
             op->ok = shard.delTx(tx, op->key, &pre, &reclaim);
@@ -673,100 +675,14 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
             op->ok = shard.addTx(tx, op->key,
                                  static_cast<std::int64_t>(op->value),
                                  &pre, &reclaim, &post);
-            space_ok &= op->ok;
             break;
         }
+        // A put or add fails only for want of a slot.
+        if (!op->ok && op->kind != KvOp::Kind::kDel)
+            throw TableFullError{};
         if (op->ok && pre.state == kEmpty)
             ++consumed_empty;
         tombstone_delta += tombstoneEffect(op->kind, op->ok, pre);
-        captureWalOp(wal_ops, *op, it->expiry, post);
-    }
-}
-
-/**
- * The single-shard fast path's writing slice, all-or-nothing: like
- * applyOpsInTx but records a pre-image per write into the
- * compensation log and raises TableFullError instead of committing a
- * shard-local prefix. On an irrevocable backend (HTM fallback holder)
- * the writes already hit memory and rollback() cannot undo them, so
- * the failing attempt's effects are reverted from the log, newest
- * first and in place, before the throw.
- */
-void
-applyOpsUndoTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
-               const TaggedOp *end,
-               std::vector<KvStore::Session::Undo> &undo,
-               std::int64_t &tombstone_delta,
-               std::vector<std::uint64_t> &reclaim,
-               std::vector<wal::WalOp> *wal_ops)
-{
-    undo.clear(); // retried attempts restart the log
-    if (wal_ops != nullptr)
-        wal_ops->clear();
-    tombstone_delta = 0;
-    reclaim.clear();
-    const auto fail_full = [&]() {
-        if (!tx.revocable()) {
-            for (std::size_t k = undo.size(); k-- > 0;)
-                shard.restoreTx(tx, undo[k].key, undo[k].pre);
-        }
-        throw TableFullError{};
-    };
-    for (const TaggedOp *it = begin; it != end; ++it) {
-        KvOp *op = it->op;
-        if (op->kind == KvOp::Kind::kGet) {
-            // Writing-composite reads resolve foreign intents like
-            // writers (see Shard::prepareGetTx): a non-blocking
-            // pre-image here could be contradicted by a fold under a
-            // later write of the same key on an irrevocable backend.
-            op->ok = shard.getForUpdateTx(tx, op->key, &op->value);
-            continue;
-        }
-        if (op->kind == KvOp::Kind::kGetBytes) {
-            op->ok = shard.getBytesForUpdateTx(tx, op->key, &op->bytes);
-            continue;
-        }
-        // The write primitives report the displaced pre-image from
-        // their own (intent-resolving) probe walk — taken after any
-        // foreign intent is folded, so an abort-time restore never
-        // erases a foreign commit's write. A failed put/add wrote
-        // nothing, so nothing is logged for it.
-        KvStore::Session::Undo entry{op->key, SlotImage{}};
-        bool wrote = true;
-        SlotImage post;
-        switch (op->kind) {
-          case KvOp::Kind::kPut:
-            op->ok = shard.putTx(tx, op->key, op->value, it->expiry,
-                                 &entry.pre, &reclaim);
-            wrote = op->ok;
-            break;
-          case KvOp::Kind::kPutBytes:
-            op->ok = shard.putRefTx(tx, op->key, op->value, it->expiry,
-                                    &entry.pre, &reclaim);
-            wrote = op->ok;
-            break;
-          case KvOp::Kind::kDel:
-            op->ok = shard.delTx(tx, op->key, &entry.pre, &reclaim);
-            // Even a miss may have reclaimed an expired slot.
-            wrote = entry.pre.state != kEmpty;
-            break;
-          case KvOp::Kind::kAdd:
-            op->ok = shard.addTx(tx, op->key,
-                                 static_cast<std::int64_t>(op->value),
-                                 &entry.pre, &reclaim, &post);
-            wrote = op->ok;
-            break;
-          default:
-            break;
-        }
-        if ((op->kind == KvOp::Kind::kPut ||
-             op->kind == KvOp::Kind::kPutBytes ||
-             op->kind == KvOp::Kind::kAdd) &&
-            !op->ok)
-            fail_full();
-        tombstone_delta += tombstoneEffect(op->kind, op->ok, entry.pre);
-        if (wrote)
-            undo.push_back(entry);
         captureWalOp(wal_ops, *op, it->expiry, post);
     }
 }
@@ -1019,10 +935,10 @@ KvStore::multiOpSingleShard(Session &session, bool writes)
     Shard &shard = *shards_[slice.shard];
     if (writes) {
         // One TM transaction is atomic to every observer on this
-        // shard — no intents or compensation across shards needed.
-        // Table-full throws out of the (rolled-back or self-reverted)
-        // transaction for all-or-nothing, after which the shard grows
-        // and the caller retries. The shard sequence is bumped BEFORE
+        // shard — no intents across shards needed. Table-full throws
+        // out of the rolled-back transaction for all-or-nothing,
+        // after which the shard grows and the caller retries the
+        // whole composite. The shard sequence is bumped BEFORE
         // the transaction so a snapshot round can never pair this
         // commit's post-image with another shard's pre-image and
         // still validate (bumping after the commit would reopen the
@@ -1033,6 +949,7 @@ KvStore::multiOpSingleShard(Session &session, bool writes)
         const std::size_t cap = shard.capacity();
         session.reclaim_.clear();
         std::vector<std::uint64_t> &reclaim = session.displaced_;
+        std::size_t consumed = 0;
         std::int64_t tomb_delta = 0;
         std::uint64_t lsn = 0;
         try {
@@ -1040,12 +957,12 @@ KvStore::multiOpSingleShard(Session &session, bool writes)
                 1, std::memory_order_acq_rel);
             shard.poly().run(
                 session.tokens_[slice.shard], [&](polytm::Tx &tx) {
-                    applyOpsUndoTx(shard, tx,
-                                   grouped.data() + slice.begin,
-                                   grouped.data() + slice.end,
-                                   session.undo_, tomb_delta, reclaim,
-                                   durable() ? &session.walOps_
-                                             : nullptr);
+                    applyOpsInTx(shard, tx,
+                                 grouped.data() + slice.begin,
+                                 grouped.data() + slice.end, consumed,
+                                 tomb_delta, reclaim,
+                                 durable() ? &session.walOps_
+                                           : nullptr);
                     if (durable())
                         lsn = shard.walTicketTx(tx);
                 });
@@ -1068,9 +985,6 @@ KvStore::multiOpSingleShard(Session &session, bool writes)
                 session.walStatus_ =
                     committedBatchWalError(slice.shard, rec, res);
         }
-        std::size_t consumed = 0;
-        for (const Session::Undo &entry : session.undo_)
-            consumed += entry.pre.state == kEmpty ? 1 : 0;
         if (consumed > 0)
             shard.noteConsumed(consumed);
         if (tomb_delta != 0)
@@ -1272,22 +1186,6 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                             session.intents_.resize(intents_mark);
                             session.walOps_.resize(wal_mark);
                             slice_reclaim.clear();
-                            // On an irrevocable backend the prepare's
-                            // writes are already in place and
-                            // rollback() cannot undo them — discard
-                            // this attempt's published intents by
-                            // hand before raising.
-                            const auto fail_full = [&]() {
-                                if (!tx.revocable()) {
-                                    for (std::size_t k =
-                                             session.intents_.size();
-                                         k-- > intents_mark;) {
-                                        shard.abortIntentTx(
-                                            tx, session.intents_[k]);
-                                    }
-                                }
-                                throw TableFullError{};
-                            };
                             std::vector<wal::WalOp> *wal_ops =
                                 durable() ? &session.walOps_ : nullptr;
                             for (std::uint32_t i = slice.begin;
@@ -1312,7 +1210,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                                             kFull, op->value,
                                             grouped[i].expiry, &op->ok,
                                             &slice_reclaim))
-                                        fail_full();
+                                        throw TableFullError{};
                                     break;
                                   case KvOp::Kind::kPutBytes:
                                     if (!shard.preparePutTx(
@@ -1321,7 +1219,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                                             kFullRef, op->value,
                                             grouped[i].expiry, &op->ok,
                                             &slice_reclaim))
-                                        fail_full();
+                                        throw TableFullError{};
                                     break;
                                   case KvOp::Kind::kDel:
                                     shard.prepareDelTx(
@@ -1337,7 +1235,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                                                 op->value),
                                             &op->ok, &slice_reclaim,
                                             &post))
-                                        fail_full();
+                                        throw TableFullError{};
                                     break;
                                 }
                                 captureWalOp(wal_ops, *op,
@@ -1702,23 +1600,46 @@ KvStore::applyBatch(Session &session, Batch &batch)
         session.walBatchEnds_.assign(shards_.size(), 0);
     for (const auto &slice : session.slices_) {
         Shard &shard = *shards_[slice.shard];
-        bool space_ok = true;
+        const TaggedOp *begin = grouped.data() + slice.begin;
+        const TaggedOp *end = grouped.data() + slice.end;
         std::size_t consumed = 0;
         std::int64_t tomb_delta = 0;
-        std::uint64_t wal_end = 0;
-        const auto run_ops = [&](const TaggedOp *begin,
-                                 const TaggedOp *end) {
-            std::uint64_t lsn = 0;
-            shard.poly().run(
-                session.tokens_[slice.shard], [&](polytm::Tx &tx) {
-                    applyOpsInTx(shard, tx, begin, end, space_ok,
-                                 consumed, tomb_delta, reclaim,
-                                 durable() ? &session.walOps_ : nullptr);
-                    if (durable())
-                        lsn = shard.walTicketTx(tx);
-                });
-            // Group commit: append now, ride ONE barrier per touched
-            // shard at the end of its slice (the batch is the window).
+        std::uint64_t lsn = 0;
+        // One all-or-nothing transaction per slice, in program order:
+        // a put that finds the shard full rolls the whole slice back,
+        // the shard grows, and the slice re-runs from its first op.
+        bool applied = false;
+        for (;;) {
+            const std::size_t cap = shard.capacity();
+            try {
+                shard.poly().run(
+                    session.tokens_[slice.shard], [&](polytm::Tx &tx) {
+                        applyOpsInTx(shard, tx, begin, end, consumed,
+                                     tomb_delta, reclaim,
+                                     durable() ? &session.walOps_
+                                               : nullptr);
+                        if (durable())
+                            lsn = shard.walTicketTx(tx);
+                    });
+                applied = true;
+                break;
+            } catch (const TableFullError &) {
+                if (!shard.tryGrow(session.tokens_[slice.shard], cap))
+                    break;
+            }
+        }
+        if (!applied) {
+            // Growth is capped: the slice had no effect, but the
+            // rolled-back attempt may have set ok on the ops before
+            // the full one.
+            for (const TaggedOp *it = begin; it != end; ++it)
+                it->op->ok = false;
+            ok = false;
+        } else {
+            // Group commit: append the slice's one record now, ride
+            // ONE barrier per touched shard after every slice has
+            // appended, so no shard's log writes interleave with
+            // another shard's fsync stall.
             if (durable() && !session.walOps_.empty()) {
                 wal::Record rec;
                 rec.type = wal::RecordType::kBatch;
@@ -1726,7 +1647,7 @@ KvStore::applyBatch(Session &session, Batch &batch)
                 rec.ops = std::move(session.walOps_);
                 const wal::AppendResult res =
                     wals_[slice.shard]->append(rec);
-                wal_end = res.end;
+                session.walBatchEnds_[slice.shard] = res.end;
                 session.walOps_.clear();
                 if (res.err != wal::WalError::kOk) {
                     const KvStatus wal_status =
@@ -1741,38 +1662,7 @@ KvStore::applyBatch(Session &session, Batch &batch)
                 shard.noteConsumed(consumed);
             if (tomb_delta != 0)
                 shard.noteTombstones(tomb_delta);
-        };
-        std::size_t cap = shard.capacity();
-        run_ops(grouped.data() + slice.begin,
-                grouped.data() + slice.end);
-        // Space-failed puts wrote nothing, so retrying exactly those
-        // ops after a grow is per-shard exact (gets/dels/successful
-        // puts are not replayed).
-        while (!space_ok) {
-            if (!shard.tryGrow(session.tokens_[slice.shard], cap)) {
-                ok = false;
-                break;
-            }
-            session.retryOps_.clear();
-            for (std::uint32_t i = slice.begin; i < slice.end; ++i) {
-                KvOp *op = grouped[i].op;
-                if (!op->ok && (op->kind == KvOp::Kind::kPut ||
-                                op->kind == KvOp::Kind::kPutBytes ||
-                                op->kind == KvOp::Kind::kAdd))
-                    session.retryOps_.push_back(grouped[i]);
-            }
-            cap = shard.capacity();
-            run_ops(session.retryOps_.data(),
-                    session.retryOps_.data() +
-                        session.retryOps_.size());
         }
-        // Record the slice's highest append end; the ONE barrier per
-        // touched shard rides after every slice has appended, so no
-        // shard's log writes interleave with another shard's fsync
-        // stall (append ends are monotone — a grow-retry's second
-        // append already left wal_end at the slice maximum).
-        if (wal_end != 0)
-            session.walBatchEnds_[slice.shard] = wal_end;
         // The batching loop doubles as the maintenance driver.
         shard.maintainTick(session.tokens_[slice.shard]);
     }
@@ -1781,7 +1671,7 @@ KvStore::applyBatch(Session &session, Batch &batch)
         // per touched shard (groupByShard emits one slice per shard,
         // so this pass is a single fsync each — the wal_test
         // fsync-coalescing case pins the count). Runs regardless of
-        // `ok`: space-failed slices may still have appended records.
+        // `ok`: the other shards' slices stay applied and appended.
         for (const auto &slice : session.slices_) {
             const std::uint64_t end =
                 session.walBatchEnds_[slice.shard];
@@ -1795,9 +1685,10 @@ KvStore::applyBatch(Session &session, Batch &batch)
         }
     }
     if (!ok) {
-        // Space-failed kPutBytes ops never published their staged
-        // blob; without this sweep each capped-store failure would
-        // strand the blob's arena capacity forever.
+        // A slice that failed for space published none of its staged
+        // blobs (its ops all report ok false); without this sweep
+        // each capped-store failure would strand their arena
+        // capacity forever.
         for (const TaggedOp &tagged : grouped) {
             KvOp *op = tagged.op;
             if (op->kind == KvOp::Kind::kPutBytes && !op->ok &&

@@ -58,8 +58,13 @@
  * ops hold nothing across a park, so they run unpinned.
  *
  * Batching. A Batch stages operations and flushes them grouped by
- * shard, one TM transaction per shard group — amortizing begin/commit
- * costs. Batches are atomic per shard, not across shards.
+ * shard, one TM transaction per shard slice — amortizing begin/commit
+ * costs. Each slice runs in program order and is all-or-nothing: a
+ * put that finds its shard full rolls the slice back, the shard
+ * grows, and the whole slice re-runs. Batches are atomic per shard,
+ * not across shards: when growth is capped, the full shard's slice
+ * has no effect and its ops report ok false, while the other shards'
+ * slices stay applied.
  */
 
 #ifndef PROTEUS_KVSTORE_KVSTORE_HPP
@@ -243,12 +248,10 @@ class KvStore
                 slices_ = std::move(other.slices_);
                 intents_ = std::move(other.intents_);
                 intentRanges_ = std::move(other.intentRanges_);
-                undo_ = std::move(other.undo_);
                 seqSnapshot_ = std::move(other.seqSnapshot_);
                 reclaim_ = std::move(other.reclaim_);
                 displaced_ = std::move(other.displaced_);
                 newBlobs_ = std::move(other.newBlobs_);
-                retryOps_ = std::move(other.retryOps_);
                 arenaCaches_.swap(other.arenaCaches_);
                 ownerLimbos_.swap(other.ownerLimbos_);
                 walOps_ = std::move(other.walOps_);
@@ -291,14 +294,6 @@ class KvStore
             std::uint64_t expiry;
         };
 
-        /** Pre-image of one applied write (compensation log for
-         *  all-or-nothing table-full abort). */
-        struct Undo
-        {
-            std::uint64_t key;
-            SlotImage pre;
-        };
-
       private:
         friend class KvStore;
 
@@ -319,8 +314,6 @@ class KvStore
         std::vector<WriteIntent *> intents_;
         std::vector<std::pair<std::uint32_t, std::uint32_t>>
             intentRanges_;
-        /** Compensation log of the single-shard fast path. */
-        std::vector<Undo> undo_;
         /** Per-round shard-sequence snapshot (2PC read validation). */
         std::vector<std::uint64_t> seqSnapshot_;
         /**
@@ -339,8 +332,6 @@ class KvStore
         /** Blobs allocated up-front for kPutBytes ops; freed only when
          *  the whole multiOp ultimately fails (never published). */
         std::vector<std::pair<std::uint32_t, std::uint64_t>> newBlobs_;
-        /** applyBatch grow-retry scratch (space-failed ops only). */
-        std::vector<TaggedOp> retryOps_;
         /** Per-shard free-blob magazines (one ValueArena::Cache per
          *  shard): wide-value allocation stays off the shared arena
          *  lists in steady state. Flushed back on close. */
@@ -407,12 +398,12 @@ class KvStore
      * fields. A put/add that runs out of table space aborts the
      * composite with **no effect** — all-or-nothing (2PC aborts the
      * commit record before anything is visible; the single-shard
-     * path's transaction rolls back, or reverts itself from its
-     * compensation log on an irrevocable backend) — after which the
-     * store grows the full shard online and retries the whole
-     * composite transparently. Returns false only when growth is
-     * capped (maxLog2SlotsPerShard) and the insert still cannot fit;
-     * the ops' result fields are unspecified after a false return.
+     * path's transaction rolls back, as it does on every TM
+     * backend) — after which the store grows the full shard online
+     * and retries the whole composite transparently. Returns false
+     * only when growth is capped (maxLog2SlotsPerShard) and the
+     * insert still cannot fit; the ops' result fields are unspecified
+     * after a false return.
      *
      * Atomicity contract. A *writing* multiOp is atomic to every
      * observer: its writes become visible together at the
@@ -481,13 +472,15 @@ class KvStore
     };
 
     /**
-     * Apply a batch: one TM transaction per touched shard (atomic per
-     * shard only). Results are readable through `batch.ops()` until
-     * the next clear(). A put that finds its shard full commits the
-     * fitting prefix, grows the shard and retries only the
-     * space-failed ops (they wrote nothing, so the retry is exact).
-     * Returns false only when growth is capped and an insert still
-     * cannot fit. This is also the loop that drives background
+     * Apply a batch: one TM transaction per touched shard's slice, in
+     * program order and all-or-nothing (atomic per shard only).
+     * Results are readable through `batch.ops()` until the next
+     * clear(). A put that finds its shard full rolls the slice back,
+     * grows the shard and re-runs the whole slice. Returns kNoSpace
+     * only when growth is capped and an insert still cannot fit: the
+     * full shard's slice then has no effect and every op of it
+     * reports ok false, while the other shards' slices stay applied.
+     * This is also the loop that drives background
      * maintenance: each flushed shard advances its migration /
      * TTL-sweep walker afterwards. Grouping issues the same hint-only
      * read-ahead as multiOp before the first shard's transaction.

@@ -310,44 +310,32 @@ Shard::resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
     WriteIntent *intent = intentOf(word);
     CommitRecord *record =
         intent->record.load(std::memory_order_acquire);
-    const auto read_payload = [&](std::uint64_t *new_state,
-                                  std::uint64_t *new_value,
-                                  std::uint64_t *new_expiry) {
-        // Fields before status, as in resolveSlotLiveTx: a matching
-        // (epoch, kCommitted) status read afterwards proves the
-        // fields belonged to that frozen generation.
-        *new_state = intent->newState.load(std::memory_order_relaxed);
-        *new_value = intent->newValue.load(std::memory_order_relaxed);
-        *new_expiry = intent->newExpiry.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        return record->status.load(std::memory_order_acquire);
-    };
     std::uint64_t new_state = 0;
     std::uint64_t new_value = 0;
     std::uint64_t new_expiry = 0;
-    std::uint64_t status =
-        record ? read_payload(&new_state, &new_value, &new_expiry) : 0;
-    const auto same_epoch = [&](std::uint64_t s) {
-        return record && (CommitRecord::epochOf(s) & 0xffff) ==
-                             intentEpochTag(word);
-    };
-    while (same_epoch(status) &&
-           CommitRecord::stateOf(status) == CommitRecord::kPending) {
-        if (tx.revocable()) {
-            // Drop all TM resources and come back with backoff; the
-            // owner needs this slot's universe only to finalize, and
-            // the commit flip we are waiting for is a plain store.
-            tx.retry();
-        }
-        // Irrevocable (HTM fallback holder): wait in place. Safe
-        // because the flip needs no TM resources, and the owner only
-        // ever waits on *higher-numbered* shards (prepare is
-        // shard-ordered), so wait chains cannot cycle.
-        std::this_thread::yield();
-        status = read_payload(&new_state, &new_value, &new_expiry);
+    std::uint64_t status = 0;
+    if (record) {
+        // Fields before status, as in resolveSlotLiveTx: a matching
+        // (epoch, kCommitted) status read afterwards proves the
+        // fields belonged to that frozen generation.
+        new_state = intent->newState.load(std::memory_order_relaxed);
+        new_value = intent->newValue.load(std::memory_order_relaxed);
+        new_expiry = intent->newExpiry.load(std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_acquire);
+        status = record->status.load(std::memory_order_acquire);
+    }
+    const bool same_epoch =
+        record &&
+        (CommitRecord::epochOf(status) & 0xffff) == intentEpochTag(word);
+    if (same_epoch &&
+        CommitRecord::stateOf(status) == CommitRecord::kPending) {
+        // Drop all TM resources and come back with backoff; the owner
+        // needs this slot's universe only to finalize, and the commit
+        // flip we are waiting for is a plain store.
+        tx.retry();
     }
     SlotRecord &rec = table.records[slot];
-    if (same_epoch(status) &&
+    if (same_epoch &&
         CommitRecord::stateOf(status) == CommitRecord::kCommitted) {
         tx.writeWord(&rec.state, new_state);
         if (stateIsValue(new_state)) {
@@ -704,26 +692,6 @@ Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
     return true;
 }
 
-void
-Shard::restoreTx(polytm::Tx &tx, std::uint64_t key, const SlotImage &pre)
-{
-    bool found = false;
-    const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    if (stateIsValue(pre.state)) {
-        if (ref.slot == ref.table->slots)
-            return; // cannot happen: the failed attempt freed the slot
-        SlotRecord &rec = ref.table->records[ref.slot];
-        if (!found)
-            tx.writeWord(&rec.key, key);
-        tx.writeWord(&rec.state, pre.state);
-        tx.writeWord(&rec.value, pre.value);
-        tx.writeWord(&rec.expiry, pre.expiry);
-        return;
-    }
-    if (found)
-        tx.writeWord(&ref.table->records[ref.slot].state, kTombstone);
-}
-
 WriteIntent *
 Shard::installIntent(polytm::Tx &tx, CommitRecord *record,
                      IntentArena &arena, std::vector<WriteIntent *> &out,
@@ -945,11 +913,12 @@ Shard::prepareGetTx(polytm::Tx &tx, CommitRecord *record,
 {
     // Reads inside a *writing* composite resolve foreign intents the
     // way the write primitives do — waiting out PENDING ones — rather
-    // than taking the non-blocking pre-image. Otherwise an
-    // irrevocable backend could report a pre-image here and then fold
-    // the foreign post-image under a later write of the same key in
-    // the same transaction (no retry re-runs the read), leaving the
-    // composite's own outputs unserializable.
+    // than taking the non-blocking pre-image. Otherwise this read
+    // could report a pre-image and a later write of the same key in
+    // the same transaction fold the foreign post-image: the commit
+    // flip between them is a plain store the TM does not track, so no
+    // validation re-runs the read, and the composite's own outputs
+    // would be unserializable.
     bool found = false;
     WriteIntent *own = nullptr;
     const SlotRef ref = writeLookup(tx, record, key, &found, &own);

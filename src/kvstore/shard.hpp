@@ -73,11 +73,13 @@
  * reservation and its status flip. Writers fold a finished
  * (committed/aborted) intent in their own transaction and proceed; a
  * still-pending intent makes a writer wait out the short prepare→
- * commit window (retry-with-backoff when the backend is revocable,
- * in-place spin on the status word when irrevocable — the commit flip
- * is a plain atomic store, so it needs no TM resources a spinner
- * could be holding). Intents record the table they were installed in,
- * so a 2PC that straddles a grow finalizes against the right slots.
+ * commit window by retrying with backoff. The commit flip it waits
+ * for is a plain atomic store that the TM does not track, so no
+ * validation could order the writer after it; the retry drops the
+ * attempt (every backend's rollback restores its writes) and holds no
+ * TM resources while the owner flips. Intents record the table they
+ * were installed in, so a 2PC that straddles a grow finalizes against
+ * the right slots.
  *
  * Read-ahead. prefetchSlot/prefetchValue let a multi-key caller start
  * every op's cache misses before its transactions run. They reach the
@@ -368,9 +370,10 @@ class Shard
      * intent-aware: they resolve any write intent on the touched slot
      * as described in the file comment. Write primitives optionally
      * report the displaced pre-image (`pre`, captured after intent
-     * resolution from the same probe walk) for compensation-log
-     * callers, and push displaced blob handles onto `reclaim` — the
-     * caller frees those only after the transaction committed.
+     * resolution from the same probe walk) for the callers' grow and
+     * compaction heuristics, and push displaced blob handles onto
+     * `reclaim` — the caller frees those only after the transaction
+     * committed.
      */
     bool getTx(polytm::Tx &tx, std::uint64_t key,
                std::uint64_t *value = nullptr);
@@ -390,11 +393,12 @@ class Shard
     /**
      * getTx that first makes the slot writable — waiting out / folding
      * any foreign intent exactly like the write primitives do — so the
-     * returned pre-image is the one a subsequent write in this same
-     * transaction builds on. Required for compensation-log capture: a
-     * plain getTx may return the pre-image of a still-PENDING foreign
-     * commit that a following putTx then folds, and restoring the
-     * earlier value on abort would erase that commit's write.
+     * returned value is the one a subsequent write in this same
+     * transaction builds on. Required for reads inside writing
+     * composites: a plain getTx may return the pre-image of a
+     * still-PENDING foreign commit that a following putTx then folds,
+     * and the commit flip between the two is a plain store the TM does
+     * not track, so the transaction would commit both answers.
      */
     bool getForUpdateTx(polytm::Tx &tx, std::uint64_t key,
                         std::uint64_t *value);
@@ -420,14 +424,6 @@ class Shard
                SlotImage *pre = nullptr,
                std::vector<std::uint64_t> *reclaim = nullptr,
                SlotImage *post = nullptr);
-    /**
-     * Compensation-log replay: force the slot for `key` back to the
-     * given pre-image (kEmpty state deletes). Runs inside the failed
-     * attempt's own transaction (the in-place revert on an
-     * irrevocable backend), so the insert point is always available.
-     */
-    void restoreTx(polytm::Tx &tx, std::uint64_t key,
-                   const SlotImage &pre);
     /** Scan under a ReadView (kLatest scans can return a torn mix of
      *  one composite's pre-/post-images; use kSnapshot + the trailing
      *  sequence check, or kSettle, for consistent scans). */
@@ -501,10 +497,9 @@ class Shard
 
     /**
      * Discard one of this commit's intents (pending inserts become
-     * tombstones); a no-op if already helped. Normally called with
-     * the record kAborted, but the record's verdict is deliberately
-     * never read here: the irrevocable table-full path discards a
-     * failed prepare's intents while the record is still kPending.
+     * tombstones); a no-op if already helped. Only the owner calls
+     * it, after its abort flip; the verdict is not re-read here (the
+     * flip is a plain store the TM does not track anyway).
      */
     void abortIntentTx(polytm::Tx &tx, WriteIntent *intent);
 
@@ -764,9 +759,10 @@ class Shard
 
     /**
      * Wait out / fold / discard the foreign intent published as
-     * `word` at `slot` so the caller can write the slot. May abort
-     * the transaction (revocable backends) to wait for a pending
-     * commit.
+     * `word` at `slot` so the caller can write the slot. A pending
+     * commit aborts the transaction (tx.retry()): its flip is a plain
+     * store the TM does not track, so retrying with backoff is the
+     * wait.
      */
     void resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
                                 std::size_t slot, std::uint64_t word);

@@ -1,6 +1,7 @@
 #include "polytm/polytm.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "common/timing.hpp"
 #include "tm/global_lock.hpp"

@@ -26,7 +26,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -115,22 +114,11 @@ class Tx
         backend_->txWrite(*desc_, addr, value);
     }
 
-    /**
-     * Whether the current attempt can still abort (retry() is legal).
-     * False in irrevocable modes — the emulated HTM's fallback-lock
-     * holder — where callers that would wait-by-retrying must instead
-     * wait in place (the KV store's intent resolution does exactly
-     * that). The global-lock backend undo-logs its in-place writes
-     * and is revocable.
-     */
-    bool revocable() const { return backend_->revocable(*desc_); }
-
-    /** Explicit user abort + retry (illegal in irrevocable modes). */
+    /** Explicit user abort + retry: every backend rolls the attempt
+     *  back, in-place writers from their undo logs. */
     [[noreturn]] void
     retry()
     {
-        if (!backend_->revocable(*desc_))
-            throw std::logic_error("retry() inside irrevocable tx");
         backend_->abortTx(*desc_, tm::AbortCause::kExplicit);
     }
 
@@ -231,9 +219,10 @@ class PolyTm
                 tm::backoffOnAbort(desc);
             } catch (...) {
                 // Foreign exception out of the body (e.g. bad_alloc):
-                // roll the open transaction back so its locks release,
-                // drop the RUN bit — a leaked RUN would make the next
-                // reconfigure() spin forever — and let it propagate.
+                // roll the open transaction back so its writes undo
+                // and its locks release, drop the RUN bit — a leaked
+                // RUN would make the next reconfigure() spin forever —
+                // and let it propagate.
                 try {
                     backend->abortTx(desc, tm::AbortCause::kExplicit);
                 } catch (const tm::TxAbort &) {

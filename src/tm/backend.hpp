@@ -26,7 +26,12 @@ namespace proteus::tm {
  *  - txBegin/txRead/txWrite/txCommit may throw TxAbort; when they do,
  *    the descriptor has already been rolled back (all locks released)
  *    and txBegin may be called again immediately.
- *  - userAbort() rolls back and throws (tx.retry() in the public API).
+ *  - rollback() restores every word the attempt wrote, on every
+ *    backend: redo-logging backends never wrote memory, and in-place
+ *    writers (the global lock, the emulated HTM's fallback) undo-log
+ *    each word's pre-image. So any attempt can abort, through
+ *    abortTx() (tx.retry() in the public API) or a foreign exception
+ *    unwinding through PolyTm::run, and leave no trace.
  *  - reset() is called only while the system is quiesced.
  */
 class TmBackend
@@ -59,21 +64,15 @@ class TmBackend
     virtual void txCommit(TxDesc &tx) = 0;
 
     /**
-     * Release every resource the in-flight attempt of `tx` holds
-     * (stripe locks, fallback lock, visibility entries). Must be
-     * idempotent. Called on every abort path.
+     * Undo the in-flight attempt of `tx`: restore every word it wrote
+     * and release every resource it holds (stripe locks, fallback
+     * lock, visibility entries). Must be idempotent. Called on every
+     * abort path.
      */
     virtual void rollback(TxDesc &tx) = 0;
 
     /** Reset all global metadata; only called while quiesced. */
     virtual void reset() = 0;
-
-    /**
-     * Whether the current attempt can still abort. Irrevocable modes
-     * (the HTM fallback holder) return false and the public API
-     * rejects tx.retry() there.
-     */
-    virtual bool revocable(const TxDesc & /*tx*/) const { return true; }
 
     /** Roll back and raise TxAbort with the given cause. */
     [[noreturn]] void

@@ -8,10 +8,8 @@
  * address is recorded on first write), so an explicit abort —
  * tx.retry(), or a foreign exception unwinding through PolyTm::run —
  * restores memory and releases the lock instead of leaking a torn
- * state. That makes the backend *revocable*: the rollback semantics
- * of the `AllBackends` test suites hold here too, and callers that
- * wait by retrying (the KV store's intent resolution) may do so under
- * the global lock.
+ * state, as every backend's rollback does (TmBackend's contract; the
+ * emulated HTM's fallback keeps the same log).
  * The undo log costs one hash probe per transactional write; reads
  * stay single loads (relaxed atomics, like every backend's data-word
  * accesses, so hint-only peeks outside transactions race with

@@ -40,7 +40,6 @@ class HybridNorecTm : public SimHtm
     void txCommit(TxDesc &tx) override;
     void rollback(TxDesc &tx) override;
     void reset() override;
-    bool revocable(const TxDesc &) const override { return true; }
 
   private:
     NorecTm norec_;

@@ -142,7 +142,7 @@ SimHtm::beginFallback(TxDesc &tx)
 {
     fallbackLock_.lock();
     fallbackGen_->fetch_add(1, std::memory_order_seq_cst);
-    // Irrevocable writer with no ownership claims: every speculating
+    // In-place writer with no ownership claims: every speculating
     // hardware tx must die (coherence would have killed them).
     doomAllActive(tx.tid);
     tx.inFallback = true;
@@ -275,7 +275,7 @@ SimHtm::awaitOwnerRelease(const void *addr)
 std::uint64_t
 SimHtm::txRead(TxDesc &tx, const std::uint64_t *addr)
 {
-    // Atomic even in the irrevocable fallback: speculative readers
+    // Atomic even in the in-place fallback: speculative readers
     // access the same words through loadWord, and mixing plain and
     // atomic accesses on one location is a (TSan-visible) data race.
     if (tx.inFallback) {
@@ -290,6 +290,13 @@ SimHtm::txWrite(TxDesc &tx, std::uint64_t *addr, std::uint64_t value)
 {
     if (tx.inFallback) {
         awaitOwnerRelease(addr);
+        // Undo log, first-write-wins, as GlobalLockTm keeps it: the
+        // entry's `value` holds the OLD word, which rollback() stores
+        // back. No hardware transaction can use the in-place word
+        // meanwhile: none begins while the fallback lock is held, and
+        // a doomed one fails its post-read doom check.
+        if (tx.writeSet.find(addr) == nullptr)
+            tx.writeSet.put(addr, loadWord(addr));
         storeWord(addr, value);
         return;
     }
@@ -328,6 +335,7 @@ void
 SimHtm::txCommit(TxDesc &tx)
 {
     if (tx.inFallback) {
+        tx.writeSet.clear();
         tx.inFallback = false;
         fallbackLock_.unlock();
         return;
@@ -345,6 +353,11 @@ void
 SimHtm::rollback(TxDesc &tx)
 {
     if (tx.inFallback) {
+        // Restore the pre-images newest-first, then release.
+        auto &entries = tx.writeSet.entries();
+        for (std::size_t i = entries.size(); i-- > 0;)
+            storeWord(entries[i].addr, entries[i].value);
+        tx.writeSet.clear();
         tx.inFallback = false;
         fallbackLock_.unlock();
         return;

@@ -15,6 +15,10 @@
  *  - *fallback-lock subscription*: hardware transactions cannot begin
  *    while the lock is held and abort if it was acquired mid-flight.
  *
+ * The fallback path writes in place under its lock and undo-logs each
+ * word's first pre-image, so its rollback() restores memory like every
+ * other backend's (TmBackend's contract).
+ *
  * Read visibility uses per-thread signatures (4096-bit Bloom filters
  * over stripe indices), the standard simulator technique (cf. Ruby
  * TM / LogTM-SE); false positives only cause spurious aborts, which
@@ -81,15 +85,11 @@ class SimHtm : public TmBackend
     void txCommit(TxDesc &tx) override;
     void rollback(TxDesc &tx) override;
     void reset() override;
-    bool revocable(const TxDesc &tx) const override
-    {
-        return !tx.inFallback;
-    }
 
     const SimHtmConfig &config() const { return config_; }
 
   protected:
-    /** Begin irrevocably under the fallback lock, dooming hw txs. */
+    /** Begin under the fallback lock, dooming hw txs. */
     void beginFallback(TxDesc &tx);
 
     /** Doom every registered thread currently in a hardware tx. */

@@ -23,7 +23,9 @@
 
 namespace proteus::tm {
 
-/** One buffered transactional write (redo-log entry). */
+/** One buffered transactional write (redo-log entry). In-place
+ *  writers (the global lock, the emulated HTM's fallback) keep an
+ *  undo log instead: `value` then holds the word's pre-image. */
 struct WriteEntry
 {
     std::uint64_t *addr = nullptr;
@@ -136,7 +138,8 @@ class TxDesc
 
     /** True while inside an emulated hardware transaction. */
     bool inHtm = false;
-    /** True while holding the HTM fallback lock (irrevocable). */
+    /** True while holding the HTM fallback lock or the global lock
+     *  (writes go in place, undo-logged in the write set). */
     bool inFallback = false;
     /** HTM retries left before falling back. */
     int htmBudgetLeft = 0;

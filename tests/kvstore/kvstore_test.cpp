@@ -8,11 +8,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
+#include <ostream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "kvstore/kvstore.hpp"
 #include "kvstore/traffic.hpp"
+
+namespace proteus::polytm {
+// gtest prints each parameter into the test's listed name.
+void
+PrintTo(const TmConfig &config, std::ostream *os)
+{
+    *os << config.label();
+}
+} // namespace proteus::polytm
 
 namespace proteus::kvstore {
 namespace {
@@ -39,12 +52,11 @@ pinnedStore(int shards, unsigned log2_slots)
     return options;
 }
 
-/** Always-irrevocable configuration: the emulated HTM with a zero
- *  retry budget begins every transaction on its fallback lock (the
- *  global-lock backend grew an undo log and is revocable now, so it
- *  no longer exercises the in-place revert paths). */
+/** HTM-fallback configuration: the emulated HTM with a zero retry
+ *  budget begins every transaction on its fallback lock, whose writes
+ *  go in place and roll back from its undo log. */
 polytm::TmConfig
-irrevocableConfig()
+htmFallbackConfig()
 {
     return {tm::BackendKind::kSimHtm, 16,
             {/*htmBudget=*/0, tm::CapacityPolicy::kDecrease}};
@@ -115,6 +127,138 @@ TEST(KvStoreTest, BatchAppliesAndReportsPerOpResults)
 
     store.closeSession(session);
 }
+
+/** Every backend at its default contention knobs, plus the emulated
+ *  HTM forced onto its fallback lock. */
+std::vector<polytm::TmConfig>
+everyBackendAndHtmFallback()
+{
+    std::vector<polytm::TmConfig> configs;
+    for (int k = 0; k < static_cast<int>(tm::BackendKind::kNumBackends);
+         ++k)
+        configs.push_back({static_cast<tm::BackendKind>(k), 16, {}});
+    configs.push_back(htmFallbackConfig());
+    return configs;
+}
+
+/**
+ * The batch contract on every backend: each shard's slice runs as one
+ * transaction in program order and is all-or-nothing, across a grow
+ * and when growth is capped; other shards' slices are independent.
+ */
+class BatchContractTest
+    : public ::testing::TestWithParam<polytm::TmConfig>
+{
+  protected:
+    KvStoreOptions
+    withBackend(KvStoreOptions options) const
+    {
+        options.initial = GetParam();
+        return options;
+    }
+};
+
+TEST_P(BatchContractTest, GrowKeepsProgramOrder)
+{
+    // 24 puts overflow the 16-slot shard mid-slice; the get and del
+    // of the last key must still run after its put.
+    KvStore store(withBackend(smallStore(1, 4)));
+    auto session = store.openSession();
+
+    KvStore::Batch batch;
+    for (std::uint64_t key = 1; key <= 24; ++key)
+        batch.put(key, key * 10);
+    batch.get(24);
+    batch.del(24);
+    EXPECT_EQ(store.applyBatch(session, batch).status, KvStatus::kOk);
+    EXPECT_TRUE(batch.ops()[24].ok) << "get(24) must see put(24)";
+    EXPECT_EQ(batch.ops()[24].value, 240u);
+    EXPECT_TRUE(batch.ops()[25].ok) << "del(24) must find put(24)";
+
+    EXPECT_FALSE(store.get(session, 24));
+    std::uint64_t value = 0;
+    for (std::uint64_t key = 1; key <= 23; ++key) {
+        ASSERT_TRUE(store.get(session, key, &value)) << "key " << key;
+        EXPECT_EQ(value, key * 10);
+    }
+    store.closeSession(session);
+}
+
+TEST_P(BatchContractTest, CappedSliceHasNoEffect)
+{
+    KvStore store(withBackend(pinnedStore(1, 4)));
+    auto session = store.openSession();
+    for (std::uint64_t key = 1; key <= 4; ++key)
+        ASSERT_TRUE(store.put(session, key, key));
+    const std::size_t live_before = store.shard(0).arena().bytesLive();
+
+    // A delete and 20 wide puts: 12 free slots plus the tombstone the
+    // delete would leave cannot hold them.
+    KvStore::Batch batch;
+    batch.del(1);
+    for (std::uint64_t key = 101; key <= 120; ++key)
+        batch.putBytes(key, std::string(100, static_cast<char>(key)));
+    EXPECT_EQ(store.applyBatch(session, batch).status,
+              KvStatus::kNoSpace);
+
+    for (const KvOp &op : batch.ops())
+        EXPECT_FALSE(op.ok) << "op on key " << op.key;
+    EXPECT_TRUE(store.get(session, 1)) << "the delete must not apply";
+    std::string out;
+    for (std::uint64_t key = 101; key <= 120; ++key)
+        EXPECT_FALSE(store.getBytes(session, key, &out)) << "key " << key;
+    EXPECT_EQ(store.shard(0).arena().bytesLive(), live_before)
+        << "every staged blob must be freed";
+    store.closeSession(session);
+}
+
+TEST_P(BatchContractTest, CappedShardLeavesOtherSlicesApplied)
+{
+    KvStore store(withBackend(pinnedStore(2, 4)));
+    auto session = store.openSession();
+
+    std::uint64_t key = 1000;
+    const auto next_on_shard = [&](std::size_t shard) {
+        while (store.shardOf(key) != shard)
+            ++key;
+        return key++;
+    };
+    for (std::size_t i = 0; i < store.shard(1).capacity(); ++i)
+        ASSERT_TRUE(store.put(session, next_on_shard(1), i));
+
+    KvStore::Batch batch;
+    std::vector<std::uint64_t> fitting;
+    std::vector<std::uint64_t> overflowing;
+    for (int i = 0; i < 4; ++i) {
+        fitting.push_back(next_on_shard(0));
+        batch.put(fitting.back(), 7);
+        overflowing.push_back(next_on_shard(1));
+        batch.put(overflowing.back(), 8);
+    }
+    EXPECT_EQ(store.applyBatch(session, batch).status,
+              KvStatus::kNoSpace);
+
+    // Atomic per shard, not across shards.
+    for (const KvOp &op : batch.ops())
+        EXPECT_EQ(op.ok, store.shardOf(op.key) == 0) << "key " << op.key;
+    for (const std::uint64_t k : fitting)
+        EXPECT_TRUE(store.get(session, k)) << "key " << k;
+    for (const std::uint64_t k : overflowing)
+        EXPECT_FALSE(store.get(session, k)) << "key " << k;
+    store.closeSession(session);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBackend, BatchContractTest,
+    ::testing::ValuesIn(everyBackendAndHtmFallback()),
+    [](const ::testing::TestParamInfo<polytm::TmConfig> &info) {
+        std::string name = info.param.label();
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
 
 TEST(KvStoreTest, OpenSessionFailureLeaksNoRegistrations)
 {
@@ -189,8 +333,8 @@ TEST(KvStoreTest, MultiOpSeesItsOwnWrites)
 }
 
 /**
- * All-or-nothing table-full scenario, shared by the revocable (TL2)
- * and irrevocable (HTM-fallback) variants, on stores with growth
+ * All-or-nothing table-full scenario, shared by the TL2 and
+ * HTM-fallback variants, on stores with growth
  * pinned off. 2 shards of 16 slots each: fill shard 1 to capacity,
  * keep one known key on shard 0, then run multiOps whose inserts
  * cannot fit — every already-applied part must roll back, both across
@@ -256,28 +400,28 @@ TEST(KvStoreTest, TableFullMultiOpAbortsAllOrNothing)
     runTableFullScenario(pinnedStore(2, 4));
 }
 
-TEST(KvStoreTest, TableFullAbortIsCleanOnIrrevocableBackend)
+TEST(KvStoreTest, TableFullAbortIsCleanOnHtmFallback)
 {
-    // An irrevocable backend writes in place and cannot roll back;
-    // the abort paths must revert by hand instead of relying on the
-    // TM's rollback.
+    // The fallback writes in place; the table-full aborts rely on its
+    // undo log to restore memory.
     KvStoreOptions options = pinnedStore(2, 4);
-    options.initial = irrevocableConfig();
+    options.initial = htmFallbackConfig();
     runTableFullScenario(options);
 }
 
-TEST(KvStoreTest, TransfersStayAtomicOnIrrevocableBackend)
+TEST(KvStoreTest, TransfersStayAtomicOnHtmFallback)
 {
-    // Smoke the pending-intent wait/fold paths where tx.retry() is
-    // illegal (irrevocable fallback): concurrent transfers + snapshots
-    // must still conserve the total.
+    // Smoke the pending-intent wait/fold paths on the in-place
+    // fallback, where waiting out an intent rolls writes back from
+    // the undo log: concurrent transfers + snapshots must still
+    // conserve the total.
     constexpr std::uint64_t kKeys = 32;
     constexpr std::uint64_t kInitial = 100;
     constexpr int kWriters = 3;
     constexpr int kTransfers = 200;
 
     KvStoreOptions options = smallStore(4, 10);
-    options.initial = irrevocableConfig();
+    options.initial = htmFallbackConfig();
     KvStore store(options);
     {
         auto session = store.openSession();
@@ -565,13 +709,13 @@ TEST(KvStoreTest, WideValuesRoundTripThroughAllPaths)
     store.closeSession(session);
 }
 
-TEST(KvStoreTest, WideValuesSurviveAbortOnIrrevocable)
+TEST(KvStoreTest, WideValuesSurviveAbortOnHtmFallback)
 {
     // A multiOp that overwrites a 128-byte value and then fails on a
     // pinned-full shard must restore the wide value byte-for-byte —
-    // on an irrevocable backend this runs the manual in-place revert.
+    // on the HTM fallback through its undo log.
     KvStoreOptions options = pinnedStore(2, 4);
-    options.initial = irrevocableConfig();
+    options.initial = htmFallbackConfig();
     KvStore store(options);
     auto session = store.openSession();
 

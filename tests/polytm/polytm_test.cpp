@@ -1,18 +1,31 @@
 /**
  * End-to-end PolyTM tests: the typed API, stats, quiesced backend
- * switching under load, parallelism-degree changes, pinning, and
- * contention-management hot updates.
+ * switching under load, parallelism-degree changes, pinning,
+ * contention-management hot updates, and rollback when a foreign
+ * exception leaves the body.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "polytm/polytm.hpp"
 
 namespace proteus::polytm {
+
+// gtest prints each parameter into the test's listed name.
+void
+PrintTo(const TmConfig &config, std::ostream *os)
+{
+    *os << config.label();
+}
+
 namespace {
 
 TEST(PolyTmTest, SingleThreadTypedFields)
@@ -285,6 +298,63 @@ TEST(PolyTmTest, BankInvariantAcrossBackendsAndParallelism)
         total += a.rawGet();
     EXPECT_EQ(total, 100u * kAccounts);
 }
+
+/** Every backend at its default knobs, plus the emulated HTM with a
+ *  zero retry budget: every attempt runs on its fallback lock. */
+std::vector<TmConfig>
+everyBackendAndHtmFallback()
+{
+    std::vector<TmConfig> configs;
+    for (int k = 0; k < static_cast<int>(tm::BackendKind::kNumBackends);
+         ++k)
+        configs.push_back({static_cast<tm::BackendKind>(k), 1, {}});
+    configs.push_back({tm::BackendKind::kSimHtm, 1,
+                       {/*htmBudget=*/0, tm::CapacityPolicy::kDecrease}});
+    return configs;
+}
+
+class PolyTmRollbackTest : public ::testing::TestWithParam<TmConfig>
+{
+};
+
+TEST_P(PolyTmRollbackTest, ForeignExceptionRollsBackAndRethrows)
+{
+    PolyTm poly(GetParam());
+    auto token = poly.registerThread();
+    TxField<std::uint64_t> a(1);
+    TxField<std::uint64_t> b(2);
+
+    EXPECT_THROW(poly.run(token,
+                          [&](Tx &tx) {
+                              tx.write(a, std::uint64_t{11});
+                              tx.write(b, std::uint64_t{20});
+                              throw std::runtime_error("body failed");
+                          }),
+                 std::runtime_error);
+    EXPECT_EQ(a.rawGet(), 1u) << "write survived the throw";
+    EXPECT_EQ(b.rawGet(), 2u) << "write survived the throw";
+
+    // Nothing leaked: the next run on the same token commits.
+    poly.run(token, [&](Tx &tx) {
+        tx.write(a, tx.read(a) + 10);
+        tx.write(b, tx.read(b) + 10);
+    });
+    EXPECT_EQ(a.rawGet(), 11u);
+    EXPECT_EQ(b.rawGet(), 12u);
+    poly.deregisterThread(token);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBackend, PolyTmRollbackTest,
+    ::testing::ValuesIn(everyBackendAndHtmFallback()),
+    [](const ::testing::TestParamInfo<TmConfig> &info) {
+        std::string name = info.param.label();
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
 
 } // namespace
 } // namespace proteus::polytm

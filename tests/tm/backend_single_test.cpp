@@ -1,11 +1,14 @@
 /**
- * Single-threaded semantic tests, parameterized over every backend:
- * committed writes persist, read-own-writes, explicit abort rolls
- * back, large write sets survive, reset() clears metadata.
+ * Single-threaded semantic tests, parameterized over every backend and
+ * the emulated HTM forced onto its fallback lock: committed writes
+ * persist, read-own-writes, explicit abort rolls back, large write
+ * sets survive, reset() clears metadata.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "tm/test_util.hpp"
@@ -16,12 +19,20 @@ namespace {
 using testing::makeBackend;
 using testing::runTx;
 
+/** Instantiation prefix of the emulated HTM with a zero retry budget:
+ *  every attempt runs on its fallback lock. */
+constexpr std::string_view kHtmFallback = "HtmFallback/";
+
 class BackendSingleTest : public ::testing::TestWithParam<BackendKind>
 {
   protected:
     void
     SetUp() override
     {
+        const std::string_view suite = ::testing::UnitTest::GetInstance()
+                                           ->current_test_info()
+                                           ->test_suite_name();
+        fallback_ = suite.substr(0, kHtmFallback.size()) == kHtmFallback;
         backend_ = makeBackend(GetParam());
         desc_ = std::make_unique<TxDesc>(0, 1234);
         backend_->registerThread(*desc_);
@@ -33,6 +44,14 @@ class BackendSingleTest : public ::testing::TestWithParam<BackendKind>
         backend_->deregisterThread(*desc_);
     }
 
+    template <typename F>
+    void
+    run(F &&body)
+    {
+        runTx(*backend_, *desc_, body, fallback_ ? 0 : 5);
+    }
+
+    bool fallback_ = false;
     std::unique_ptr<TmBackend> backend_;
     std::unique_ptr<TxDesc> desc_;
 };
@@ -40,7 +59,7 @@ class BackendSingleTest : public ::testing::TestWithParam<BackendKind>
 TEST_P(BackendSingleTest, CommitMakesWritesVisible)
 {
     std::uint64_t x = 0, y = 0;
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         backend_->txWrite(d, &x, 7);
         backend_->txWrite(d, &y, 9);
     });
@@ -52,8 +71,7 @@ TEST_P(BackendSingleTest, ReadSeesCommittedState)
 {
     std::uint64_t x = 123;
     std::uint64_t seen = 0;
-    runTx(*backend_, *desc_,
-          [&](TxDesc &d) { seen = backend_->txRead(d, &x); });
+    run([&](TxDesc &d) { seen = backend_->txRead(d, &x); });
     EXPECT_EQ(seen, 123u);
 }
 
@@ -61,7 +79,7 @@ TEST_P(BackendSingleTest, ReadOwnWrites)
 {
     std::uint64_t x = 1;
     std::uint64_t seen = 0;
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         backend_->txWrite(d, &x, 2);
         seen = backend_->txRead(d, &x);
     });
@@ -72,7 +90,7 @@ TEST_P(BackendSingleTest, ReadOwnWrites)
 TEST_P(BackendSingleTest, WriteAfterReadSameLocation)
 {
     std::uint64_t x = 10;
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         const std::uint64_t v = backend_->txRead(d, &x);
         backend_->txWrite(d, &x, v + 5);
         EXPECT_EQ(backend_->txRead(d, &x), v + 5);
@@ -86,7 +104,7 @@ TEST_P(BackendSingleTest, ExplicitAbortRollsBack)
     // writes are undo-logged, so explicit aborts restore memory.
     std::uint64_t x = 5;
     bool aborted_once = false;
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         backend_->txWrite(d, &x, 99);
         if (!aborted_once) {
             aborted_once = true;
@@ -103,15 +121,16 @@ TEST_P(BackendSingleTest, AbortedWritesNeverVisible)
 {
     std::uint64_t x = 5;
     int attempts = 0;
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         ++attempts;
         if (attempts == 1) {
             backend_->txWrite(d, &x, 42);
-            // The global lock writes in place (undo-logged); every
-            // other backend buffers, and a buffered write must not
-            // leak to memory before commit. Either way the abort
-            // below must leave x == 5 — the semantic property.
-            if (GetParam() != BackendKind::kGlobalLock) {
+            // The global lock and the HTM fallback write in place
+            // (undo-logged); every other backend buffers, and a
+            // buffered write must not leak to memory before commit.
+            // Either way the abort below must leave x == 5 — the
+            // semantic property.
+            if (!fallback_ && GetParam() != BackendKind::kGlobalLock) {
                 EXPECT_EQ(x, 5u)
                     << "redo-log write leaked before commit";
             }
@@ -124,7 +143,7 @@ TEST_P(BackendSingleTest, AbortedWritesNeverVisible)
 TEST_P(BackendSingleTest, LargeWriteSetCommits)
 {
     std::vector<std::uint64_t> xs(3000, 0);
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         for (std::size_t i = 0; i < xs.size(); ++i)
             backend_->txWrite(d, &xs[i], i + 1);
     });
@@ -136,7 +155,7 @@ TEST_P(BackendSingleTest, SequentialTransactionsAccumulate)
 {
     std::uint64_t counter = 0;
     for (int i = 0; i < 100; ++i) {
-        runTx(*backend_, *desc_, [&](TxDesc &d) {
+        run([&](TxDesc &d) {
             backend_->txWrite(d, &counter,
                               backend_->txRead(d, &counter) + 1);
         });
@@ -147,10 +166,9 @@ TEST_P(BackendSingleTest, SequentialTransactionsAccumulate)
 TEST_P(BackendSingleTest, ResetWhileQuiescedKeepsWorking)
 {
     std::uint64_t x = 0;
-    runTx(*backend_, *desc_,
-          [&](TxDesc &d) { backend_->txWrite(d, &x, 1); });
+    run([&](TxDesc &d) { backend_->txWrite(d, &x, 1); });
     backend_->reset();
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         backend_->txWrite(d, &x, backend_->txRead(d, &x) + 1);
     });
     EXPECT_EQ(x, 2u);
@@ -160,7 +178,7 @@ TEST_P(BackendSingleTest, ReadOnlyTransactionCommits)
 {
     std::uint64_t x = 77;
     std::uint64_t total = 0;
-    runTx(*backend_, *desc_, [&](TxDesc &d) {
+    run([&](TxDesc &d) {
         total = 0;
         for (int i = 0; i < 10; ++i)
             total += backend_->txRead(d, &x);
@@ -168,12 +186,19 @@ TEST_P(BackendSingleTest, ReadOnlyTransactionCommits)
     EXPECT_EQ(total, 770u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, BackendSingleTest,
-    ::testing::ValuesIn(testing::allBackendKinds()),
-    [](const ::testing::TestParamInfo<BackendKind> &info) {
-        return std::string(backendName(info.param));
-    });
+std::string
+kindName(const ::testing::TestParamInfo<BackendKind> &info)
+{
+    return std::string(backendName(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSingleTest,
+                         ::testing::ValuesIn(testing::allBackendKinds()),
+                         kindName);
+
+INSTANTIATE_TEST_SUITE_P(HtmFallback, BackendSingleTest,
+                         ::testing::Values(BackendKind::kSimHtm),
+                         kindName);
 
 } // namespace
 } // namespace proteus::tm

@@ -71,7 +71,6 @@ TEST(SimHtmTest, ZeroBudgetGoesToFallbackAndCommits)
     desc.htmBudgetLeft = 0; // exhausted: must take the fallback lock
     htm.txBegin(desc);
     EXPECT_TRUE(desc.inFallback);
-    EXPECT_FALSE(htm.revocable(desc));
     htm.txWrite(desc, &x, 5);
     htm.txCommit(desc);
     EXPECT_EQ(x, 5u);
@@ -162,7 +161,6 @@ TEST(HybridNorecTest, BudgetExhaustionUsesSoftwarePath)
     desc.htmBudgetLeft = 0;
     hybrid.txBegin(desc);
     EXPECT_FALSE(desc.inHtm);
-    EXPECT_TRUE(hybrid.revocable(desc)); // software path can retry
     hybrid.txWrite(desc, &x, 3);
     hybrid.txCommit(desc);
     EXPECT_EQ(x, 3u);

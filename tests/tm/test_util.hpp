@@ -55,14 +55,15 @@ allBackendKinds()
 
 /**
  * Retry loop mirroring PolyTm::run for raw-backend tests, including a
- * simple HTM budget so emulated-HTM tests reach the fallback path.
+ * simple HTM budget so emulated-HTM tests reach the fallback path (a
+ * budget of 0 runs every attempt there).
  */
 template <typename F>
 void
-runTx(TmBackend &backend, TxDesc &desc, F &&body)
+runTx(TmBackend &backend, TxDesc &desc, F &&body, int htm_budget = 5)
 {
     desc.consecutiveAborts = 0;
-    desc.htmBudgetLeft = 5;
+    desc.htmBudgetLeft = htm_budget;
     for (;;) {
         backend.txBegin(desc);
         try {
