@@ -9,6 +9,7 @@
 
 #include "common/timing.hpp"
 #include "kvstore/recovery.hpp"
+#include "obs/process_stats.hpp"
 
 namespace proteus::kvstore {
 
@@ -228,6 +229,9 @@ KvStore::KvStore(KvStoreOptions options)
         for (const auto &shard_wal : wals_)
             total += shard_wal->lostBytes();
         return total;
+    });
+    metrics_.gaugeFn("process_anon_huge_bytes", [] {
+        return obs::processAnonHugeBytes();
     });
 
     if (options_.durability != Durability::kOff) {

@@ -11,7 +11,11 @@
  * slot; a home-slot lookup reads only its record's words, so it
  * touches one or two data lines, and with the TM's line-local orecs
  * (tm/orec.hpp) one or two orec lines: about 3 cold lines instead of
- * one line per word array and per orec. The maintenance walkers
+ * one line per word array and per orec. Each cold line in a table far
+ * larger than the TLB's reach also costs a page walk, which under
+ * nested paging can cost more than the miss; the record array sits on
+ * 2 MiB pages (common/line_array.hpp), so the TLB covers it and a
+ * lookup pays the misses alone. The maintenance walkers
  * (migration, TTL sweep, scan) read each slot's state word first and
  * skip kEmpty/kTombstone slots on that one read: such slots never
  * carry a write intent. All slot words are accessed only through

@@ -21,7 +21,7 @@ stampTagOf(ValueRef ref)
     return (ref >> kValueRefStampShift) & kValueRefStampMask;
 }
 
-inline std::size_t
+constexpr std::size_t
 wordsFor(std::size_t payload_bytes)
 {
     return 2 + (payload_bytes + 7) / 8;
@@ -67,16 +67,16 @@ ValueArena::carve(std::size_t words)
         mutex_.lock();
     }
     std::lock_guard<std::mutex> lk(mutex_, std::adopt_lock);
-    if (chunks_.empty() ||
-        chunks_.back().used + words > chunks_.back().capacity) {
-        Chunk chunk;
-        chunk.capacity = words > kChunkWords ? words : kChunkWords;
-        chunk.words = std::make_unique<std::atomic<std::uint64_t>[]>(
-            chunk.capacity);
-        chunks_.push_back(std::move(chunk));
+    static_assert(wordsFor(kMaxBlobBytes) <= kChunkWords,
+                  "every size class fits one chunk");
+    if (chunks_.empty() || chunks_.back().used + words > kChunkWords) {
+        chunks_.push_back(
+            {std::make_unique<LineArray<std::atomic<std::uint64_t>>>(
+                 kChunkWords),
+             0});
     }
     Chunk &chunk = chunks_.back();
-    std::atomic<std::uint64_t> *blob = chunk.words.get() + chunk.used;
+    std::atomic<std::uint64_t> *blob = chunk.words->begin() + chunk.used;
     chunk.used += words;
     blob[0].store(0, std::memory_order_relaxed); // stamp 0: stable
     carves_.fetch_add(1, std::memory_order_relaxed);

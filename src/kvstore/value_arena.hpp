@@ -66,6 +66,7 @@
 #include "common/cacheline.hpp"
 #include "common/epoch.hpp"
 #include "common/hints.hpp"
+#include "common/line_array.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace proteus::kvstore {
@@ -408,12 +409,19 @@ class ValueArena
      *   word 2..: payload, little-endian packed (word 2 doubles as the
      *             intrusive next pointer while the blob sits on a free
      *             list — the payload is dead there by construction)
+     *
+     * A chunk is one huge page (kChunkWords words, on a huge-page
+     * boundary: see common/line_array.hpp). A shard's blobs can span
+     * far more than the 8 MiB a TLB maps in 4 KiB pages, and then a
+     * blob read pays a page walk on top of its cache misses; in 2 MiB
+     * pages the TLB covers the arena. Blobs are carved from the newest
+     * chunk only, and the largest class fits one chunk, so a chunk
+     * gives up at most the tail that the next blob did not fit in.
      */
     struct Chunk
     {
-        std::unique_ptr<std::atomic<std::uint64_t>[]> words;
+        std::unique_ptr<LineArray<std::atomic<std::uint64_t>>> words;
         std::size_t used = 0;
-        std::size_t capacity = 0;
     };
 
     struct LimboEntry
@@ -422,7 +430,8 @@ class ValueArena
         std::uint64_t epoch; //!< stamped by the first sweep after retire
     };
 
-    static constexpr std::size_t kChunkWords = 1 << 15; // 256 KiB
+    static constexpr std::size_t kChunkWords =
+        kHugePageSize / sizeof(std::uint64_t); // 2 MiB
     /** Bytes prefetchBlob covers from the blob's first word. */
     static constexpr std::size_t kPrefetchBytes = 192;
 

@@ -14,6 +14,8 @@
  *  4. Accounting: bytesLive() returns to 0 once every blob is gone.
  *  5. A four-thread alloc/free/retire stress over mixed lengths with
  *     optimistic and pinned readers (for the sanitizer jobs).
+ *  6. Chunks: each is one 2 MiB huge page on its own boundary, and the
+ *     largest class fits in one.
  */
 
 #include <gtest/gtest.h>
@@ -98,6 +100,27 @@ TEST(ValueArenaTest, OversizedBlobThrowsLengthError)
     EXPECT_THROW(arena.allocBlob(big.data(), big.size()), std::length_error);
     EXPECT_EQ(arena.bytesLive(), 0u);
     EXPECT_EQ(arena.stats().carves, 0u);
+}
+
+TEST(ValueArenaTest, ChunkIsOneHugePageThatHoldsTheLargestClass)
+{
+    constexpr std::uint64_t kChunkBytes = std::uint64_t{2} << 20;
+    Arena arena;
+    const std::string small(40, 's');
+    const ValueRef first = arena.allocBlob(small.data(), small.size());
+    EXPECT_EQ(addressOf(first) % kChunkBytes, 0u);
+
+    const std::string big(Arena::kMaxBlobBytes, 'b');
+    const ValueRef next = arena.allocBlob(big.data(), big.size());
+    // Header (16 B) and payload both inside the first blob's chunk.
+    EXPECT_GT(addressOf(next), addressOf(first));
+    EXPECT_LE(addressOf(next) + 16 + Arena::kMaxBlobBytes,
+              addressOf(first) + kChunkBytes);
+    std::string out;
+    ASSERT_TRUE(arena.readBlob(next, &out));
+    EXPECT_EQ(out, big);
+    arena.freeBlob(first);
+    arena.freeBlob(next);
 }
 
 TEST(ValueArenaTest, RoundTripsAtEveryClassEdge)

@@ -97,11 +97,17 @@ TEST(OrecTableTest, ResetZeroesEveryOrec)
 
 TEST(LineArrayTest, ArraysAreLineAlignedAndZeroed)
 {
-    // Small ones, and one past malloc's mmap threshold.
-    for (const std::size_t n : {std::size_t{1000}, std::size_t{1} << 18}) {
+    // Below 2 MiB an array starts on a cache line; from 2 MiB on (2^18
+    // words) on a 2 MiB boundary, so huge pages cover it from its
+    // first byte.
+    constexpr std::size_t kTwoMiB = std::size_t{2} << 20;
+    for (const std::size_t n : {std::size_t{1000}, std::size_t{1} << 18,
+                                (std::size_t{1} << 18) + 1}) {
         LineArray<std::uint64_t> array(n);
+        const std::size_t alignment =
+            n * sizeof(std::uint64_t) >= kTwoMiB ? kTwoMiB : kCacheLineSize;
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(array.begin()) %
-                      kCacheLineSize,
+                      alignment,
                   0u)
             << n;
         for (const std::uint64_t v : array)
