@@ -1081,16 +1081,16 @@ KvStore::multiOpTwoPhaseRead(Session &session)
                          std::memory_order_acquire) ==
                      session.seqSnapshot_[j];
         }
-        // Attributed to the round's first touched shard so concurrent
-        // readers of disjoint shards never serialize on one stripe.
-        snapRounds_.add(1, slices[0].shard);
+        // Striped by the session's tid on the round's first shard, so
+        // sessions reading the same shards bump different lines.
+        snapRounds_.add(1, counterStripe(session, slices[0].shard));
         return stable;
     };
 
     for (int round = 0;; ++round) {
         if (run_round())
             return;
-        snapRetries_.add(1, slices[0].shard);
+        snapRetries_.add(1, counterStripe(session, slices[0].shard));
         recorder_.record(obs::TraceKind::kSnapshotRetry,
                          static_cast<std::int32_t>(slices[0].shard),
                          commitSequence(),
@@ -1509,7 +1509,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             if (tomb_delta != 0)
                 shard.noteTombstones(tomb_delta);
         }
-        twoPhaseCommits_.add(1, slices[0].shard);
+        twoPhaseCommits_.add(1, counterStripe(session, slices[0].shard));
         recorder_.record(obs::TraceKind::kTwoPhaseFinalize, -1,
                          reserved_seq, session.intents_.size());
         return OpStatus::kDone;

@@ -597,6 +597,15 @@ class KvStore
      *  sleeps (counted in snapshot_escalations). */
     static constexpr int kSnapshotBackoffRounds = 64;
 
+    /** Stripe of a hot store counter bumped by `session` on shard
+     *  `s`: the session's tid there, so concurrent sessions bump
+     *  different lines even when they touch the same shard. */
+    static std::size_t
+    counterStripe(const Session &session, std::size_t s)
+    {
+        return static_cast<std::size_t>(session.tokens_[s].tid);
+    }
+
     /** Per-round backoff shared by the snapshot read paths. */
     void snapshotRetryPause(int round);
 
@@ -624,10 +633,10 @@ class KvStore
                                     std::memory_order_acquire)};
             shards_[s]->poly().run(session.tokens_[s],
                                    [&](polytm::Tx &tx) { body(tx, view); });
-            snapRounds_.add(1, s);
+            snapRounds_.add(1, counterStripe(session, s));
             if (seq.load(std::memory_order_acquire) == s0)
                 return;
-            snapRetries_.add(1, s);
+            snapRetries_.add(1, counterStripe(session, s));
             recorder_.record(obs::TraceKind::kSnapshotRetry,
                              static_cast<std::int32_t>(s), view.seq,
                              static_cast<std::uint64_t>(round));
@@ -663,7 +672,8 @@ class KvStore
      * registry's bridge callbacks read shard state during telemetry().
      * Counter handles are resolved once here; the hot paths record
      * through the references with a single relaxed add, striped by
-     * shard (or worker) exactly like the seed's stripe arrays.
+     * the session's tid (counterStripe) or, off the hot paths, by
+     * shard.
      */
     obs::MetricRegistry metrics_;
     obs::FlightRecorder recorder_;

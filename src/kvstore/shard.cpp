@@ -1217,13 +1217,43 @@ Shard::noteTombstones(std::int64_t delta)
 }
 
 void
+Shard::noteInserted(polytm::ThreadToken &token)
+{
+    WriterRecord &writer = writers_[static_cast<std::size_t>(token.tid)];
+    ShardTable *live = epochMirror_.load(std::memory_order_acquire)->live;
+    if (writer.table != live) {
+        // A grow or compaction replaced the table the held-back
+        // inserts went to; the migration counts them again where they
+        // land, so they are dropped, not carried over.
+        writer.table = live;
+        writer.pending = 0;
+    }
+    if (++writer.pending >= consumedStep(live->slots)) {
+        live->consumed.fetch_add(writer.pending, std::memory_order_relaxed);
+        writer.pending = 0;
+    }
+}
+
+void
+Shard::deregisterWorker(polytm::ThreadToken &token)
+{
+    WriterRecord &writer = writers_[static_cast<std::size_t>(token.tid)];
+    if (writer.pending != 0 &&
+        writer.table == epochMirror_.load(std::memory_order_acquire)->live)
+        writer.table->consumed.fetch_add(writer.pending,
+                                         std::memory_order_relaxed);
+    writer.pending = 0;
+    poly_.deregisterThread(token);
+}
+
+void
 Shard::finishWrite(polytm::ThreadToken &token, const SlotImage &pre,
                    const std::vector<std::uint64_t> &reclaim)
 {
     for (const std::uint64_t ref : reclaim)
         retireBlob(ref);
     if (pre.state == kEmpty)
-        noteConsumed(1);
+        noteInserted(token);
     else if (pre.state == kTombstone)
         noteTombstones(-1); // insert reused a tombstone
     maintainTick(token);
@@ -1622,7 +1652,7 @@ Shard::maintainTick(polytm::ThreadToken &token)
         return;
     }
     const std::uint64_t ticks =
-        maintainTicks_.fetch_add(1, std::memory_order_relaxed);
+        writers_[static_cast<std::size_t>(token.tid)].ticks++;
     if (ttlSeen_.load(std::memory_order_relaxed) && (ticks & 63) == 0)
         sweepChunk(token);
     // Recycle retired blobs whose reader epochs have quiesced. The

@@ -109,6 +109,8 @@
 #ifndef PROTEUS_KVSTORE_SHARD_HPP
 #define PROTEUS_KVSTORE_SHARD_HPP
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -244,7 +246,17 @@ struct ShardTable
     /** Zero-initialised: every slot starts kEmpty with no intent. */
     LineArray<SlotRecord> records;
 
-    /** Heuristic non-kEmpty slot count (grow trigger; drift is ok). */
+    /**
+     * Heuristic non-kEmpty slot count (grow trigger; drift is ok).
+     * finishWrite does not add each insert at once: every writer
+     * holds its new slots back in its own record and adds them in
+     * steps of Shard::consumedStep(slots) = clamp(slots >> 13, 1, 64).
+     * A table of up to 2^13 slots therefore counts exactly; a larger
+     * one can lag by under slots >> 13 per writer, so with every one
+     * of tm::kMaxThreads writers holding a step back, the grow trigger
+     * fires at most 64 / 8192 < 1% of the slots late.
+     * deregisterWorker adds what a leaving writer still holds.
+     */
     std::atomic<std::size_t> consumed{0};
     /**
      * Heuristic tombstone count (compaction trigger). Signed so racy
@@ -314,10 +326,9 @@ class Shard
             static_cast<std::size_t>(token.tid));
         return token;
     }
-    void deregisterWorker(polytm::ThreadToken &token)
-    {
-        poly_.deregisterThread(token);
-    }
+    /** Adds the worker's held-back new-slot count (see
+     *  ShardTable::consumed) before giving its tid back. */
+    void deregisterWorker(polytm::ThreadToken &token);
 
     /**
      * Whole-op transactions (each runs its own PolyTM transaction).
@@ -512,7 +523,10 @@ class Shard
      * by the KvStore batching loop): relocates one migration chunk
      * when a resize is in flight, triggers a proactive grow when the
      * live table crosses the load threshold, and occasionally advances
-     * the TTL clock hand. Cheap (two atomic loads) when idle.
+     * the TTL clock hand and sweeps the arena limbo. When idle it
+     * loads the epoch mirror, the live table's consumed count, the TTL
+     * flag and the limbo count, and writes only the caller's own
+     * writer record (its tick).
      */
     void maintainTick(polytm::ThreadToken &token);
 
@@ -539,7 +553,8 @@ class Shard
     /**
      * Post-commit bookkeeping shared by every direct put path (the
      * Shard wrappers and KvStore's single-key ones): free the
-     * displaced blob handles, feed the consumed-slot heuristic, run a
+     * displaced blob handles, feed the consumed-slot heuristic
+     * (batched per writer, see ShardTable::consumed), run a
      * maintenance tick. Call only after the put's transaction
      * committed.
      */
@@ -578,6 +593,14 @@ class Shard
     /** Current live-table slot count (grows over the shard's life). */
     std::size_t capacity() const;
     bool migrationActive() const;
+    /** Step in which finishWrite adds a writer's inserts to a
+     *  `slots`-slot table's consumed count. */
+    static std::size_t
+    consumedStep(std::size_t slots)
+    {
+        return std::clamp<std::size_t>(slots >> 13, 1, 64);
+    }
+
     /** Resizes completed since construction. */
     std::uint64_t growCount() const
     {
@@ -698,6 +721,11 @@ class Shard
      */
     std::size_t probe(polytm::Tx &tx, ShardTable &table,
                       std::uint64_t key, bool *found);
+
+    /** finishWrite's insert bookkeeping: counts one new slot in the
+     *  caller's writer record, adding the record's count to the live
+     *  table's consumed once it reaches consumedStep(). */
+    void noteInserted(polytm::ThreadToken &token);
 
     /** Resync the live table's heuristic tombstone count from its
      *  state words after a migration retires its source. growMutex_
@@ -848,6 +876,21 @@ class Shard
     /** Reader-epoch slots (one per registered tid) for blob pinning. */
     EpochDomain readerEpochs_{static_cast<std::size_t>(tm::kMaxThreads)};
 
+    /**
+     * One writer's bookkeeping, on its own line, read and written only
+     * by the thread holding the tid (PolyTM's admin mutex orders a
+     * tid's hand-over to its next holder).
+     */
+    struct alignas(kCacheLineSize) WriterRecord
+    {
+        /** Maintenance ticks run; sets the sweep cadence. */
+        std::uint64_t ticks = 0;
+        /** Inserts into `table` not yet added to its consumed count. */
+        std::size_t pending = 0;
+        ShardTable *table = nullptr;
+    };
+    std::array<WriterRecord, tm::kMaxThreads> writers_{};
+
     /** TM-visible: holds the current TableEpoch*. Every transaction
      *  reads it, so epoch changes conflict with all straddlers. */
     alignas(8) std::uint64_t epochWord_ = 0;
@@ -886,7 +929,6 @@ class Shard
 
     std::atomic<std::uint64_t> growCount_{0};
     std::atomic<std::uint64_t> compactCount_{0};
-    std::atomic<std::uint64_t> maintainTicks_{0};
     /** Snapshot readers that waited out an in-flight commit verdict. */
     std::atomic<std::uint64_t> snapshotWaits_{0};
     /** Set once any put carries a TTL; gates the sweep. */

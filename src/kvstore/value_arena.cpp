@@ -1,5 +1,6 @@
 #include "kvstore/value_arena.hpp"
 
+#include <algorithm>
 #include <new>
 
 #include "common/fault.hpp"
@@ -53,8 +54,64 @@ packHead(std::uint64_t tag, const std::atomic<std::uint64_t> *ptr)
 
 } // namespace
 
+ValueArena::Stripe &
+ValueArena::stripe()
+{
+    // Threads take stripes round-robin on first use, so up to
+    // kStripes live threads get a line each.
+    static std::atomic<std::size_t> next{0};
+    thread_local const std::size_t mine =
+        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+    return stripes_[mine];
+}
+
+std::unique_lock<std::mutex>
+ValueArena::lockCarve()
+{
+    std::unique_lock<std::mutex> lk(mutex_, std::try_to_lock);
+    if (!lk.owns_lock()) {
+        carveContended_.fetch_add(1, std::memory_order_relaxed);
+        lk.lock();
+    }
+    return lk;
+}
+
 std::atomic<std::uint64_t> *
-ValueArena::carve(std::size_t words)
+ValueArena::takeLocked(std::size_t min_words, std::size_t max_words,
+                       std::size_t *got)
+{
+    static_assert(wordsFor(kMaxBlobBytes) <= kChunkWords,
+                  "every size class fits one chunk");
+    if (chunks_.empty() || kChunkWords - chunks_.back().used < min_words) {
+        chunks_.push_back(
+            {std::make_unique<LineArray<std::atomic<std::uint64_t>>>(
+                 kChunkWords),
+             0});
+    }
+    Chunk &chunk = chunks_.back();
+    *got = std::min(max_words, kChunkWords - chunk.used);
+    std::atomic<std::uint64_t> *run = chunk.words->begin() + chunk.used;
+    chunk.used += *got;
+    return run;
+}
+
+void
+ValueArena::releaseSlabLocked(Cache &cache)
+{
+    if (!chunks_.empty()) {
+        Chunk &chunk = chunks_.back();
+        // used > 0: a slab ending at an empty chunk's first word lies
+        // in an older chunk that merely sits just below it.
+        if (chunk.used > 0 &&
+            cache.slabEnd_ == chunk.words->begin() + chunk.used)
+            chunk.used = static_cast<std::size_t>(cache.slabNext_ -
+                                                  chunk.words->begin());
+    }
+    cache.slabNext_ = cache.slabEnd_ = nullptr;
+}
+
+std::atomic<std::uint64_t> *
+ValueArena::carve(std::size_t words, Cache *cache, Stripe &st)
 {
     // Allocation-failure injection: surfaces as the bad_alloc a real
     // exhausted arena would throw, so the write paths' kNoMemory
@@ -62,24 +119,28 @@ ValueArena::carve(std::size_t words)
     static fault::FaultPoint fpCarve("arena.carve");
     if (fpCarve.fire())
         throw std::bad_alloc{};
-    if (!mutex_.try_lock()) {
-        carveContended_.fetch_add(1, std::memory_order_relaxed);
-        mutex_.lock();
+    std::atomic<std::uint64_t> *blob = nullptr;
+    if (cache != nullptr &&
+        words * sizeof(std::uint64_t) <= Cache::kSlabMaxBlobBytes) {
+        if (static_cast<std::size_t>(cache->slabEnd_ - cache->slabNext_) <
+            words) {
+            // Return the tail first: when nothing was carved after
+            // this slab, the next one continues it and strands nothing.
+            std::unique_lock<std::mutex> lk = lockCarve();
+            releaseSlabLocked(*cache);
+            std::size_t got = 0;
+            cache->slabNext_ = takeLocked(words, kSlabWords, &got);
+            cache->slabEnd_ = cache->slabNext_ + got;
+        }
+        blob = cache->slabNext_;
+        cache->slabNext_ += words;
+    } else {
+        std::unique_lock<std::mutex> lk = lockCarve();
+        std::size_t got = 0;
+        blob = takeLocked(words, words, &got);
     }
-    std::lock_guard<std::mutex> lk(mutex_, std::adopt_lock);
-    static_assert(wordsFor(kMaxBlobBytes) <= kChunkWords,
-                  "every size class fits one chunk");
-    if (chunks_.empty() || chunks_.back().used + words > kChunkWords) {
-        chunks_.push_back(
-            {std::make_unique<LineArray<std::atomic<std::uint64_t>>>(
-                 kChunkWords),
-             0});
-    }
-    Chunk &chunk = chunks_.back();
-    std::atomic<std::uint64_t> *blob = chunk.words->begin() + chunk.used;
-    chunk.used += words;
     blob[0].store(0, std::memory_order_relaxed); // stamp 0: stable
-    carves_.fetch_add(1, std::memory_order_relaxed);
+    st.carves.fetch_add(1, std::memory_order_relaxed);
     return blob;
 }
 
@@ -170,17 +231,18 @@ ValueArena::allocBlob(const void *data, std::size_t len, Cache *cache)
 {
     const std::size_t cls = classOf(len);
     const std::size_t cap_bytes = classCapacity(cls);
-    allocs_.fetch_add(1, std::memory_order_relaxed);
+    Stripe &st = stripe();
+    st.allocs.fetch_add(1, std::memory_order_relaxed);
 
     std::atomic<std::uint64_t> *blob = nullptr;
     if (cache != nullptr && cache->classes_[cls].count > 0) {
         blob = cache->classes_[cls].blobs[--cache->classes_[cls].count];
-        magazineHits_.fetch_add(1, std::memory_order_relaxed);
+        st.magazineHits.fetch_add(1, std::memory_order_relaxed);
     }
     if (blob == nullptr) {
         blob = popFree(cls);
         if (blob != nullptr) {
-            globalHits_.fetch_add(1, std::memory_order_relaxed);
+            st.globalHits.fetch_add(1, std::memory_order_relaxed);
             if (cache != nullptr) {
                 // Batch-refill half a magazine so the next allocs of
                 // this class stay off the shared list entirely.
@@ -195,8 +257,8 @@ ValueArena::allocBlob(const void *data, std::size_t len, Cache *cache)
         }
     }
     if (blob == nullptr)
-        blob = carve(wordsFor(cap_bytes));
-    bytesLive_.fetch_add(cap_bytes, std::memory_order_relaxed);
+        blob = carve(wordsFor(cap_bytes), cache, st);
+    st.bytesLive.fetch_add(cap_bytes, std::memory_order_relaxed);
     return publish(blob, cap_bytes, data, len);
 }
 
@@ -207,7 +269,7 @@ ValueArena::freeBlob(ValueRef ref, Cache *cache)
         return;
     std::atomic<std::uint64_t> *blob = blobOf(ref);
     const std::size_t cap_bytes = capBytesOf(blob);
-    bytesLive_.fetch_sub(cap_bytes, std::memory_order_relaxed);
+    stripe().bytesLive.fetch_sub(cap_bytes, std::memory_order_relaxed);
     const std::size_t cls = classOf(cap_bytes);
     if (cache != nullptr &&
         cache->classes_[cls].count < Cache::kMagazine) {
@@ -230,8 +292,9 @@ ValueArena::retireBlobs(const ValueRef *refs, std::size_t count)
     }
     if (blobs == 0)
         return;
-    bytesLive_.fetch_sub(bytes, std::memory_order_relaxed);
-    retired_.fetch_add(blobs, std::memory_order_relaxed);
+    Stripe &st = stripe();
+    st.bytesLive.fetch_sub(bytes, std::memory_order_relaxed);
+    st.retired.fetch_add(blobs, std::memory_order_relaxed);
     trace(obs::TraceKind::kArenaRetire, blobs, bytes);
     std::lock_guard<std::mutex> lk(limboMutex_);
     for (std::size_t i = 0; i < count; ++i) {
@@ -250,8 +313,9 @@ ValueArena::retireOwned(ValueRef ref, OwnerLimbo &limbo,
         return;
     std::atomic<std::uint64_t> *blob = blobOf(ref);
     // Account once, here (the shared-limbo spill must NOT repeat it).
-    bytesLive_.fetch_sub(capBytesOf(blob), std::memory_order_relaxed);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    Stripe &st = stripe();
+    st.bytesLive.fetch_sub(capBytesOf(blob), std::memory_order_relaxed);
+    st.retired.fetch_add(1, std::memory_order_relaxed);
     limbo.entries_.push_back({blob, 0});
     if (limbo.entries_.size() >= OwnerLimbo::kDrainThreshold)
         drainOwned(limbo, readers, cache);
@@ -329,7 +393,7 @@ ValueArena::recycle(std::atomic<std::uint64_t> *blob)
     // could observe the junk word while both its stamp checks still
     // read the old even stamp.
     std::atomic_thread_fence(std::memory_order_release);
-    recycled_.fetch_add(1, std::memory_order_relaxed);
+    stripe().recycled.fetch_add(1, std::memory_order_relaxed);
     pushFree(classOf(capBytesOf(blob)), blob);
 }
 
@@ -340,7 +404,7 @@ ValueArena::recycleInto(std::atomic<std::uint64_t> *blob, Cache *cache)
     // the blob lands in the owner's magazine when there is room.
     blob[0].fetch_add(2, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_release);
-    recycled_.fetch_add(1, std::memory_order_relaxed);
+    stripe().recycled.fetch_add(1, std::memory_order_relaxed);
     const std::size_t cls = classOf(capBytesOf(blob));
     if (cache != nullptr &&
         cache->classes_[cls].count < Cache::kMagazine) {
@@ -400,6 +464,10 @@ ValueArena::flushCache(Cache &cache)
         auto &cc = cache.classes_[cls];
         while (cc.count > 0)
             pushFree(cls, cc.blobs[--cc.count]);
+    }
+    if (cache.slabNext_ != nullptr) {
+        std::unique_lock<std::mutex> lk = lockCarve();
+        releaseSlabLocked(cache);
     }
 }
 
@@ -463,16 +531,30 @@ ValueArena::Stats
 ValueArena::stats() const
 {
     Stats out;
-    out.allocs = allocs_.load(std::memory_order_relaxed);
-    out.magazineHits = magazineHits_.load(std::memory_order_relaxed);
-    out.globalHits = globalHits_.load(std::memory_order_relaxed);
-    out.carves = carves_.load(std::memory_order_relaxed);
+    for (const Stripe &st : stripes_) {
+        out.allocs += st.allocs.load(std::memory_order_relaxed);
+        out.magazineHits += st.magazineHits.load(std::memory_order_relaxed);
+        out.globalHits += st.globalHits.load(std::memory_order_relaxed);
+        out.carves += st.carves.load(std::memory_order_relaxed);
+        out.retired += st.retired.load(std::memory_order_relaxed);
+        out.recycled += st.recycled.load(std::memory_order_relaxed);
+    }
     out.carveContended =
         carveContended_.load(std::memory_order_relaxed);
     out.casRetries = casRetries_.load(std::memory_order_relaxed);
-    out.retired = retired_.load(std::memory_order_relaxed);
-    out.recycled = recycled_.load(std::memory_order_relaxed);
     return out;
+}
+
+std::size_t
+ValueArena::bytesLive() const
+{
+    std::uint64_t sum = 0;
+    for (const Stripe &st : stripes_)
+        sum += st.bytesLive.load(std::memory_order_relaxed);
+    // Mod 2^64 the stripes sum to the exact total; a read racing a
+    // cross-thread free can see the free without the alloc it undoes.
+    const auto net = static_cast<std::int64_t>(sum);
+    return net < 0 ? 0 : static_cast<std::size_t>(net);
 }
 
 } // namespace proteus::kvstore

@@ -30,12 +30,20 @@
  * reader racing a recycler is a detected validation failure, never
  * C++ UB (the same stance the intent machinery takes).
  *
- * Allocation is contention-free in steady state: each size class has
- * a lock-free global free list (Treiber stack, ABA-tagged head, the
- * next pointer lives in the dead payload's first word), and sessions
- * carry a bounded per-class magazine (Cache) refilled in batches from
- * the global list — the carve mutex is only taken when a class has
- * never been populated. Freeing splits by reachability:
+ * Allocation keeps writers off each other's cache lines, the way a
+ * jemalloc tcache fronts its arena. Each size class has a lock-free
+ * global free list (Treiber stack, ABA-tagged head, the next pointer
+ * lives in the dead payload's first word), and sessions carry a Cache:
+ * a bounded per-class magazine refilled in batches from the global
+ * list, plus a private slab. A growing store has nothing to recycle,
+ * so every insert needs a fresh blob; a session bump-allocates blobs
+ * of up to kSlabMaxBlobBytes from its slab and takes the carve mutex
+ * only to carve the next kSlabBytes from the newest chunk (larger
+ * blobs, and callers without a Cache, carve under it each time).
+ * Blobs of two sessions therefore never share a line, except where
+ * their slabs meet. The per-operation counters sit in per-thread,
+ * line-padded stripes that stats() and bytesLive() sum. Freeing splits
+ * by reachability:
  *
  *  - freeBlob(): immediate recycle, legal ONLY for blobs whose handle
  *    was never reachable through a committed slot word (staged blobs
@@ -173,17 +181,28 @@ class ValueArena
     }
 
     /**
-     * Per-session free-blob magazine (one bounded stack per size
-     * class). Pass to allocBlob/freeBlob on session-owned paths; the
-     * magazine absorbs the alloc/free traffic of one thread without
-     * touching shared state. Must be flushed back (flushCache) before
-     * its owner forgets it, or the cached capacity leaks until arena
-     * destruction.
+     * Per-session allocation cache: a free-blob magazine (one bounded
+     * stack per size class) and a private slab that fresh blobs are
+     * bump-allocated from. Pass to allocBlob/freeBlob on session-owned
+     * paths; the cache absorbs the alloc/free traffic of one thread
+     * without touching shared state. Must be flushed back (flushCache)
+     * before its owner forgets it, or the cached capacity leaks until
+     * arena destruction.
      */
     class Cache
     {
       public:
         static constexpr std::size_t kMagazine = 8;
+        /** Bytes a cache carves from the newest chunk at a time. */
+        static constexpr std::size_t kSlabBytes = std::size_t{32} << 10;
+        /**
+         * Largest blob (header included) bumped from the slab; larger
+         * ones carve from the chunk directly. A slab that cannot fit
+         * the next blob strands its tail only when another carve
+         * followed it in the chunk, so the cap bounds that waste to a
+         * sixteenth of a slab.
+         */
+        static constexpr std::size_t kSlabMaxBlobBytes = kSlabBytes / 16;
 
       private:
         friend class ValueArena;
@@ -193,6 +212,9 @@ class ValueArena
             std::uint32_t count = 0;
         };
         ClassCache classes_[kNumClasses]{};
+        /** Unused part of the slab: fresh blobs come from its front. */
+        std::atomic<std::uint64_t> *slabNext_ = nullptr;
+        std::atomic<std::uint64_t> *slabEnd_ = nullptr;
     };
 
     /**
@@ -235,6 +257,7 @@ class ValueArena
         std::uint64_t allocs = 0;
         std::uint64_t magazineHits = 0;
         std::uint64_t globalHits = 0;
+        /** Fresh blobs, from a slab or straight from a chunk. */
         std::uint64_t carves = 0;
         /** carve-mutex acquisitions that found it already held. */
         std::uint64_t carveContended = 0;
@@ -317,7 +340,11 @@ class ValueArena
      */
     void reclaim(EpochDomain &readers);
 
-    /** Spill a session magazine back to the global free lists. */
+    /**
+     * Spill a session magazine back to the global free lists and give
+     * up its slab. An unused slab tail that still ends the newest
+     * chunk goes back to the chunk, so the next carve starts there.
+     */
     void flushCache(Cache &cache);
 
     /**
@@ -358,11 +385,13 @@ class ValueArena
         }
     }
 
-    /** Bytes currently handed out to live blobs (capacity, not len). */
-    std::size_t bytesLive() const
-    {
-        return bytesLive_.load(std::memory_order_relaxed);
-    }
+    /**
+     * Bytes currently handed out to live blobs (capacity, not len).
+     * Exact once writers quiesce; a read racing them sums stripes at
+     * slightly different moments, so it may lag, and reads 0 rather
+     * than below it.
+     */
+    std::size_t bytesLive() const;
 
     /** Blobs parked in limbo awaiting reader-epoch quiescence. */
     std::size_t limboCount() const
@@ -430,12 +459,56 @@ class ValueArena
         std::uint64_t epoch; //!< stamped by the first sweep after retire
     };
 
+    /**
+     * One writer's per-operation counters, alone on a cache line. A
+     * thread picks its stripe once (stripe()), so writers on different
+     * threads bump different lines. `bytesLive` is the stripe's net
+     * share: a blob freed on another thread than the one that
+     * allocated it moves bytes between stripes, so one stripe's value
+     * wraps and only the sum over stripes means anything.
+     */
+    struct alignas(kCacheLineSize) Stripe
+    {
+        std::atomic<std::uint64_t> allocs{0};
+        std::atomic<std::uint64_t> magazineHits{0};
+        std::atomic<std::uint64_t> globalHits{0};
+        std::atomic<std::uint64_t> carves{0};
+        std::atomic<std::uint64_t> retired{0};
+        std::atomic<std::uint64_t> recycled{0};
+        std::atomic<std::uint64_t> bytesLive{0};
+    };
+    static_assert(sizeof(Stripe) == kCacheLineSize);
+    static constexpr std::size_t kStripes = 16;
+
+    /** The calling thread's stripe. */
+    Stripe &stripe();
+
     static constexpr std::size_t kChunkWords =
         kHugePageSize / sizeof(std::uint64_t); // 2 MiB
+    static constexpr std::size_t kSlabWords =
+        Cache::kSlabBytes / sizeof(std::uint64_t);
+    static_assert(kChunkWords % kSlabWords == 0);
     /** Bytes prefetchBlob covers from the blob's first word. */
     static constexpr std::size_t kPrefetchBytes = 192;
 
-    std::atomic<std::uint64_t> *carve(std::size_t words);
+    /** A fresh `words`-word blob: from the cache's slab when it is
+     *  small enough, else straight from the newest chunk. */
+    std::atomic<std::uint64_t> *carve(std::size_t words, Cache *cache,
+                                      Stripe &st);
+    /** Lock mutex_, counting acquisitions that found it held. */
+    std::unique_lock<std::mutex> lockCarve();
+    /**
+     * Take `min_words` to `max_words` words off the newest chunk (as
+     * many as it has left, up to `max_words`), starting a new chunk
+     * when fewer than `min_words` remain; `*got` receives the count.
+     * mutex_ held.
+     */
+    std::atomic<std::uint64_t> *takeLocked(std::size_t min_words,
+                                           std::size_t max_words,
+                                           std::size_t *got);
+    /** Drop the cache's slab; its unused tail goes back to the newest
+     *  chunk when nothing was carved after it. mutex_ held. */
+    void releaseSlabLocked(Cache &cache);
     /** Write `len` bytes under the seqlock protocol; returns handle. */
     ValueRef publish(std::atomic<std::uint64_t> *blob,
                      std::size_t cap_bytes, const void *data,
@@ -464,15 +537,11 @@ class ValueArena
     std::vector<LimboEntry> limbo_;
     std::atomic<std::size_t> limboCount_{0};
 
-    std::atomic<std::size_t> bytesLive_{0};
-    std::atomic<std::uint64_t> allocs_{0};
-    std::atomic<std::uint64_t> magazineHits_{0};
-    std::atomic<std::uint64_t> globalHits_{0};
-    std::atomic<std::uint64_t> carves_{0};
+    Stripe stripes_[kStripes];
+    /** Bumped only when a CAS or the carve mutex meets another
+     *  thread, so they stay shared. */
     std::atomic<std::uint64_t> carveContended_{0};
     std::atomic<std::uint64_t> casRetries_{0};
-    std::atomic<std::uint64_t> retired_{0};
-    std::atomic<std::uint64_t> recycled_{0};
 };
 
 static_assert(ValueArena::kNumClasses == 60);

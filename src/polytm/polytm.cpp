@@ -125,10 +125,9 @@ PolyTm::onAbort(ThreadToken &token, tm::TxDesc &desc,
 {
     desc.lastAbortCause = abort.cause;
     ++desc.consecutiveAborts;
-    counters_[token.tid]->aborts.fetch_add(1, std::memory_order_relaxed);
-    counters_[token.tid]
-        ->abortsByCause[static_cast<std::size_t>(abort.cause)]
-        .fetch_add(1, std::memory_order_relaxed);
+    bumpOwned(counters_[token.tid]->aborts);
+    bumpOwned(counters_[token.tid]
+                  ->abortsByCause[static_cast<std::size_t>(abort.cause)]);
 
     // HTM retry-budget policy (paper §4.3): consumed per abort; the
     // capacity policy decides how harshly capacity aborts count.

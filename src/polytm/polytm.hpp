@@ -208,8 +208,7 @@ class PolyTm
                 Tx tx(*backend, desc);
                 body(tx);
                 backend->txCommit(desc);
-                counters_[token.tid]->commits.fetch_add(
-                    1, std::memory_order_relaxed);
+                bumpOwned(counters_[token.tid]->commits);
                 desc.consecutiveAborts = 0;
                 gate_.exit(token.tid);
                 return;
@@ -281,6 +280,20 @@ class PolyTm
         std::atomic<std::uint64_t> aborts{0};
         std::array<std::atomic<std::uint64_t>, 6> abortsByCause{};
     };
+
+    /**
+     * Increment one of a tid's own counters. Only the thread holding
+     * the tid writes them, and adminMutex_ orders a tid's hand-over to
+     * its next holder, so a relaxed load and store suffice: no locked
+     * instruction per transaction. Atomic so snapshotStats() may read
+     * concurrently.
+     */
+    static void
+    bumpOwned(std::atomic<std::uint64_t> &counter)
+    {
+        counter.store(counter.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+    }
 
     void onAbort(ThreadToken &token, tm::TxDesc &desc,
                  tm::TmBackend &backend, const tm::TxAbort &abort);

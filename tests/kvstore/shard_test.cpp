@@ -1,11 +1,13 @@
 /**
  * Shard unit tests: open-addressing semantics (overwrite, tombstone
- * reuse, full-table behaviour), scans, and transactional composition
- * through the *Tx primitives.
+ * reuse, full-table behaviour), scans, transactional composition
+ * through the *Tx primitives, and the grow trigger's consumed count,
+ * which each writer batches in its own record.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -321,6 +323,101 @@ TEST(ShardTest, SurvivesLiveReconfiguration)
     }
 
     shard.deregisterWorker(token);
+}
+
+/** Inserts that put a `slots`-slot table at growLoadPercent (70). */
+std::uint64_t
+growMark(std::uint64_t slots)
+{
+    return (slots * 70 + 99) / 100;
+}
+
+TEST(ShardTest, SmallTableGrowsOnTheInsertThatCrossesTheMark)
+{
+    // 2^8 slots: a consumed step of 1, so every insert counts at once
+    // and the grow fires on the same insert as with no batching.
+    Shard shard(tinyShard(8));
+    ASSERT_EQ(Shard::consumedStep(256), 1u);
+    auto token = shard.registerWorker();
+    std::uint64_t grew_at = 0;
+    for (std::uint64_t key = 1; grew_at == 0 && key <= 256; ++key) {
+        ASSERT_TRUE(shard.put(token, key, key));
+        if (shard.growCount() > 0)
+            grew_at = key;
+    }
+    EXPECT_EQ(grew_at, growMark(256));
+    shard.deregisterWorker(token);
+}
+
+TEST(ShardTest, TwoWritersGrowALargeTableWithinTwoSteps)
+{
+    // 2^16 slots: each writer holds back up to 8 inserts. Two writers
+    // on two threads take strict turns, so the insert the grow fires
+    // on is the same every run; with both holding inserts back it
+    // lands at most two steps past the mark, never before it.
+    constexpr std::uint64_t kSlots = std::uint64_t{1} << 16;
+    ShardOptions options = tinyShard(16);
+    options.initial.threads = 2;
+    Shard shard(options);
+    const std::uint64_t step = Shard::consumedStep(kSlots);
+    ASSERT_EQ(step, 8u);
+
+    std::atomic<std::uint64_t> turn{0}; // inserts done so far
+    std::atomic<std::uint64_t> grew_at{0};
+    std::atomic<int> failed_puts{0};
+    const auto writer = [&](std::uint64_t me) {
+        auto token = shard.registerWorker();
+        for (;;) {
+            std::uint64_t done = turn.load();
+            while (done % 2 != me && grew_at.load() == 0) {
+                std::this_thread::yield();
+                done = turn.load();
+            }
+            if (grew_at.load() != 0)
+                break;
+            if (!shard.put(token, done + 1, done))
+                failed_puts.fetch_add(1);
+            if (shard.growCount() > 0)
+                grew_at.store(done + 1);
+            turn.store(done + 1);
+        }
+        shard.deregisterWorker(token);
+    };
+    std::thread first(writer, 0);
+    std::thread second(writer, 1);
+    first.join();
+    second.join();
+
+    EXPECT_EQ(failed_puts.load(), 0);
+    EXPECT_GE(grew_at.load(), growMark(kSlots));
+    EXPECT_LE(grew_at.load(), growMark(kSlots) + 2 * step);
+}
+
+TEST(ShardTest, DeregisteringWriterLeavesItsHeldBackInsertsCounted)
+{
+    // One writer stops a few inserts past the mark with fewer than a
+    // step held back, so its flushed count is still under the mark.
+    // Deregistering adds the rest: the next write's maintenance tick,
+    // an overwrite that inserts nothing, finds the table over the mark
+    // and grows it.
+    constexpr std::uint64_t kSlots = std::uint64_t{1} << 16;
+    Shard shard(tinyShard(16));
+    const std::uint64_t step = Shard::consumedStep(kSlots);
+    const std::uint64_t flushed = growMark(kSlots) / step * step;
+    ASSERT_LT(flushed, growMark(kSlots));
+    const std::uint64_t inserts = flushed + step - 1;
+    ASSERT_GE(inserts, growMark(kSlots));
+
+    auto writer = shard.registerWorker();
+    for (std::uint64_t key = 1; key <= inserts; ++key)
+        ASSERT_TRUE(shard.put(writer, key, key));
+    EXPECT_EQ(shard.growCount(), 0u);
+    shard.deregisterWorker(writer);
+
+    auto next = shard.registerWorker();
+    ASSERT_TRUE(shard.put(next, 1, 2)); // overwrite: no new slot
+    EXPECT_EQ(shard.growCount(), 1u);
+    shard.deregisterWorker(next);
 }
 
 } // namespace

@@ -16,10 +16,17 @@
  *     optimistic and pinned readers (for the sanitizer jobs).
  *  6. Chunks: each is one 2 MiB huge page on its own boundary, and the
  *     largest class fits in one.
+ *  7. Slabs: each session cache bumps its fresh blobs from a private
+ *     slab, so one cache's blobs lie back to back however allocations
+ *     through two caches interleave; a flushed slab's unused tail is
+ *     the next thing carved; and four threads with their own caches
+ *     get disjoint blobs while the per-thread counter stripes sum to
+ *     the exact totals.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -431,6 +438,168 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
     EXPECT_EQ(arena.bytesLive(), 0u);
     const Arena::Stats stats = arena.stats();
     EXPECT_EQ(stats.recycled, stats.retired);
+}
+
+/** Bytes a blob of a `len`-byte payload takes in its chunk. */
+std::uint64_t
+footprint(std::size_t len)
+{
+    return 16 + Arena::classCapacity(Arena::classOf(len));
+}
+
+TEST(ValueArenaTest, EachCacheBumpsItsBlobsFromItsOwnSlab)
+{
+    Arena arena;
+    Arena::Cache first;
+    Arena::Cache second;
+    const std::string value = pattern(100, 5);
+    constexpr int kEach = 8;
+    std::vector<ValueRef> from_first;
+    std::vector<ValueRef> from_second;
+    for (int i = 0; i < kEach; ++i) {
+        from_first.push_back(
+            arena.allocBlob(value.data(), value.size(), &first));
+        from_second.push_back(
+            arena.allocBlob(value.data(), value.size(), &second));
+    }
+    // Interleaved allocations, yet each cache's blobs are contiguous
+    // and the two runs are disjoint.
+    for (int i = 1; i < kEach; ++i) {
+        EXPECT_EQ(addressOf(from_first[i]),
+                  addressOf(from_first[i - 1]) + footprint(value.size()));
+        EXPECT_EQ(addressOf(from_second[i]),
+                  addressOf(from_second[i - 1]) + footprint(value.size()));
+    }
+    const std::uint64_t first_end =
+        addressOf(from_first.back()) + footprint(value.size());
+    const std::uint64_t second_end =
+        addressOf(from_second.back()) + footprint(value.size());
+    EXPECT_TRUE(first_end <= addressOf(from_second[0]) ||
+                second_end <= addressOf(from_first[0]));
+    EXPECT_EQ(arena.stats().carves, 2u * kEach);
+
+    std::string out;
+    for (const ValueRef ref : from_first) {
+        ASSERT_TRUE(arena.readBlob(ref, &out));
+        EXPECT_EQ(out, value);
+        arena.freeBlob(ref, &first);
+    }
+    for (const ValueRef ref : from_second)
+        arena.freeBlob(ref, &second);
+    arena.flushCache(first);
+    arena.flushCache(second);
+    EXPECT_EQ(arena.bytesLive(), 0u);
+}
+
+TEST(ValueArenaTest, FlushedSlabTailIsTheNextThingCarved)
+{
+    Arena arena;
+    Arena::Cache cache;
+    const std::string value = pattern(100, 6);
+    const ValueRef cached = arena.allocBlob(value.data(), value.size(),
+                                            &cache);
+    arena.flushCache(cache);
+    // No cache: carved straight from the chunk, where the slab's
+    // unused tail went back.
+    const ValueRef next = arena.allocBlob(value.data(), value.size());
+    EXPECT_EQ(addressOf(next), addressOf(cached) + footprint(value.size()));
+    // The cache starts a fresh slab after the direct carve.
+    const ValueRef again = arena.allocBlob(value.data(), value.size(),
+                                           &cache);
+    EXPECT_EQ(addressOf(again), addressOf(next) + footprint(value.size()));
+    arena.freeBlob(cached);
+    arena.freeBlob(next);
+    arena.freeBlob(again);
+    arena.flushCache(cache);
+    EXPECT_EQ(arena.bytesLive(), 0u);
+}
+
+TEST(ValueArenaTest, ConcurrentCachesCarveDisjointBlobsAndCountExactly)
+{
+    constexpr int kThreads = 4;
+    constexpr int kIters = 6000;
+
+    struct Kept
+    {
+        ValueRef ref;
+        std::uint64_t seed;
+    };
+    Arena arena;
+    EpochDomain readers(kThreads);
+    std::vector<std::vector<Kept>> kept(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Arena::Cache cache;
+            Arena::OwnerLimbo limbo;
+            Rng rng(static_cast<std::uint64_t>(300 + t));
+            for (int i = 0; i < kIters; ++i) {
+                const std::uint64_t seed =
+                    (static_cast<std::uint64_t>(t + 1) << 32) |
+                    static_cast<std::uint64_t>(i);
+                // Mostly slab-sized blobs, some past the slab cap.
+                const std::size_t len = rng.nextBounded(16) == 0
+                                            ? 4096 + rng.nextBounded(8192)
+                                            : 8 + rng.nextBounded(300);
+                const std::string value = pattern(len, seed);
+                const ValueRef ref =
+                    arena.allocBlob(value.data(), len, &cache);
+                switch (rng.nextBounded(4)) {
+                  case 0:
+                    arena.freeBlob(ref, &cache);
+                    break;
+                  case 1:
+                    arena.retireOwned(ref, limbo, readers, &cache);
+                    break;
+                  case 2:
+                    arena.retireBlob(ref);
+                    arena.reclaim(readers);
+                    break;
+                  default:
+                    kept[t].push_back({ref, seed});
+                    break;
+                }
+            }
+            arena.drainOwned(limbo, readers, &cache);
+            arena.spillOwned(limbo);
+            arena.flushCache(cache);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    arena.reclaim(readers);
+
+    // Every kept blob holds its own payload, and no two overlap.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+    std::size_t expect_live = 0;
+    std::string out;
+    for (const std::vector<Kept> &list : kept) {
+        for (const Kept &blob : list) {
+            ASSERT_TRUE(arena.readBlob(blob.ref, &out));
+            EXPECT_EQ(out, pattern(out.size(), blob.seed));
+            spans.emplace_back(addressOf(blob.ref),
+                               addressOf(blob.ref) + footprint(out.size()));
+            expect_live += Arena::classCapacity(Arena::classOf(out.size()));
+        }
+    }
+    std::sort(spans.begin(), spans.end());
+    std::size_t overlaps = 0;
+    for (std::size_t i = 1; i < spans.size(); ++i)
+        overlaps += spans[i].first < spans[i - 1].second;
+    EXPECT_EQ(overlaps, 0u);
+
+    const Arena::Stats stats = arena.stats();
+    EXPECT_EQ(stats.allocs, static_cast<std::uint64_t>(kThreads) * kIters);
+    EXPECT_EQ(stats.magazineHits + stats.globalHits + stats.carves,
+              stats.allocs);
+    EXPECT_EQ(stats.recycled, stats.retired);
+    EXPECT_EQ(arena.limboCount(), 0u);
+    EXPECT_EQ(arena.bytesLive(), expect_live);
+
+    for (const std::vector<Kept> &list : kept)
+        for (const Kept &blob : list)
+            arena.freeBlob(blob.ref);
+    EXPECT_EQ(arena.bytesLive(), 0u);
 }
 
 } // namespace
