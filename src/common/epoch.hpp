@@ -19,14 +19,17 @@
  * displacement that made the handle unreachable, which follows the
  * read, which follows the enter). While the section is open the slot
  * pins minActive() <= e <= R, so the handle's target is never
- * recycled underneath the reader. ProteusKV uses this to let pinned
- * blob readers skip the seqlock re-check entirely (value_arena.hpp).
+ * recycled underneath the reader. ProteusKV dereferences every blob
+ * handle inside such a section, and copies the payload with no check
+ * (value_arena.hpp).
  *
  * Sections must be short and never held across a blocking wait (enter
  * inside the transaction body, not around the retry loop): an open
  * section only *defers* recycling, so a stalled section grows the
- * limbo lists, never corrupts them. enter/exit are not reentrant per
- * slot.
+ * limbo lists, never corrupts them. enter/exit do not nest, but
+ * EpochPin does: a pin on a slot that is already in a section joins
+ * that section, so a helper can pin its own dereference whether or
+ * not its caller pinned the whole body.
  *
  * Memory-order sketch (why a reclaimer cannot miss a live reader):
  * enter() stores the slot and re-loads the epoch seq_cst; advance()
@@ -160,24 +163,37 @@ class EpochDomain
     Padded<std::atomic<std::uint64_t>> watermark_;
 };
 
-/** RAII section over one slot. Not reentrant per slot. */
+/**
+ * RAII section over one slot. On a slot that is already in a section
+ * (only its owning thread writes it, so a relaxed load sees its own
+ * last store) the pin neither enters nor exits: the outer section
+ * covers it and ends with the outer pin.
+ */
 class EpochPin
 {
   public:
-    EpochPin(EpochDomain &domain, EpochSlot &slot) : slot_(&slot)
+    EpochPin(EpochDomain &domain, EpochSlot &slot)
     {
-        epoch_ = domain.enter(slot);
+        if (slot.active.load(std::memory_order_relaxed) == 0) {
+            domain.enter(slot);
+            slot_ = &slot;
+        }
     }
-    ~EpochPin() { EpochDomain::exit(*slot_); }
+    ~EpochPin()
+    {
+        if (slot_ != nullptr)
+            EpochDomain::exit(*slot_);
+    }
 
     EpochPin(const EpochPin &) = delete;
     EpochPin &operator=(const EpochPin &) = delete;
 
-    std::uint64_t epoch() const { return epoch_; }
+    /** True when this pin opened the section (the slot was quiescent),
+     *  false when it joined an enclosing one. */
+    bool opened() const { return slot_ != nullptr; }
 
   private:
-    EpochSlot *slot_;
-    std::uint64_t epoch_ = 0;
+    EpochSlot *slot_ = nullptr;
 };
 
 } // namespace proteus

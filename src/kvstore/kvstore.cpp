@@ -398,9 +398,10 @@ KvStore::getBytes(Session &session, std::uint64_t key, std::string *out)
     const std::size_t s = shardOf(key);
     bool ok = false;
     shards_[s]->poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
-        // Pin per attempt: the reader-epoch section lets the blob
-        // copy-out skip the seqlock re-check, and it must never be
-        // held across a gate park (the body runs post-admission).
+        // Pin per attempt: the blob copy-out joins this reader-epoch
+        // section instead of opening its own and re-reading the slot,
+        // and a section must never be held across a gate park (the
+        // body runs post-admission).
         EpochPin pin(shards_[s]->readerEpochs(),
                      *session.tokens_[s].epochSlot);
         ok = shards_[s]->snapshotGetBytesTx(tx, key, out, ReadView{});

@@ -1,10 +1,12 @@
 #include "kvstore/shard.hpp"
 
+#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common/fault.hpp"
 #include "common/hints.hpp"
 #include "common/timing.hpp"
 
@@ -52,6 +54,19 @@ peekWord(const std::uint64_t &word)
 
 /** Slots prefetchValue peeks at from the home slot before giving up. */
 constexpr std::size_t kPeekSlots = 4;
+
+/**
+ * Test hook: an armed point sleeps arg() microseconds where a blob
+ * decode holds a handle it read before pinning, the window in which
+ * that handle's blob can be recycled (see Shard::decodeValueTx).
+ */
+void
+blobPinWindow()
+{
+    static fault::FaultPoint window("shard.blob_pin_window");
+    if (window.fire() != 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(window.arg()));
+}
 
 /** Numeric decode of an inline ValueRef (zero-padded to 8 bytes). */
 inline std::uint64_t
@@ -217,14 +232,16 @@ Shard::resolveSlotLiveTx(polytm::Tx &tx, ShardTable &table,
         // of epoch E freeze before E's flip and are only rewritten
         // after the next re-arm, so a status that still reads
         // (E, kCommitted) at a later point proves the earlier field
-        // loads saw epoch E's frozen payload.
+        // loads saw epoch E's frozen payload. Every field store is a
+        // release store sequenced after its re-arm's status store, so
+        // an acquire load that reads a rewritten field makes that
+        // re-arm visible to the status load below, which then rejects.
         const std::uint64_t new_state =
-            intent->newState.load(std::memory_order_relaxed);
+            intent->newState.load(std::memory_order_acquire);
         const std::uint64_t new_value =
-            intent->newValue.load(std::memory_order_relaxed);
+            intent->newValue.load(std::memory_order_acquire);
         const std::uint64_t new_expiry =
-            intent->newExpiry.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
+            intent->newExpiry.load(std::memory_order_acquire);
         const std::uint64_t status =
             record ? record->status.load(std::memory_order_acquire)
                    : 0;
@@ -315,13 +332,13 @@ Shard::resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
     std::uint64_t new_expiry = 0;
     std::uint64_t status = 0;
     if (record) {
-        // Fields before status, as in resolveSlotLiveTx: a matching
-        // (epoch, kCommitted) status read afterwards proves the
-        // fields belonged to that frozen generation.
-        new_state = intent->newState.load(std::memory_order_relaxed);
-        new_value = intent->newValue.load(std::memory_order_relaxed);
-        new_expiry = intent->newExpiry.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
+        // Fields before status, with acquire loads, as in
+        // resolveSlotLiveTx: a matching (epoch, kCommitted) status read
+        // afterwards proves the fields belonged to that frozen
+        // generation.
+        new_state = intent->newState.load(std::memory_order_acquire);
+        new_value = intent->newValue.load(std::memory_order_acquire);
+        new_expiry = intent->newExpiry.load(std::memory_order_acquire);
         status = record->status.load(std::memory_order_acquire);
     }
     const bool same_epoch =
@@ -401,67 +418,69 @@ Shard::writeLookup(polytm::Tx &tx, CommitRecord *record,
     return {ep->live, live_slot};
 }
 
+template <typename Decode>
+bool
+Shard::decodeValueTx(polytm::Tx &tx, ShardTable &table, std::size_t slot,
+                     LiveValue live, const ReadView &view, Decode &&decode)
+{
+    if (PROTEUS_LIKELY(live.state == kFull) || !valueRefIsBlob(live.value)) {
+        decode(live); // no blob: nothing to pin
+        return true;
+    }
+    // Every blob dereference runs inside this thread's reader-epoch
+    // section (its slot was claimed at registerWorker; claiming again
+    // is a load). Hot byte reads pin their whole body, and this pin
+    // joins that section: `live` was read inside it. A pin that opens
+    // the section here came after the read that produced `live`, so
+    // that handle's blob may already be recycled. Re-resolve the slot
+    // through the TM inside the section and decode what it holds now:
+    // a handle read there is retired, if ever, after the section's
+    // entry epoch, so its blob stays put until the pin ends.
+    blobPinWindow();
+    EpochPin pin(readerEpochs_,
+                 *readerEpochs_.claimSlot(
+                     static_cast<std::size_t>(tx.desc().tid)));
+    if (pin.opened() && !resolveSlotLiveTx(tx, table, slot, &live, view))
+        return false;
+    decode(live);
+    return true;
+}
+
 bool
 Shard::numericValueTx(polytm::Tx &tx, ShardTable &table,
                       std::size_t slot, LiveValue live,
                       std::uint64_t *out, const ReadView &view)
 {
-    for (;;) {
-        if (PROTEUS_LIKELY(live.state == kFull)) {
-            if (out)
-                *out = live.value;
-            return true;
-        }
-        const ValueRef ref = live.value;
-        if (!valueRefIsBlob(ref)) {
-            if (out)
-                *out = inlineNumeric(ref);
-            return true;
-        }
-        std::uint64_t word = 0;
-        if (arena_.readBlobWord(ref, &word)) {
-            if (out)
-                *out = word;
-            return true;
-        }
-        // Blob recycled underneath the handle: the slot's value word
-        // changed first, so re-resolving through the TM either aborts
-        // this transaction (version/value validation) or yields the
-        // fresh pair.
-        if (!resolveSlotLiveTx(tx, table, slot, &live, view))
-            return false;
-    }
+    return decodeValueTx(
+        tx, table, slot, live, view, [&](const LiveValue &v) {
+            if (!out)
+                return;
+            if (v.state == kFull)
+                *out = v.value;
+            else if (valueRefIsBlob(v.value))
+                *out = arena_.readBlobWord(v.value);
+            else
+                *out = inlineNumeric(v.value);
+        });
 }
 
 bool
 Shard::bytesValueTx(polytm::Tx &tx, ShardTable &table, std::size_t slot,
                     LiveValue live, std::string *out,
-                    const ReadView &view, bool pinned)
+                    const ReadView &view)
 {
-    for (;;) {
-        if (live.state == kFull) {
-            // Numeric values read as their 8 raw bytes.
-            out->resize(8);
-            std::memcpy(out->data(), &live.value, 8);
-            return true;
-        }
-        const ValueRef ref = live.value;
-        if (!valueRefIsBlob(ref)) {
-            inlineRefCopy(ref, out);
-            return true;
-        }
-        if (PROTEUS_LIKELY(pinned)) {
-            // The caller's reader-epoch section defers recycling of
-            // every handle it can legally hold — copy with zero
-            // seqlock fences or re-checks.
-            arena_.readBlobPinned(ref, out);
-            return true;
-        }
-        if (arena_.readBlob(ref, out))
-            return true;
-        if (!resolveSlotLiveTx(tx, table, slot, &live, view))
-            return false;
-    }
+    return decodeValueTx(
+        tx, table, slot, live, view, [&](const LiveValue &v) {
+            if (v.state == kFull) {
+                // Numeric values read as their 8 raw bytes.
+                out->resize(8);
+                std::memcpy(out->data(), &v.value, 8);
+            } else if (valueRefIsBlob(v.value)) {
+                arena_.readBlob(v.value, out);
+            } else {
+                inlineRefCopy(v.value, out);
+            }
+        });
 }
 
 bool
@@ -509,8 +528,7 @@ Shard::snapshotGetBytesTx(polytm::Tx &tx, std::uint64_t key,
     LiveValue live;
     if (!lookupLiveTx(tx, key, &ref, &live, view))
         return false;
-    return bytesValueTx(tx, *ref.table, ref.slot, live, out, view,
-                        /*pinned=*/true);
+    return bytesValueTx(tx, *ref.table, ref.slot, live, out, view);
 }
 
 SlotImage
@@ -650,18 +668,14 @@ Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
     if (pre)
         *pre = image;
     SlotRecord &rec = ref.table->records[ref.slot];
+    // numericValueTx re-reads a blob's slot, so a deadline that passed
+    // in between reads as expired too.
+    std::uint64_t current = 0;
     const bool live_value =
-        found && (image.expiry == 0 || image.expiry > nowNanos());
+        found && (image.expiry == 0 || image.expiry > nowNanos()) &&
+        numericValueTx(tx, *ref.table, ref.slot,
+                       {image.state, image.value, image.expiry}, &current);
     if (live_value) {
-        std::uint64_t current = 0;
-        if (!numericValueTx(tx, *ref.table, ref.slot,
-                            {image.state, image.value, image.expiry},
-                            &current)) {
-            // The slot changed under a recycled blob; the transaction
-            // is doomed to fail validation — treat as a create so the
-            // control flow stays simple.
-            current = 0;
-        }
         if (reclaim && image.state == kFullRef)
             reclaim->push_back(image.value); // coerced to numeric
         tx.writeWord(&rec.state, kFull);
@@ -701,17 +715,19 @@ Shard::installIntent(polytm::Tx &tx, CommitRecord *record,
 {
     WriteIntent *intent = arena.alloc();
     intent->record.store(record, std::memory_order_relaxed);
-    intent->newState.store(new_state, std::memory_order_relaxed);
-    intent->newValue.store(new_value, std::memory_order_relaxed);
-    intent->newExpiry.store(new_expiry, std::memory_order_relaxed);
+    // Release: see resolveSlotLiveTx (a resolver holding a stale word
+    // of this recycled intent must see the re-arm with the new fields).
+    intent->newState.store(new_state, std::memory_order_release);
+    intent->newValue.store(new_value, std::memory_order_release);
+    intent->newExpiry.store(new_expiry, std::memory_order_release);
     intent->table = &table;
     intent->slot = slot;
     intent->claimedTombstone = false;
     // The transactional store publishes the intent atomically with the
     // rest of this shard's prepare at commit time (release), so the
-    // relaxed field stores above are visible to any resolver that
-    // acquires the pointer. The published word carries the record's
-    // current epoch so resolvers can reject recycled generations.
+    // field stores above are visible to any resolver that acquires the
+    // pointer. The published word carries the record's current epoch
+    // so resolvers can reject recycled generations.
     const std::uint64_t epoch = CommitRecord::epochOf(
         record->status.load(std::memory_order_relaxed));
     tx.writeWord(&table.records[slot].intent,
@@ -744,9 +760,9 @@ Shard::preparePutTx(polytm::Tx &tx, CommitRecord *record,
             if (valueRefIsBlob(own_ref))
                 reclaim->push_back(own_ref);
         }
-        own->newState.store(new_state, std::memory_order_relaxed);
-        own->newValue.store(value, std::memory_order_relaxed);
-        own->newExpiry.store(expiry, std::memory_order_relaxed);
+        own->newState.store(new_state, std::memory_order_release);
+        own->newValue.store(value, std::memory_order_release);
+        own->newExpiry.store(expiry, std::memory_order_release);
         *applied = true;
         return true;
     }
@@ -798,7 +814,7 @@ Shard::prepareDelTx(polytm::Tx &tx, CommitRecord *record,
             if (valueRefIsBlob(own_ref))
                 reclaim->push_back(own_ref);
         }
-        own->newState.store(kTombstone, std::memory_order_relaxed);
+        own->newState.store(kTombstone, std::memory_order_release);
         return;
     }
     if (!found) {
@@ -841,24 +857,22 @@ Shard::prepareAddTx(polytm::Tx &tx, CommitRecord *record,
                 // its blob becomes garbage once the record commits.
                 const ValueRef own_ref = current;
                 if (valueRefIsBlob(own_ref)) {
-                    std::uint64_t word = 0;
                     // Own blob: stable (never recycled while pending).
-                    arena_.readBlobWord(own_ref, &word);
-                    current = word;
+                    current = arena_.readBlobWord(own_ref);
                     if (reclaim)
                         reclaim->push_back(own_ref);
                 } else {
                     current = inlineNumeric(own_ref);
                 }
-                own->newState.store(kFull, std::memory_order_relaxed);
+                own->newState.store(kFull, std::memory_order_release);
             }
             own->newValue.store(current + unsigned_delta,
-                                std::memory_order_relaxed);
+                                std::memory_order_release);
         } else { // deleted earlier in this multiOp: recreate at delta
-            own->newState.store(kFull, std::memory_order_relaxed);
+            own->newState.store(kFull, std::memory_order_release);
             own->newValue.store(unsigned_delta,
-                                std::memory_order_relaxed);
-            own->newExpiry.store(0, std::memory_order_relaxed);
+                                std::memory_order_release);
+            own->newExpiry.store(0, std::memory_order_release);
         }
         if (post)
             *post = SlotImage{
@@ -869,16 +883,14 @@ Shard::prepareAddTx(polytm::Tx &tx, CommitRecord *record,
     }
     if (found) {
         const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-        const bool live_value =
-            image.expiry == 0 || image.expiry > nowNanos();
+        // As in addTx: a deadline passing before numericValueTx's
+        // re-read of a blob's slot reads as expired.
         std::uint64_t current = 0;
-        if (live_value) {
-            if (!numericValueTx(tx, *ref.table, ref.slot,
-                                {image.state, image.value,
-                                 image.expiry},
-                                &current))
-                current = 0; // doomed transaction; keep control simple
-        }
+        const bool live_value =
+            (image.expiry == 0 || image.expiry > nowNanos()) &&
+            numericValueTx(tx, *ref.table, ref.slot,
+                           {image.state, image.value, image.expiry},
+                           &current);
         if (reclaim && image.state == kFullRef)
             reclaim->push_back(image.value);
         installIntent(tx, record, arena, out, *ref.table, ref.slot,
@@ -941,10 +953,8 @@ Shard::prepareGetTx(polytm::Tx &tx, CommitRecord *record,
                 *value = inlineNumeric(own_ref);
             return true;
         }
-        std::uint64_t word = 0;
-        arena_.readBlobWord(own_ref, &word); // own blob: stable
         if (value)
-            *value = word;
+            *value = arena_.readBlobWord(own_ref); // own blob: stable
         return true;
     }
     LiveValue live;
@@ -1176,7 +1186,7 @@ Shard::scanEntriesTx(polytm::Tx &tx, std::uint64_t start_key,
             ScanEntry entry;
             entry.key = tx.readWord(&table.records[slot].key);
             if (!bytesValueTx(tx, table, slot, live, &entry.bytes,
-                              view, /*pinned=*/true))
+                              view))
                 return false;
             if (out)
                 out->push_back(std::move(entry));
@@ -1734,7 +1744,7 @@ Shard::checkpointChunk(polytm::ThreadToken &token,
             return;
         }
         ShardTable &table = *ep->live;
-        // Pin: blob copy-outs below run without seqlock re-checks.
+        // One section for the chunk: every blob copy below joins it.
         EpochPin pin(readerEpochs_, *token.epochSlot);
         const ReadView view{ReadView::Mode::kSettle, 0};
         const std::size_t end =
@@ -1756,7 +1766,7 @@ Shard::checkpointChunk(polytm::ThreadToken &token,
             } else {
                 entry.isBytes = true;
                 if (!bytesValueTx(tx, table, slot, live, &entry.bytes,
-                                  view, /*pinned=*/true))
+                                  view))
                     continue;
             }
             out->push_back(std::move(entry));

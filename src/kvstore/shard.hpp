@@ -50,8 +50,9 @@
  * blob handles are pushed onto caller-provided reclaim lists and
  * *retired* (not freed) after the displacing transaction committed:
  * the arena recycles them only once every reader-epoch section that
- * could hold the handle has ended (readerEpochs_), which is what lets
- * pinned byte readers copy blobs with zero seqlock re-checks.
+ * could hold the handle has ended (readerEpochs_). Every blob
+ * dereference runs inside such a section, on a handle read through
+ * the TM inside it, so a copy-out needs no check (decodeValueTx).
  *
  * TTL. A slot's expiry word is an absolute nowNanos() deadline (0 =
  * none). Reads treat an expired slot as absent (lazy expiry); a
@@ -397,9 +398,9 @@ class Shard
      * intents against the caller's sampled commit sequence instead of
      * retry-looping (the caller pairs it with a trailing per-shard
      * sequence check); kSettle waits intents out to their verdict.
-     * The bytes variant requires the caller to be pinned in this
-     * shard's readerEpochs() for the transaction body — the blob
-     * copy-out runs with no seqlock re-check.
+     * A blob read pins itself; a caller that pins the whole body in
+     * readerEpochs() (as the byte read paths do) saves the re-read
+     * of the slot that a pin opened at the blob costs.
      */
     bool snapshotGetTx(polytm::Tx &tx, std::uint64_t key,
                        std::uint64_t *value, const ReadView &view);
@@ -447,7 +448,7 @@ class Shard
            std::vector<std::pair<std::uint64_t, std::uint64_t>> *out,
            const ReadView &view = {});
     /** Byte-decoding scan (numeric values yield their 8 raw bytes);
-     *  requires the caller pinned in readerEpochs() (see
+     *  callers pin the body in readerEpochs() (see
      *  snapshotGetBytesTx). */
     struct ScanEntry
     {
@@ -581,7 +582,8 @@ class Shard
 
     /** Reader-epoch domain for blob pinning: byte-read paths enter a
      *  section (via the token's epochSlot) for each transaction body
-     *  so the arena defers blob recycling past them. */
+     *  so the arena defers blob recycling past them; any other blob
+     *  read opens one at the blob (decodeValueTx). */
     EpochDomain &readerEpochs() { return readerEpochs_; }
 
     /** Defer-recycle a displaced blob handle once its displacing
@@ -811,20 +813,26 @@ class Shard
                         std::uint64_t key, bool *found,
                         WriteIntent **own);
 
-    /** Decode the numeric view of a committed (state, value) pair;
-     *  re-reads the slot (under `view`) when a blob was recycled
-     *  underneath. */
+    /**
+     * Run `decode` on the value `live` that `slot` resolved to. A blob
+     * is decoded inside the calling thread's readerEpochs() section:
+     * the caller's when it pinned the body, else one opened here, in
+     * which the slot is first re-resolved under `view` (false when it
+     * reads as absent by then).
+     */
+    template <typename Decode>
+    bool decodeValueTx(polytm::Tx &tx, ShardTable &table,
+                       std::size_t slot, LiveValue live,
+                       const ReadView &view, Decode &&decode);
+    /** Numeric view of a resolved slot (see decodeValueTx). */
     bool numericValueTx(polytm::Tx &tx, ShardTable &table,
                         std::size_t slot, LiveValue live,
                         std::uint64_t *out,
                         const ReadView &view = {});
-    /** Byte view; numeric values yield their 8 raw bytes. `pinned`
-     *  callers (inside a readerEpochs() section) copy blobs with no
-     *  seqlock re-check; unpinned ones use the stamped retry loop. */
+    /** Byte view; numeric values yield their 8 raw bytes. */
     bool bytesValueTx(polytm::Tx &tx, ShardTable &table,
                       std::size_t slot, LiveValue live,
-                      std::string *out, const ReadView &view = {},
-                      bool pinned = false);
+                      std::string *out, const ReadView &view = {});
 
     /** Shared body of putTx/putRefTx. */
     bool putSlotTx(polytm::Tx &tx, std::uint64_t key,

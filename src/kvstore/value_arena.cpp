@@ -16,12 +16,6 @@ blobOf(ValueRef ref)
         ref & kValueRefPtrMask);
 }
 
-inline std::uint64_t
-stampTagOf(ValueRef ref)
-{
-    return (ref >> kValueRefStampShift) & kValueRefStampMask;
-}
-
 constexpr std::size_t
 wordsFor(std::size_t payload_bytes)
 {
@@ -139,7 +133,6 @@ ValueArena::carve(std::size_t words, Cache *cache, Stripe &st)
         std::size_t got = 0;
         blob = takeLocked(words, words, &got);
     }
-    blob[0].store(0, std::memory_order_relaxed); // stamp 0: stable
     st.carves.fetch_add(1, std::memory_order_relaxed);
     return blob;
 }
@@ -193,22 +186,11 @@ ValueArena::publish(std::atomic<std::uint64_t> *blob,
                     std::size_t cap_bytes, const void *data,
                     std::size_t len)
 {
-    // Seqlock write: odd stamp while the payload words change, even
-    // stamp published with release so a reader that sees it also sees
-    // the payload. A fresh carve starts at stamp 0 and skips straight
-    // to the final store (no reader can hold a handle yet, and the
-    // odd intermediate would cost an extra fence for nothing).
-    std::uint64_t stamp = blob[0].load(std::memory_order_relaxed);
-    if (stamp != 0) {
-        blob[0].store(stamp + 1, std::memory_order_relaxed);
-        // Seqlock writer fence: the payload stores below must not
-        // become visible before the odd stamp. A reader whose payload
-        // load observes a post-fence write synchronizes with this
-        // fence through its own acquire fence, so its trailing stamp
-        // re-check then sees the odd (or later) stamp and rejects.
-        std::atomic_thread_fence(std::memory_order_release);
-        stamp += 2;
-    }
+    // No reader holds a handle of this lifetime yet, and the payload
+    // reaches readers through the TM commit that publishes the handle,
+    // so every store here is relaxed. Only this thread writes word 0.
+    const std::uint64_t gen = blob[0].load(std::memory_order_relaxed) + 1;
+    blob[0].store(gen, std::memory_order_relaxed);
     blob[1].store((static_cast<std::uint64_t>(cap_bytes / 8 + 2) << 32) |
                       static_cast<std::uint64_t>(len),
                   std::memory_order_relaxed);
@@ -219,10 +201,8 @@ ValueArena::publish(std::atomic<std::uint64_t> *blob,
         std::memcpy(&word, src + w * 8, n);
         blob[2 + w].store(word, std::memory_order_relaxed);
     }
-    blob[0].store(stamp, std::memory_order_release);
-
     return kValueRefBlobBit |
-           ((stamp & kValueRefStampMask) << kValueRefStampShift) |
+           ((gen & kValueRefGenMask) << kValueRefGenShift) |
            (reinterpret_cast<std::uint64_t>(blob) & kValueRefPtrMask);
 }
 
@@ -270,7 +250,13 @@ ValueArena::freeBlob(ValueRef ref, Cache *cache)
     std::atomic<std::uint64_t> *blob = blobOf(ref);
     const std::size_t cap_bytes = capBytesOf(blob);
     stripe().bytesLive.fetch_sub(cap_bytes, std::memory_order_relaxed);
-    const std::size_t cls = classOf(cap_bytes);
+    stash(classOf(cap_bytes), blob, cache);
+}
+
+void
+ValueArena::stash(std::size_t cls, std::atomic<std::uint64_t> *blob,
+                  Cache *cache)
+{
     if (cache != nullptr &&
         cache->classes_[cls].count < Cache::kMagazine) {
         cache->classes_[cls].blobs[cache->classes_[cls].count++] = blob;
@@ -345,7 +331,7 @@ ValueArena::drainOwned(OwnerLimbo &limbo, EpochDomain &readers,
         if (entry.epoch < min_active) {
             bytes += capBytesOf(entry.blob);
             ++freed;
-            recycleInto(entry.blob, cache);
+            recycle(entry.blob, cache);
         } else {
             limbo.entries_[kept++] = entry;
         }
@@ -379,39 +365,13 @@ ValueArena::spillOwned(OwnerLimbo &limbo)
 }
 
 void
-ValueArena::recycle(std::atomic<std::uint64_t> *blob)
+ValueArena::recycle(std::atomic<std::uint64_t> *blob, Cache *cache)
 {
-    // Invalidate outstanding handles *before* the blob becomes
-    // reallocatable: an unpinned stale reader then fails its stamp
-    // check instead of racing the next owner's payload. (Pinned
-    // readers cannot reach this blob any more — that is what the
-    // epoch quiescence just proved.)
-    blob[0].fetch_add(2, std::memory_order_release);
-    // Seqlock-writer fence: pushFree is about to clobber payload
-    // word 2 with the intrusive next pointer, and a release RMW does
-    // not order that LATER store — without the fence a stale reader
-    // could observe the junk word while both its stamp checks still
-    // read the old even stamp.
-    std::atomic_thread_fence(std::memory_order_release);
+    // No reader can reach the blob any more: the minActive() scan
+    // that ripened it read every section's exit, which orders the
+    // readers' payload loads before the stores of its next owner.
     stripe().recycled.fetch_add(1, std::memory_order_relaxed);
-    pushFree(classOf(capBytesOf(blob)), blob);
-}
-
-void
-ValueArena::recycleInto(std::atomic<std::uint64_t> *blob, Cache *cache)
-{
-    // Same handle-invalidation protocol as recycle() (see there), but
-    // the blob lands in the owner's magazine when there is room.
-    blob[0].fetch_add(2, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_release);
-    stripe().recycled.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t cls = classOf(capBytesOf(blob));
-    if (cache != nullptr &&
-        cache->classes_[cls].count < Cache::kMagazine) {
-        cache->classes_[cls].blobs[cache->classes_[cls].count++] = blob;
-        return;
-    }
-    pushFree(cls, blob);
+    stash(classOf(capBytesOf(blob)), blob, cache);
 }
 
 void
@@ -451,7 +411,7 @@ ValueArena::reclaim(EpochDomain &readers)
     std::size_t bytes = 0;
     for (const LimboEntry &entry : ripe) {
         bytes += capBytesOf(entry.blob);
-        recycle(entry.blob);
+        recycle(entry.blob, nullptr);
     }
     if (!ripe.empty())
         trace(obs::TraceKind::kArenaRecycle, ripe.size(), bytes);
@@ -471,49 +431,8 @@ ValueArena::flushCache(Cache &cache)
     }
 }
 
-bool
-ValueArena::readBlob(ValueRef ref, std::string *out) const
-{
-    std::atomic<std::uint64_t> *blob = blobOf(ref);
-    const std::uint64_t s0 = blob[0].load(std::memory_order_acquire);
-    if ((s0 & 1) != 0 || (s0 & kValueRefStampMask) != stampTagOf(ref))
-        return false;
-    const std::size_t len = static_cast<std::size_t>(
-        blob[1].load(std::memory_order_relaxed) & 0xffffffffu);
-    out->resize(len);
-    for (std::size_t w = 0; w * 8 < len; ++w) {
-        const std::uint64_t word =
-            blob[2 + w].load(std::memory_order_relaxed);
-        const std::size_t n = len - w * 8 < 8 ? len - w * 8 : 8;
-        std::memcpy(out->data() + w * 8, &word, n);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return blob[0].load(std::memory_order_relaxed) == s0;
-}
-
-bool
-ValueArena::readBlobWord(ValueRef ref, std::uint64_t *out) const
-{
-    std::atomic<std::uint64_t> *blob = blobOf(ref);
-    const std::uint64_t s0 = blob[0].load(std::memory_order_acquire);
-    if ((s0 & 1) != 0 || (s0 & kValueRefStampMask) != stampTagOf(ref))
-        return false;
-    const std::size_t len = static_cast<std::size_t>(
-        blob[1].load(std::memory_order_relaxed) & 0xffffffffu);
-    std::uint64_t word = blob[2].load(std::memory_order_relaxed);
-    if (len < 8) {
-        // Mask the tail so short values decode with zero padding.
-        word &= len == 0 ? 0 : (~std::uint64_t{0} >> (64 - 8 * len));
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (blob[0].load(std::memory_order_relaxed) != s0)
-        return false;
-    *out = word;
-    return true;
-}
-
 void
-ValueArena::readBlobPinned(ValueRef ref, std::string *out) const
+ValueArena::readBlob(ValueRef ref, std::string *out) const
 {
     const std::atomic<std::uint64_t> *blob = blobOf(ref);
     const std::size_t len = static_cast<std::size_t>(
@@ -525,6 +444,19 @@ ValueArena::readBlobPinned(ValueRef ref, std::string *out) const
         const std::size_t n = len - w * 8 < 8 ? len - w * 8 : 8;
         std::memcpy(out->data() + w * 8, &word, n);
     }
+}
+
+std::uint64_t
+ValueArena::readBlobWord(ValueRef ref) const
+{
+    const std::atomic<std::uint64_t> *blob = blobOf(ref);
+    const std::size_t len = static_cast<std::size_t>(
+        blob[1].load(std::memory_order_relaxed) & 0xffffffffu);
+    const std::uint64_t word = blob[2].load(std::memory_order_relaxed);
+    // Mask the tail so short values decode with zero padding.
+    return len >= 8 ? word
+                    : word & (len == 0 ? 0
+                                       : ~std::uint64_t{0} >> (64 - 8 * len));
 }
 
 ValueArena::Stats

@@ -11,24 +11,21 @@
  *                 next to a length nibble) or a *blob handle* into the
  *                 shard's ValueArena.
  *
- * Blob handles carry a 15-bit epoch next to the 48-bit blob address.
- * Blobs are seqlock-stamped: the arena bumps the stamp to odd before
- * rewriting a recycled blob's payload and back to even after, and a
- * handle embeds the even stamp it was allocated under. An *unpinned*
- * reader copies the payload optimistically and re-checks the stamp; a
- * mismatch means the blob was recycled underneath it — the slot's
- * value word must have changed first (blobs are recycled only after
- * the displacing write committed AND every reader epoch that could
- * hold the handle has passed), so the reader re-reads the slot word
- * through the TM and tries again. A reader *pinned* in the owning
- * shard's EpochDomain (common/epoch.hpp) skips the stamp protocol
- * entirely: any handle it obtained from a committed-current read
- * inside its section is retired — if ever — after the section's entry
- * epoch, and recycling is deferred past the oldest active section, so
- * the payload cannot be rewritten underneath it (readBlobPinned).
- * Payload words are std::atomic with relaxed ordering so a stale
- * reader racing a recycler is a detected validation failure, never
- * C++ UB (the same stance the intent machinery takes).
+ * Blob handles carry a 15-bit generation next to the 48-bit blob
+ * address. A reader dereferences a handle only inside the owning
+ * shard's reader-epoch section (common/epoch.hpp), and only a handle
+ * it read through the TM inside that section. Blobs are recycled only
+ * after the displacing write committed AND every section that could
+ * hold the handle has ended, so the payload cannot change under the
+ * copy, and readBlob/readBlobWord copy with no check. The generation
+ * is bumped once per blob lifetime (publish) and serves the TM, not
+ * the reader: NOrec and hybrid NOrec validate a writing transaction's
+ * reads by value at commit, after its section has closed, and a blob
+ * recycled and republished into the same slot must not reproduce the
+ * handle word the transaction read. Payload words are std::atomic
+ * with relaxed ordering because popFree reads a free blob's next
+ * pointer while a racing popper may already be rewriting it (the ABA
+ * tag then fails the CAS).
  *
  * Allocation keeps writers off each other's cache lines, the way a
  * jemalloc tcache fronts its arena. Each size class has a lock-free
@@ -54,8 +51,8 @@
  *    hold the handle has ended.
  *
  * Memory is never returned to the OS while the arena lives: chunks are
- * only released on destruction, so a dangling handle in a doomed
- * reader transaction always points at mapped, stamp-guarded memory.
+ * only released on destruction, so a stale handle (a read-ahead peek)
+ * always points at mapped memory.
  */
 
 #ifndef PROTEUS_KVSTORE_VALUE_ARENA_HPP
@@ -86,11 +83,11 @@ constexpr std::uint64_t kValueRefBlobBit = std::uint64_t{1} << 63;
 /** Inline payload: bits [58:56] = length (0..7), bits [55:0] = data. */
 constexpr unsigned kValueRefInlineLenShift = 56;
 constexpr std::size_t kValueRefInlineMax = 7;
-/** Blob handle: bits [62:48] = stamp tag, bits [47:0] = blob address. */
-constexpr unsigned kValueRefStampShift = 48;
+/** Blob handle: bits [62:48] = generation, bits [47:0] = address. */
+constexpr unsigned kValueRefGenShift = 48;
 constexpr std::uint64_t kValueRefPtrMask =
-    (std::uint64_t{1} << kValueRefStampShift) - 1;
-constexpr std::uint64_t kValueRefStampMask = 0x7fff;
+    (std::uint64_t{1} << kValueRefGenShift) - 1;
+constexpr std::uint64_t kValueRefGenMask = 0x7fff;
 
 inline bool
 valueRefIsBlob(ValueRef ref)
@@ -123,7 +120,7 @@ inlineRefCopy(ValueRef ref, std::string *out)
 
 /**
  * Blob arena with stable addresses, per-size-class recycling and
- * seqlock stamps for optimistic readers. Thread-safe; one per shard.
+ * reader-epoch deferred reuse. Thread-safe; one per shard.
  */
 class ValueArena
 {
@@ -348,26 +345,18 @@ class ValueArena
     void flushCache(Cache &cache);
 
     /**
-     * Optimistic copy-out (unpinned readers). Returns false when the
-     * blob was recycled under the handle (stamp mismatch); the caller
-     * must re-read the slot's value word and retry with the fresh
-     * handle.
+     * Copy the payload out. Legal only while the caller is pinned in
+     * the owning shard's EpochDomain AND obtained the handle from a
+     * committed-current read inside that section, or owns a blob no
+     * committed slot word names yet (see file comment).
      */
-    bool readBlob(ValueRef ref, std::string *out) const;
+    void readBlob(ValueRef ref, std::string *out) const;
 
     /**
-     * First up-to-8 payload bytes as a little-endian word (the numeric
-     * decode of a byte value). Returns false on stamp mismatch.
+     * First up-to-8 payload bytes as a little-endian word, zero-padded
+     * (the numeric decode of a byte value). Same rule as readBlob.
      */
-    bool readBlobWord(ValueRef ref, std::uint64_t *out) const;
-
-    /**
-     * Copy-out with NO stamp protocol — zero fences, zero re-reads,
-     * cannot fail. Legal only while the caller is pinned in the
-     * owning shard's EpochDomain AND obtained the handle from a
-     * committed-current read inside that section (see file comment).
-     */
-    void readBlobPinned(ValueRef ref, std::string *out) const;
+    std::uint64_t readBlobWord(ValueRef ref) const;
 
     /**
      * Read-ahead hint: prefetch the leading lines (header and first
@@ -433,7 +422,7 @@ class ValueArena
 
     /**
      * Blob layout inside a chunk, in 64-bit atomic words:
-     *   word 0: seqlock stamp (even = stable, odd = being rewritten)
+     *   word 0: generation, bumped once per lifetime (see file comment)
      *   word 1: (capacityWords << 32) | payload length in bytes
      *   word 2..: payload, little-endian packed (word 2 doubles as the
      *             intrusive next pointer while the blob sits on a free
@@ -509,16 +498,21 @@ class ValueArena
     /** Drop the cache's slab; its unused tail goes back to the newest
      *  chunk when nothing was carved after it. mutex_ held. */
     void releaseSlabLocked(Cache &cache);
-    /** Write `len` bytes under the seqlock protocol; returns handle. */
+    /** Start a lifetime: bump the generation, write `len` bytes and
+     *  return the handle. */
     ValueRef publish(std::atomic<std::uint64_t> *blob,
                      std::size_t cap_bytes, const void *data,
                      std::size_t len);
     void pushFree(std::size_t cls, std::atomic<std::uint64_t> *blob);
     std::atomic<std::uint64_t> *popFree(std::size_t cls);
-    void recycle(std::atomic<std::uint64_t> *blob);
-    /** recycle(), but prefer the owner's magazine over the free
-     *  lists (owner-drain path: the displacer re-allocates soon). */
-    void recycleInto(std::atomic<std::uint64_t> *blob, Cache *cache);
+    /** Hand a dead blob of class `cls` to `cache`'s magazine when it
+     *  has room, else to the class's global free list. */
+    void stash(std::size_t cls, std::atomic<std::uint64_t> *blob,
+               Cache *cache);
+    /** Reuse a retired blob whose reader sections have all ended;
+     *  the owner-drain path passes its cache (the displacer
+     *  re-allocates soon). */
+    void recycle(std::atomic<std::uint64_t> *blob, Cache *cache);
 
     mutable std::mutex mutex_; //!< guards chunk carving only
     std::vector<Chunk> chunks_;

@@ -8,10 +8,17 @@
  *  2. Validation-free guarantee — on a write-free workload every
  *     snapshot round settles first try: zero retries, zero pending
  *     waits, zero escalations (the acceptance counter).
- *  3. Blob pinning — getBytes/scanEntries race putBytes displacement
- *     and the deferred-recycle machinery; every returned payload must
- *     be internally consistent (a torn or recycled-under-the-reader
- *     copy would mix fill bytes).
+ *  3. Blob pinning — every blob read races putBytes displacement and
+ *     the deferred-recycle machinery, on TL2 and on NOrec (whose
+ *     value-based commit validation the blob generation exists for):
+ *     getBytes/scanEntries, numeric get/scan of byte values, and
+ *     kGet/kGetBytes inside single-shard and cross-shard writing
+ *     multiOps. Every returned payload, and every numeric decode of
+ *     one, must be internally consistent (a torn or
+ *     recycled-under-the-reader copy would mix fill bytes). The
+ *     `shard.blob_pin_window` fault point holds the window between a
+ *     handle read and its pin open, so a blob decoded without the pin
+ *     and re-read is caught in every run.
  *  4. Delete-churn compaction — tombstone-heavy churn must trigger
  *     same-size compacting migrations, never doubling grows, keeping
  *     the table size flat (the ROADMAP follow-up regression test).
@@ -24,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "kvstore/kvstore.hpp"
 
@@ -234,15 +242,45 @@ payloadWellFormed(const std::string &bytes)
     return true;
 }
 
+/** The numeric decode of a blobPayload: its first 8 bytes, all the
+ *  same tag byte. */
+bool
+wordWellFormed(std::uint64_t word)
+{
+    return word == (word & 0xff) * 0x0101010101010101ull;
+}
+
 } // namespace
 
-TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
+class BlobPinningTest : public ::testing::TestWithParam<tm::BackendKind>
+{
+};
+
+TEST_P(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
 {
     constexpr std::uint64_t kKeys = 64;
+    constexpr std::uint64_t kSideKeys = 16; // numeric, after the blobs
     constexpr int kWriters = 2;
     constexpr int kVersions = 1500;
+    // Writers go on past kVersions until the readers have run this
+    // many reads between them, so every read kind races displacement.
+    constexpr int kReaderRounds = 3000;
 
-    KvStore store(smallStore(2, 10));
+    KvStoreOptions options = smallStore(2, 10);
+    options.initial = {GetParam(), 16, {}};
+    KvStore store(options);
+    // Blob keys and numeric side keys per shard, for the writing
+    // multiOps that must stay on one shard or span both.
+    std::vector<std::vector<std::uint64_t>> blob_keys(2);
+    std::vector<std::vector<std::uint64_t>> side_keys(2);
+    for (std::uint64_t key = 0; key < kKeys; ++key)
+        blob_keys[store.shardOf(key)].push_back(key);
+    for (std::uint64_t key = kKeys; key < kKeys + kSideKeys; ++key)
+        side_keys[store.shardOf(key)].push_back(key);
+    for (int s = 0; s < 2; ++s) {
+        ASSERT_FALSE(blob_keys[s].empty());
+        ASSERT_FALSE(side_keys[s].empty());
+    }
     {
         auto session = store.openSession();
         for (std::uint64_t key = 0; key < kKeys; ++key) {
@@ -254,8 +292,21 @@ TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
     }
 
     std::atomic<int> writers_done{0};
+    std::atomic<int> reader_rounds{0};
     std::atomic<bool> malformed{false};
     std::vector<std::thread> threads;
+
+    // Now and then a blob read sleeps between reading its handle and
+    // pinning, long enough for writers to displace, retire, recycle
+    // and republish that blob: a read that dereferenced the handle
+    // without re-reading it inside the section would copy another
+    // generation's bytes.
+    fault::FaultSpec window;
+    window.trigger = fault::FaultSpec::Trigger::kProbability;
+    window.probability = 0.02;
+    window.oneShot = false;
+    window.arg = 100; // microseconds
+    fault::arm("shard.blob_pin_window", window);
 
     // Writers displace every key's blob over and over: each put
     // retires the previous generation into the reader-epoch limbo,
@@ -264,7 +315,10 @@ TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
         threads.emplace_back([&, w] {
             auto session = store.openSession();
             Rng rng(50 + static_cast<unsigned>(w));
-            for (std::uint32_t v = 1; v <= kVersions; ++v) {
+            for (std::uint32_t v = 1;
+                 (v <= kVersions || reader_rounds.load() < kReaderRounds) &&
+                 !malformed.load();
+                 ++v) {
                 const std::uint64_t key = rng.nextBounded(kKeys);
                 const std::string payload = blobPayload(key, v);
                 store.putBytes(session, key, payload.data(),
@@ -275,29 +329,93 @@ TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
         });
     }
 
-    // Readers: pinned copies via getBytes and scanEntries must always
-    // be internally consistent, even while their blob is displaced,
-    // retired, reclaimed and reallocated.
+    // Readers: every blob read must always be internally consistent,
+    // even while its blob is displaced, retired, reclaimed and
+    // reallocated. getBytes, scanEntries and read-only snapshots pin
+    // their whole body; numeric reads and the reads inside writing
+    // multiOps pin at the blob and re-read the slot there.
     for (int r = 0; r < 2; ++r) {
         threads.emplace_back([&, r] {
             auto session = store.openSession();
             Rng rng(70 + static_cast<unsigned>(r));
             std::string bytes;
             std::vector<Shard::ScanEntry> entries;
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+            std::vector<KvOp> ops;
+            const auto pick = [&](const std::vector<std::uint64_t> &keys) {
+                return keys[rng.nextBounded(keys.size())];
+            };
+            const auto check_ops = [&] {
+                for (const KvOp &op : ops) {
+                    if (op.kind == KvOp::Kind::kGet && op.ok &&
+                        !wordWellFormed(op.value))
+                        malformed.store(true);
+                    if (op.kind == KvOp::Kind::kGetBytes && op.ok &&
+                        !payloadWellFormed(op.bytes))
+                        malformed.store(true);
+                }
+            };
             while (writers_done.load() < kWriters &&
                    !malformed.load()) {
-                if (rng.bernoulli(0.25)) {
-                    store.scanEntries(session, rng.nextBounded(kKeys),
-                                      8, &entries);
+                const std::uint64_t key = rng.nextBounded(kKeys);
+                reader_rounds.fetch_add(1);
+                switch (rng.nextBounded(6)) {
+                  case 0:
+                    store.scanEntries(session, key, 8, &entries);
                     for (const Shard::ScanEntry &entry : entries) {
-                        if (!payloadWellFormed(entry.bytes))
+                        if (entry.key < kKeys &&
+                            !payloadWellFormed(entry.bytes))
                             malformed.store(true);
                     }
-                } else {
-                    const std::uint64_t key = rng.nextBounded(kKeys);
+                    break;
+                  case 1: {
+                    std::uint64_t word = 0;
+                    if (store.get(session, key, &word) &&
+                        !wordWellFormed(word))
+                        malformed.store(true);
+                    break;
+                  }
+                  case 2:
+                    store.scan(session, key, 8, &pairs);
+                    for (const auto &[k, word] : pairs) {
+                        if (k < kKeys && !wordWellFormed(word))
+                            malformed.store(true);
+                    }
+                    break;
+                  case 3: {
+                    // Single-shard writing multiOp: getForUpdateTx and
+                    // getBytesForUpdateTx on blobs.
+                    const std::size_t s = store.shardOf(key);
+                    ops.clear();
+                    ops.push_back({KvOp::Kind::kGet, key, 0, false});
+                    ops.push_back({KvOp::Kind::kGetBytes,
+                                   pick(blob_keys[s]), 0, false});
+                    ops.push_back({KvOp::Kind::kPut, pick(side_keys[s]),
+                                   rng.nextU64(), false});
+                    store.multiOp(session, ops);
+                    check_ops();
+                    break;
+                  }
+                  case 4: {
+                    // Cross-shard writing multiOp: prepareGetTx and
+                    // prepareGetBytesTx on blobs.
+                    const std::size_t s = store.shardOf(key);
+                    ops.clear();
+                    ops.push_back({KvOp::Kind::kGetBytes, key, 0, false});
+                    ops.push_back({KvOp::Kind::kGet, pick(blob_keys[s]),
+                                   0, false});
+                    ops.push_back({KvOp::Kind::kPut,
+                                   pick(side_keys[1 - s]), rng.nextU64(),
+                                   false});
+                    store.multiOp(session, ops);
+                    check_ops();
+                    break;
+                  }
+                  default:
                     if (store.getBytes(session, key, &bytes) &&
                         !payloadWellFormed(bytes))
                         malformed.store(true);
+                    break;
                 }
             }
             store.closeSession(session);
@@ -306,6 +424,9 @@ TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
 
     for (auto &thread : threads)
         thread.join();
+    const std::uint64_t windows = fault::firesOf("shard.blob_pin_window");
+    fault::disarmAll();
+    EXPECT_GT(windows, 0u) << "no blob read reached the pin window";
     EXPECT_FALSE(malformed.load())
         << "a pinned blob read returned a torn or recycled payload";
 
@@ -313,7 +434,7 @@ TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
     // must catch up (nothing stays stranded past reader quiescence).
     auto session = store.openSession();
     for (std::uint64_t key = 0; key < kKeys; ++key)
-        store.put(session, key + kKeys, 1); // ticks drive reclaim
+        store.put(session, key + kKeys + kSideKeys, 1); // ticks reclaim
     std::uint64_t recycled_total = 0;
     for (int s = 0; s < store.numShards(); ++s) {
         const ValueArena::Stats stats =
@@ -330,6 +451,13 @@ TEST(BlobPinningTest, GetBytesRacesDisplacementAndRecycle)
         << "the deferred-recycle pipeline never cycled a blob";
     store.closeSession(session);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Tl2AndNorec, BlobPinningTest,
+    ::testing::Values(tm::BackendKind::kTl2, tm::BackendKind::kNorec),
+    [](const ::testing::TestParamInfo<tm::BackendKind> &info) {
+        return std::string(tm::backendName(info.param));
+    });
 
 TEST(DeleteChurnTest, TombstoneChurnCompactsInsteadOfGrowing)
 {

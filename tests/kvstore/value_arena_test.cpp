@@ -8,12 +8,13 @@
  *     itself. Longer payloads throw std::length_error.
  *  2. Copy-out round trips at every class edge.
  *  3. Recycling: a freed blob is reused only within its class, a
- *     recycled blob's stale handle fails the stamp check, and an
- *     owner-limbo retire waits out a reader section that opened before
- *     it.
+ *     recycled blob's next handle differs from its stale one (a new
+ *     generation), and an owner-limbo retire waits out a reader
+ *     section that opened before it, also after a nested pin joined
+ *     and left that section.
  *  4. Accounting: bytesLive() returns to 0 once every blob is gone.
  *  5. A four-thread alloc/free/retire stress over mixed lengths with
- *     optimistic and pinned readers (for the sanitizer jobs).
+ *     pinned readers (for the sanitizer jobs).
  *  6. Chunks: each is one 2 MiB huge page on its own boundary, and the
  *     largest class fits in one.
  *  7. Slabs: each session cache bumps its fresh blobs from a private
@@ -124,7 +125,7 @@ TEST(ValueArenaTest, ChunkIsOneHugePageThatHoldsTheLargestClass)
     EXPECT_LE(addressOf(next) + 16 + Arena::kMaxBlobBytes,
               addressOf(first) + kChunkBytes);
     std::string out;
-    ASSERT_TRUE(arena.readBlob(next, &out));
+    arena.readBlob(next, &out);
     EXPECT_EQ(out, big);
     arena.freeBlob(first);
     arena.freeBlob(next);
@@ -133,8 +134,6 @@ TEST(ValueArenaTest, ChunkIsOneHugePageThatHoldsTheLargestClass)
 TEST(ValueArenaTest, RoundTripsAtEveryClassEdge)
 {
     Arena arena;
-    EpochDomain readers(1);
-    EpochSlot &slot = *readers.claimSlot(0);
     std::uint64_t seed = 1;
     for (std::size_t cls = 0; cls < Arena::kNumClasses; ++cls) {
         const std::size_t cap = Arena::classCapacity(cls);
@@ -151,19 +150,11 @@ TEST(ValueArenaTest, RoundTripsAtEveryClassEdge)
                 << "len " << len;
 
             std::string out;
-            ASSERT_TRUE(arena.readBlob(ref, &out)) << "len " << len;
+            arena.readBlob(ref, &out);
             EXPECT_EQ(out, value) << "len " << len;
-            std::uint64_t word = 0;
-            ASSERT_TRUE(arena.readBlobWord(ref, &word));
             std::uint64_t expect_word = 0;
             std::memcpy(&expect_word, value.data(), len < 8 ? len : 8);
-            EXPECT_EQ(word, expect_word) << "len " << len;
-            {
-                EpochPin pin(readers, slot);
-                out.clear();
-                arena.readBlobPinned(ref, &out);
-            }
-            EXPECT_EQ(out, value) << "len " << len;
+            EXPECT_EQ(arena.readBlobWord(ref), expect_word) << "len " << len;
             arena.freeBlob(ref);
         }
     }
@@ -187,7 +178,7 @@ TEST(ValueArenaTest, FreedBlobIsReusedWithinItsClassOnly)
     const ValueRef reused = arena.allocBlob(c.data(), c.size());
     EXPECT_EQ(addressOf(reused), addressOf(first));
     std::string out;
-    ASSERT_TRUE(arena.readBlob(reused, &out));
+    arena.readBlob(reused, &out);
     EXPECT_EQ(out, c);
 
     // Through a session magazine: same rule, no shared list touched.
@@ -205,7 +196,7 @@ TEST(ValueArenaTest, FreedBlobIsReusedWithinItsClassOnly)
     EXPECT_EQ(arena.bytesLive(), 0u);
 }
 
-TEST(ValueArenaTest, StaleHandleFailsAfterRecycle)
+TEST(ValueArenaTest, RecycledBlobStartsANewGeneration)
 {
     Arena arena;
     EpochDomain readers(1);
@@ -217,20 +208,18 @@ TEST(ValueArenaTest, StaleHandleFailsAfterRecycle)
     EXPECT_EQ(arena.limboCount(), 0u);
     EXPECT_EQ(arena.stats().recycled, 1u);
 
-    std::string out;
-    std::uint64_t word = 0;
-    EXPECT_FALSE(arena.readBlob(stale, &out));
-    EXPECT_FALSE(arena.readBlobWord(stale, &word));
-
     // The recycled blob serves the next alloc of its class under a new
-    // stamp: the new handle reads, the stale one still fails.
+    // generation. The handles must differ: NOrec validates a writing
+    // transaction's reads by value at commit, after its reader section
+    // closed, so a slot that got the same blob back must not show the
+    // handle word that transaction decoded.
     const std::string v2 = pattern(193, 2);
     const ValueRef fresh = arena.allocBlob(v2.data(), v2.size());
     ASSERT_EQ(addressOf(fresh), addressOf(stale));
     EXPECT_NE(fresh, stale);
-    ASSERT_TRUE(arena.readBlob(fresh, &out));
+    std::string out;
+    arena.readBlob(fresh, &out);
     EXPECT_EQ(out, v2);
-    EXPECT_FALSE(arena.readBlob(stale, &out));
     arena.freeBlob(fresh);
 }
 
@@ -247,21 +236,24 @@ TEST(ValueArenaTest, OwnerLimboWaitsForEarlierReaderSection)
     std::string out;
     {
         EpochPin pin(readers, reader);
+        EXPECT_TRUE(pin.opened());
         arena.retireOwned(ref, limbo, readers, &cache);
         EXPECT_EQ(limbo.size(), 1u);
+        {
+            // Joins the outer section; leaving it must not end that.
+            EpochPin nested(readers, reader);
+            EXPECT_FALSE(nested.opened());
+        }
         arena.drainOwned(limbo, readers, &cache);
         // The section opened before the retire: the blob must stay.
         EXPECT_EQ(limbo.size(), 1u);
         EXPECT_EQ(arena.stats().recycled, 0u);
-        arena.readBlobPinned(ref, &out);
-        EXPECT_EQ(out, value);
-        ASSERT_TRUE(arena.readBlob(ref, &out));
+        arena.readBlob(ref, &out);
         EXPECT_EQ(out, value);
     }
     arena.drainOwned(limbo, readers, &cache);
     EXPECT_TRUE(limbo.empty());
     EXPECT_EQ(arena.stats().recycled, 1u);
-    EXPECT_FALSE(arena.readBlob(ref, &out));
 
     // Recycled into the owner's magazine: the next same-class alloc
     // takes it from there.
@@ -375,7 +367,7 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
                     (static_cast<std::uint64_t>(t + 1) << 32) |
                     static_cast<std::uint64_t>(i);
                 const std::size_t pick = rng.nextBounded(kShared);
-                switch (rng.nextBounded(4)) {
+                switch (rng.nextBounded(3)) {
                   case 0: {
                     // Private blob of a mixed length: alloc, read, free.
                     const std::size_t len = rng.nextBounded(8) == 0
@@ -384,7 +376,8 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
                     const std::string value = pattern(len, seed);
                     const ValueRef ref =
                         arena.allocBlob(value.data(), len, &cache);
-                    if (!arena.readBlob(ref, &out) || out != value)
+                    arena.readBlob(ref, &out);
+                    if (out != value)
                         bad_reads.fetch_add(1);
                     arena.freeBlob(ref, &cache);
                     break;
@@ -404,18 +397,11 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
                     }
                     break;
                   }
-                  case 2: {
-                    // Optimistic reader: a stamp mismatch is allowed,
-                    // a wrong payload is not.
-                    if (arena.readBlob(shared[pick].load(), &out) &&
-                        !holdsPublishedValue(out))
-                        bad_reads.fetch_add(1);
-                    break;
-                  }
                   default: {
-                    // Pinned reader: cannot fail, must be exact.
+                    // Pinned reader: the handle is loaded inside the
+                    // section, so the copy must be exact.
                     EpochPin pin(readers, slot);
-                    arena.readBlobPinned(shared[pick].load(), &out);
+                    arena.readBlob(shared[pick].load(), &out);
                     if (!holdsPublishedValue(out))
                         bad_reads.fetch_add(1);
                     break;
@@ -480,7 +466,7 @@ TEST(ValueArenaTest, EachCacheBumpsItsBlobsFromItsOwnSlab)
 
     std::string out;
     for (const ValueRef ref : from_first) {
-        ASSERT_TRUE(arena.readBlob(ref, &out));
+        arena.readBlob(ref, &out);
         EXPECT_EQ(out, value);
         arena.freeBlob(ref, &first);
     }
@@ -575,7 +561,7 @@ TEST(ValueArenaTest, ConcurrentCachesCarveDisjointBlobsAndCountExactly)
     std::string out;
     for (const std::vector<Kept> &list : kept) {
         for (const Kept &blob : list) {
-            ASSERT_TRUE(arena.readBlob(blob.ref, &out));
+            arena.readBlob(blob.ref, &out);
             EXPECT_EQ(out, pattern(out.size(), blob.seed));
             spans.emplace_back(addressOf(blob.ref),
                                addressOf(blob.ref) + footprint(out.size()));
