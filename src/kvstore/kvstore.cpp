@@ -39,6 +39,23 @@ struct TableFullError
 {
 };
 
+/**
+ * Absolute expiry word of a write whose relative TTL is `ttl_nanos`,
+ * or `default_ttl` when that is 0 (0 = no expiry). Saturates: a TTL
+ * past the clock's range never expires instead of wrapping into the
+ * past.
+ */
+std::uint64_t
+expiryFor(std::uint64_t ttl_nanos, std::uint64_t default_ttl)
+{
+    const std::uint64_t ttl = ttl_nanos != 0 ? ttl_nanos : default_ttl;
+    if (ttl == 0)
+        return 0;
+    constexpr std::uint64_t kNever = ~std::uint64_t{0};
+    const std::uint64_t now = nowNanos();
+    return ttl > kNever - now ? kNever : now + ttl;
+}
+
 } // namespace
 
 const char *
@@ -315,9 +332,6 @@ KvStore::Session::~Session()
     // Same teardown as closeSession, so stack unwinding between
     // openSession and closeSession leaks neither thread slots nor the
     // commit context (deregisterThread is adminMutex-protected).
-    store_->spillOwnerLimbos(*this);
-    for (std::size_t s = 0; s < arenaCaches_.size(); ++s)
-        store_->shards_[s]->arena().flushCache(arenaCaches_[s]);
     for (std::size_t s = 0; s < tokens_.size(); ++s)
         store_->shards_[s]->deregisterWorker(tokens_[s]);
     if (ctx_)
@@ -353,19 +367,12 @@ KvStore::openSession()
     // context (freeing it would break the never-free invariant).
     for (auto &shard : shards_)
         session.tokens_.push_back(shard->registerWorker());
-    session.arenaCaches_.resize(shards_.size());
-    session.ownerLimbos_.resize(shards_.size());
     return session;
 }
 
 void
 KvStore::closeSession(Session &session)
 {
-    spillOwnerLimbos(session);
-    session.ownerLimbos_.clear();
-    for (std::size_t s = 0; s < session.arenaCaches_.size(); ++s)
-        shards_[s]->arena().flushCache(session.arenaCaches_[s]);
-    session.arenaCaches_.clear();
     for (std::size_t s = 0; s < session.tokens_.size(); ++s)
         shards_[s]->deregisterWorker(session.tokens_[s]);
     session.tokens_.clear();
@@ -416,38 +423,16 @@ KvStore::put(Session &session, std::uint64_t key, std::uint64_t value,
     if (const KvStatus gate = admitWrite(); gate != KvStatus::kOk)
         return gate;
     const std::size_t s = shardOf(key);
-    Shard &shard = *shards_[s];
-    const std::uint64_t ttl =
-        ttl_nanos != 0 ? ttl_nanos : options_.defaultTtlNanos;
-    const std::uint64_t expiry = ttl == 0 ? 0 : nowNanos() + ttl;
-    if (expiry != 0)
-        shard.noteTtlUsed();
-    std::vector<std::uint64_t> &reclaim = session.displaced_;
-    for (;;) {
-        const std::size_t cap = shard.capacity();
-        bool ok = false;
-        SlotImage pre;
-        std::uint64_t lsn = 0;
-        shard.poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
-            reclaim.clear(); // retried attempts restart
-            ok = shard.putTx(tx, key, value, expiry, &pre, &reclaim);
-            if (ok && durable())
-                lsn = shard.walTicketTx(tx);
-        });
-        if (ok) {
-            KvStatus wal_status = KvStatus::kOk;
-            if (durable())
-                wal_status = logSingleOp(
-                    s, lsn,
-                    {wal::WalOp::Kind::kPut, key, value, expiry, {}});
-            retireDisplaced(session, static_cast<std::uint32_t>(s),
-                            reclaim);
-            shard.finishWrite(session.tokens_[s], pre);
-            return wal_status;
-        }
-        if (!shard.tryGrow(session.tokens_[s], cap))
-            return KvStatus::kNoSpace;
-    }
+    const std::uint64_t expiry =
+        expiryFor(ttl_nanos, options_.defaultTtlNanos);
+    std::uint64_t lsn = 0;
+    if (!shards_[s]->put(session.tokens_[s], key, value, expiry,
+                         durable() ? &lsn : nullptr))
+        return KvStatus::kNoSpace;
+    if (!durable())
+        return KvStatus::kOk;
+    return logSingleOp(s, lsn,
+                       {wal::WalOp::Kind::kPut, key, value, expiry, {}});
 }
 
 KvResult
@@ -457,52 +442,23 @@ KvStore::putBytes(Session &session, std::uint64_t key, const void *data,
     if (const KvStatus gate = admitWrite(); gate != KvStatus::kOk)
         return gate;
     const std::size_t s = shardOf(key);
-    Shard &shard = *shards_[s];
-    const std::uint64_t ttl =
-        ttl_nanos != 0 ? ttl_nanos : options_.defaultTtlNanos;
-    const std::uint64_t expiry = ttl == 0 ? 0 : nowNanos() + ttl;
-    if (expiry != 0)
-        shard.noteTtlUsed();
-    ValueRef ref = 0;
+    const std::uint64_t expiry =
+        expiryFor(ttl_nanos, options_.defaultTtlNanos);
+    ValueRef staged = 0;
     try {
-        ref = len <= kValueRefInlineMax
-                  ? makeInlineRef(data, len)
-                  : shard.arena().allocBlob(data, len,
-                                            &session.arenaCaches_[s]);
+        staged = shards_[s]->stageValue(session.tokens_[s], data, len);
     } catch (const std::bad_alloc &) {
         return KvStatus::kNoMemory; // nothing staged, nothing written
     }
-    std::vector<std::uint64_t> &reclaim = session.displaced_;
-    for (;;) {
-        const std::size_t cap = shard.capacity();
-        bool ok = false;
-        SlotImage pre;
-        std::uint64_t lsn = 0;
-        shard.poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
-            reclaim.clear();
-            ok = shard.putRefTx(tx, key, ref, expiry, &pre, &reclaim);
-            if (ok && durable())
-                lsn = shard.walTicketTx(tx);
-        });
-        if (ok) {
-            KvStatus wal_status = KvStatus::kOk;
-            if (durable()) {
-                wal::WalOp op{wal::WalOp::Kind::kPutBytes, key, 0,
-                              expiry, {}};
-                op.bytes.assign(static_cast<const char *>(data), len);
-                wal_status = logSingleOp(s, lsn, std::move(op));
-            }
-            retireDisplaced(session, static_cast<std::uint32_t>(s),
-                            reclaim);
-            shard.finishWrite(session.tokens_[s], pre);
-            return wal_status;
-        }
-        if (!shard.tryGrow(session.tokens_[s], cap)) {
-            // Never published: immediate recycle is safe.
-            shard.arena().freeBlob(ref, &session.arenaCaches_[s]);
-            return KvStatus::kNoSpace;
-        }
-    }
+    std::uint64_t lsn = 0;
+    if (!shards_[s]->putRef(session.tokens_[s], key, staged, expiry,
+                            durable() ? &lsn : nullptr))
+        return KvStatus::kNoSpace;
+    if (!durable())
+        return KvStatus::kOk;
+    wal::WalOp op{wal::WalOp::Kind::kPutBytes, key, 0, expiry, {}};
+    op.bytes.assign(static_cast<const char *>(data), len);
+    return logSingleOp(s, lsn, std::move(op));
 }
 
 KvResult
@@ -511,33 +467,16 @@ KvStore::del(Session &session, std::uint64_t key)
     if (const KvStatus gate = admitWrite(); gate != KvStatus::kOk)
         return gate;
     const std::size_t s = shardOf(key);
-    Shard &shard = *shards_[s];
-    bool ok = false;
-    SlotImage pre;
-    std::vector<std::uint64_t> &reclaim = session.displaced_;
     std::uint64_t lsn = 0;
-    shard.poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
-        reclaim.clear();
-        ok = shard.delTx(tx, key, &pre, &reclaim);
-        if (durable())
-            lsn = shard.walTicketTx(tx);
-    });
-    KvStatus wal_status = KvStatus::kOk;
-    if (durable())
-        wal_status = logSingleOp(
+    const bool found = shards_[s]->del(session.tokens_[s], key,
+                                       durable() ? &lsn : nullptr);
+    if (durable()) {
+        const KvStatus wal_status = logSingleOp(
             s, lsn, {wal::WalOp::Kind::kDel, key, 0, 0, {}});
-    // Stale readers may hold the displaced handles: retire, batched.
-    retireDisplaced(session, static_cast<std::uint32_t>(s), reclaim);
-    if (slotStateIsValue(pre.state)) {
-        shard.noteTombstones(1);
-        // Deletes are writes: they must drive maintenance too, or a
-        // del-only phase would park retired blobs in limbo forever
-        // (and stall an in-flight migration).
-        shard.maintainTick(session.tokens_[s]);
+        if (wal_status != KvStatus::kOk)
+            return wal_status;
     }
-    if (wal_status != KvStatus::kOk)
-        return wal_status;
-    return ok ? KvStatus::kOk : KvStatus::kNotFound;
+    return found ? KvStatus::kOk : KvStatus::kNotFound;
 }
 
 std::size_t
@@ -652,17 +591,17 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
         SlotImage post;
         switch (op->kind) {
           case KvOp::Kind::kGet:
-            // getForUpdateTx, not getTx: reads in a writing slice
+            // prepareGetTx, not getTx: reads in a writing slice
             // resolve foreign intents the way the write primitives do
-            // (see Shard::prepareGetTx) — a non-blocking pre-image
-            // could straddle a commit flip against another read or be
-            // contradicted by a fold under a later write of the same
-            // key, and the flip is a plain store the TM does not
-            // track.
-            op->ok = shard.getForUpdateTx(tx, op->key, &op->value);
+            // — a non-blocking pre-image could straddle a commit flip
+            // against another read or be contradicted by a fold under
+            // a later write of the same key, and the flip is a plain
+            // store the TM does not track.
+            op->ok = shard.prepareGetTx(tx, nullptr, op->key, &op->value);
             continue;
           case KvOp::Kind::kGetBytes:
-            op->ok = shard.getBytesForUpdateTx(tx, op->key, &op->bytes);
+            op->ok =
+                shard.prepareGetBytesTx(tx, nullptr, op->key, &op->bytes);
             continue;
           case KvOp::Kind::kPut:
             op->ok = shard.putTx(tx, op->key, op->value, it->expiry,
@@ -718,19 +657,11 @@ groupByShard(const KvStore &store, std::uint64_t default_ttl,
     tagged.clear();
     // slices[s].end counts shard s's ops until the prefix pass.
     slices.assign(static_cast<std::size_t>(store.numShards()), {0, 0, 0});
-    std::uint64_t now = 0;
     for (KvOp &op : ops) {
-        std::uint64_t expiry = 0;
-        if (op.kind == KvOp::Kind::kPut ||
-            op.kind == KvOp::Kind::kPutBytes) {
-            const std::uint64_t ttl =
-                op.ttlNanos != 0 ? op.ttlNanos : default_ttl;
-            if (ttl != 0) {
-                if (now == 0)
-                    now = nowNanos();
-                expiry = now + ttl;
-            }
-        }
+        const std::uint64_t expiry =
+            op.kind == KvOp::Kind::kPut || op.kind == KvOp::Kind::kPutBytes
+                ? expiryFor(op.ttlNanos, default_ttl)
+                : 0;
         const auto shard = static_cast<std::uint32_t>(store.shardOf(op.key));
         store.shard(shard).prefetchSlot(op.key);
         tagged.push_back({shard, &op, expiry});
@@ -806,37 +737,10 @@ KvStore::multiOp(Session &session, std::vector<KvOp> &ops)
         return KvStatus::kOk;
     session.walStatus_ = KvStatus::kOk;
 
-    // Stage wide values up-front: blob allocation is a side effect a
-    // retried prepare must not repeat, so each kPutBytes op gets its
-    // ValueRef once (kept across grow-retries of the whole composite)
-    // and carries it in the op's scratch value field.
-    session.newBlobs_.clear();
     if (writes) {
-        for (const TaggedOp &tagged : session.scratch_) {
-            KvOp *op = tagged.op;
-            // Any TTL-carrying write (numeric or bytes) must enable
-            // the home shard's sweep.
-            if (tagged.expiry != 0)
-                shards_[tagged.shard]->noteTtlUsed();
-            if (op->kind != KvOp::Kind::kPutBytes)
-                continue;
-            if (op->bytes.size() <= kValueRefInlineMax) {
-                op->value =
-                    makeInlineRef(op->bytes.data(), op->bytes.size());
-            } else {
-                try {
-                    op->value =
-                        shards_[tagged.shard]->arena().allocBlob(
-                            op->bytes.data(), op->bytes.size(),
-                            &session.arenaCaches_[tagged.shard]);
-                } catch (const std::bad_alloc &) {
-                    // Nothing ran yet; recycle what was staged so far.
-                    releaseStagedBlobs(session, false);
-                    return KvStatus::kNoMemory;
-                }
-                session.newBlobs_.emplace_back(tagged.shard, op->value);
-            }
-        }
+        if (const KvStatus staged = stageWrites(session);
+            staged != KvStatus::kOk)
+            return staged;
     }
 
     OpStatus status = OpStatus::kDone;
@@ -880,6 +784,34 @@ KvStore::multiOp(Session &session, std::vector<KvOp> &ops)
     return session.walStatus_;
 }
 
+KvStatus
+KvStore::stageWrites(Session &session)
+{
+    session.newBlobs_.clear();
+    for (const TaggedOp &tagged : session.scratch_) {
+        Shard &shard = *shards_[tagged.shard];
+        // Any TTL-carrying write (numeric or bytes) must enable the
+        // home shard's sweep.
+        if (tagged.expiry != 0)
+            shard.noteTtlUsed();
+        KvOp *op = tagged.op;
+        if (op->kind != KvOp::Kind::kPutBytes)
+            continue;
+        try {
+            op->value = shard.stageValue(session.tokens_[tagged.shard],
+                                         op->bytes.data(),
+                                         op->bytes.size());
+        } catch (const std::bad_alloc &) {
+            // Nothing ran yet; recycle what was staged so far.
+            releaseStagedBlobs(session, false);
+            return KvStatus::kNoMemory;
+        }
+        if (valueRefIsBlob(op->value))
+            session.newBlobs_.emplace_back(tagged.shard, op->value);
+    }
+    return KvStatus::kOk;
+}
+
 void
 KvStore::releaseStagedBlobs(Session &session, bool committed)
 {
@@ -887,11 +819,9 @@ KvStore::releaseStagedBlobs(Session &session, bool committed)
         // Never reachable through a committed slot word (the record
         // aborted before anything became visible, and resolvers only
         // dereference a post-image handle under a COMMITTED verdict):
-        // immediate recycle into the session magazine is safe.
-        for (const auto &[shard, ref] : session.newBlobs_) {
-            shards_[shard]->arena().freeBlob(
-                ref, &session.arenaCaches_[shard]);
-        }
+        // immediate recycle into the writer's magazine is safe.
+        for (const auto &[shard, ref] : session.newBlobs_)
+            shards_[shard]->unstageValue(session.tokens_[shard], ref);
     }
     session.newBlobs_.clear();
 }
@@ -901,35 +831,10 @@ KvStore::freeReclaimed(Session &session)
 {
     // Displaced pre-images WERE committed-visible: a pinned reader
     // may still be copying them, so they retire through the reader
-    // epochs instead of recycling immediately — but into the
-    // session's OWN limbo, which it drains itself (no shared lock on
-    // the displace-churn path; see ValueArena::OwnerLimbo).
-    for (const auto &[shard, ref] : session.reclaim_) {
-        Shard &owner = *shards_[shard];
-        owner.arena().retireOwned(ref, session.ownerLimbos_[shard],
-                                  owner.readerEpochs(),
-                                  &session.arenaCaches_[shard]);
-    }
+    // epochs instead of recycling immediately.
+    for (const auto &[shard, ref] : session.reclaim_)
+        shards_[shard]->retireValue(session.tokens_[shard], ref);
     session.reclaim_.clear();
-}
-
-void
-KvStore::retireDisplaced(Session &session, std::uint32_t shard,
-                         const std::vector<std::uint64_t> &refs)
-{
-    Shard &owner = *shards_[shard];
-    for (const std::uint64_t ref : refs) {
-        owner.arena().retireOwned(ref, session.ownerLimbos_[shard],
-                                  owner.readerEpochs(),
-                                  &session.arenaCaches_[shard]);
-    }
-}
-
-void
-KvStore::spillOwnerLimbos(Session &session)
-{
-    for (std::size_t s = 0; s < session.ownerLimbos_.size(); ++s)
-        shards_[s]->arena().spillOwned(session.ownerLimbos_[s]);
 }
 
 KvStore::OpStatus
@@ -1566,38 +1471,11 @@ KvStore::applyBatch(Session &session, Batch &batch)
         return gate;
     groupByShard(*this, options_.defaultTtlNanos, batch.ops_,
                  session.tagged_, session.scratch_, session.slices_);
+    if (const KvStatus staged = stageWrites(session);
+        staged != KvStatus::kOk)
+        return staged;
     const auto &grouped = session.scratch_;
     session.walStatus_ = KvStatus::kOk;
-    for (std::size_t idx = 0; idx < grouped.size(); ++idx) {
-        const TaggedOp &tagged = grouped[idx];
-        KvOp *op = tagged.op;
-        if (tagged.expiry != 0)
-            shards_[tagged.shard]->noteTtlUsed();
-        if (op->kind != KvOp::Kind::kPutBytes)
-            continue;
-        if (op->bytes.size() <= kValueRefInlineMax) {
-            op->value =
-                makeInlineRef(op->bytes.data(), op->bytes.size());
-            continue;
-        }
-        try {
-            op->value = shards_[tagged.shard]->arena().allocBlob(
-                op->bytes.data(), op->bytes.size(),
-                &session.arenaCaches_[tagged.shard]);
-        } catch (const std::bad_alloc &) {
-            // Nothing applied yet: recycle the blobs staged before
-            // the failing one and reject the whole batch.
-            for (std::size_t k = 0; k < idx; ++k) {
-                const TaggedOp &prev = grouped[k];
-                if (prev.op->kind == KvOp::Kind::kPutBytes &&
-                    prev.op->bytes.size() > kValueRefInlineMax)
-                    shards_[prev.shard]->arena().freeBlob(
-                        prev.op->value,
-                        &session.arenaCaches_[prev.shard]);
-            }
-            return KvStatus::kNoMemory;
-        }
-    }
 
     bool ok = true;
     std::vector<std::uint64_t> &reclaim = session.displaced_;
@@ -1661,8 +1539,9 @@ KvStore::applyBatch(Session &session, Batch &batch)
                         session.walStatus_ = wal_status;
                 }
             }
-            // This slice committed; batch-retire its displacements.
-            retireDisplaced(session, slice.shard, reclaim);
+            // This slice committed; retire its displacements.
+            for (const std::uint64_t ref : reclaim)
+                shard.retireValue(session.tokens_[slice.shard], ref);
             if (consumed > 0)
                 shard.noteConsumed(consumed);
             if (tomb_delta != 0)
@@ -1695,11 +1574,9 @@ KvStore::applyBatch(Session &session, Batch &batch)
         // each capped-store failure would strand their arena
         // capacity forever.
         for (const TaggedOp &tagged : grouped) {
-            KvOp *op = tagged.op;
-            if (op->kind == KvOp::Kind::kPutBytes && !op->ok &&
-                op->bytes.size() > kValueRefInlineMax)
-                shards_[tagged.shard]->arena().freeBlob(
-                    op->value, &session.arenaCaches_[tagged.shard]);
+            if (tagged.op->kind == KvOp::Kind::kPutBytes && !tagged.op->ok)
+                shards_[tagged.shard]->unstageValue(
+                    session.tokens_[tagged.shard], tagged.op->value);
         }
         return KvStatus::kNoSpace;
     }

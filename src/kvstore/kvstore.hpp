@@ -224,9 +224,12 @@ class KvStore
     const Shard &shard(std::size_t i) const { return *shards_[i]; }
 
     /**
-     * Per-thread handle holding one registered ThreadToken per shard.
-     * Open/close from the owning thread; a session must not be shared
-     * across threads.
+     * Per-thread handle holding one registered ThreadToken per shard,
+     * plus the scratch buffers of the multi-key paths. A session's
+     * per-shard writer state (arena cache, limbo, held-back insert
+     * count) lives in each shard's record for the token's tid, so
+     * single-key writes are plain Shard calls. Open/close from the
+     * owning thread; a session must not be shared across threads.
      */
     class Session
     {
@@ -252,8 +255,6 @@ class KvStore
                 reclaim_ = std::move(other.reclaim_);
                 displaced_ = std::move(other.displaced_);
                 newBlobs_ = std::move(other.newBlobs_);
-                arenaCaches_.swap(other.arenaCaches_);
-                ownerLimbos_.swap(other.ownerLimbos_);
                 walOps_ = std::move(other.walOps_);
                 walOpRanges_ = std::move(other.walOpRanges_);
                 walLsns_ = std::move(other.walLsns_);
@@ -324,24 +325,14 @@ class KvStore
          * transaction ran, so retried attempts never double-capture.
          */
         std::vector<std::pair<std::uint32_t, std::uint64_t>> reclaim_;
-        /** Displaced blob handles of one shard's write transaction (a
-         *  single-key write, a multiOp slice, a batch slice), captured
-         *  by the shard's write primitives. Reused across calls, so
+        /** Displaced blob handles of one shard's composite write
+         *  transaction (a multiOp slice, a batch slice), captured by
+         *  the shard's write primitives. Reused across calls, so
          *  overwriting a blob value allocates nothing. */
         std::vector<std::uint64_t> displaced_;
-        /** Blobs allocated up-front for kPutBytes ops; freed only when
+        /** Blobs staged up-front for kPutBytes ops; freed only when
          *  the whole multiOp ultimately fails (never published). */
         std::vector<std::pair<std::uint32_t, std::uint64_t>> newBlobs_;
-        /** Per-shard free-blob magazines (one ValueArena::Cache per
-         *  shard): wide-value allocation stays off the shared arena
-         *  lists in steady state. Flushed back on close. */
-        std::vector<ValueArena::Cache> arenaCaches_;
-        /** Per-shard owner limbos: displaced blob handles park here
-         *  and the session recycles them itself once reader epochs
-         *  quiesce (ValueArena::retireOwned) — the shared limbo lock
-         *  leaves the displace hot path entirely. Spilled to the
-         *  shared limbo on close. */
-        std::vector<ValueArena::OwnerLimbo> ownerLimbos_;
         /** WAL capture scratch (durable stores only): post-image ops
          *  recorded inside the current transaction bodies, their
          *  per-slice [begin, end) ranges, and each slice's LSN. */
@@ -650,20 +641,20 @@ class KvStore
     OpStatus multiOpTwoPhaseWrite(Session &session);
     void multiOpTwoPhaseRead(Session &session);
 
+    /**
+     * Stage the grouped ops' kPutBytes values on their home shards
+     * (Shard::stageValue; once per composite, kept across
+     * grow-retries, carried in the op's scratch value field, blobs
+     * listed in newBlobs_) and enable the TTL sweep of every shard a
+     * TTL'd write lands on. On bad_alloc gives back what it staged
+     * and returns kNoMemory: nothing was written.
+     */
+    KvStatus stageWrites(Session &session);
     /** Free / keep the blobs staged for this multiOp's kPutBytes ops
      *  (kept on success — they are live table values now). */
     void releaseStagedBlobs(Session &session, bool committed);
     /** Retire the displaced pre-image blobs after a committed op. */
     void freeReclaimed(Session &session);
-
-    /** Park displaced (committed-visible) blob handles in the
-     *  session's per-shard owner limbo; the session drains its own
-     *  ring once quiescence is proven (ValueArena::retireOwned). */
-    void retireDisplaced(Session &session, std::uint32_t shard,
-                         const std::vector<std::uint64_t> &refs);
-    /** Hand every owner-limbo entry to the shared arena limbos
-     *  (session close / destruction). */
-    void spillOwnerLimbos(Session &session);
 
     KvStoreOptions options_;
     /**

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "kvstore/value_arena.hpp"
 #include "kvstore/wal.hpp"
 
 namespace proteus::kvstore::recovery {
@@ -90,57 +89,32 @@ parseShardLog(const std::string &dir, int shard, ParsedShard *out,
     }
 }
 
-/** Apply one post-image op to a quiesced shard, growing on demand. */
+/**
+ * Apply one post-image op through the shard's single-key write path,
+ * the one live writes take: it grows the table on demand and runs the
+ * same maintenance ticks, so a grow's migration moves while replay
+ * writes.
+ */
 void
-applyOp(Shard &shard, polytm::ThreadToken &token, const wal::WalOp &op,
-        std::vector<std::uint64_t> *reclaim)
+applyOp(Shard &shard, polytm::ThreadToken &token, const wal::WalOp &op)
 {
-    ValueRef staged = 0;
-    if (op.kind == wal::WalOp::Kind::kPutBytes)
-        staged = op.bytes.size() <= kValueRefInlineMax
-                     ? makeInlineRef(op.bytes.data(), op.bytes.size())
-                     : shard.arena().allocBlob(op.bytes.data(),
-                                               op.bytes.size());
-    SlotImage pre;
-    for (;;) {
-        reclaim->clear();
-        bool fits = true;
-        shard.poly().run(token, [&](polytm::Tx &tx) {
-            reclaim->clear();
-            switch (op.kind) {
-                case wal::WalOp::Kind::kPut:
-                    fits = shard.putTx(tx, op.key, op.value, op.expiry,
-                                       &pre, reclaim);
-                    break;
-                case wal::WalOp::Kind::kPutBytes:
-                    fits = shard.putRefTx(tx, op.key, staged,
-                                          op.expiry, &pre, reclaim);
-                    break;
-                case wal::WalOp::Kind::kDel:
-                    shard.delTx(tx, op.key, &pre, reclaim);
-                    fits = true;
-                    break;
-            }
-        });
-        if (fits)
+    bool fits = true;
+    switch (op.kind) {
+        case wal::WalOp::Kind::kPut:
+            fits = shard.put(token, op.key, op.value, op.expiry);
             break;
-        const std::size_t cap = shard.capacity();
-        if (!shard.tryGrow(token, cap))
-            throw std::runtime_error(
-                "recovery: shard cannot absorb its own log "
-                "(capacity cap below logged data)");
+        case wal::WalOp::Kind::kPutBytes:
+            fits = shard.putBytes(token, op.key, op.bytes.data(),
+                                  op.bytes.size(), op.expiry);
+            break;
+        case wal::WalOp::Kind::kDel:
+            shard.del(token, op.key);
+            break;
     }
-    for (const std::uint64_t ref : *reclaim)
-        if (valueRefIsBlob(ref))
-            shard.retireBlob(ref);
-    if (op.kind == wal::WalOp::Kind::kDel) {
-        if (slotStateIsValue(pre.state))
-            shard.noteTombstones(1);
-    } else if (pre.state == kEmpty) {
-        shard.noteConsumed(1);
-    }
-    if (op.expiry != 0)
-        shard.noteTtlUsed();
+    if (!fits)
+        throw std::runtime_error(
+            "recovery: shard cannot absorb its own log "
+            "(capacity cap below logged data)");
 }
 
 } // namespace
@@ -177,10 +151,8 @@ recover(const std::string &dir,
         stats.maxLsn[s] = barrier;
 
         polytm::ThreadToken token = shard.registerWorker();
-        std::vector<std::uint64_t> reclaim;
-
         for (const wal::WalOp &op : p.image.entries)
-            applyOp(shard, token, op, &reclaim);
+            applyOp(shard, token, op);
         stats.checkpointEntries += p.image.entries.size();
 
         std::vector<const wal::Record *> replay;
@@ -211,7 +183,7 @@ recover(const std::string &dir,
                   });
         for (const wal::Record *rec : replay) {
             for (const wal::WalOp &op : rec->ops)
-                applyOp(shard, token, op, &reclaim);
+                applyOp(shard, token, op);
             ++shardRecords;
             shardOps += rec->ops.size();
         }

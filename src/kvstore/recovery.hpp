@@ -8,7 +8,9 @@
  *  - each shard's latest *valid* checkpoint is applied, then every
  *    record with lsn > the checkpoint's barrier LSN, sorted by LSN
  *    (records are post-images, so re-applying ones the image already
- *    covers is harmless);
+ *    covers is harmless), each op through the shard's single-key
+ *    write calls (Shard::put/putBytes/del), which grow and maintain
+ *    the table exactly as live writes do;
  *  - a torn segment tail (first bad CRC / bounds) ends that segment's
  *    replay — the store recovers to a consistent prefix;
  *  - 2PC prepares are resolved by the outcome records collected from

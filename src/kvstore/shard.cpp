@@ -85,7 +85,8 @@ inlineNumeric(ValueRef ref)
 Shard::Shard(ShardOptions options)
     : poly_(options.initial, {},
             checkedLog2(options.log2Orecs, "log2Orecs")),
-      options_(options)
+      options_(options),
+      writers_(std::make_unique<WriterRecord[]>(tm::kMaxThreads))
 {
     const unsigned log2_slots =
         checkedLog2(options.log2Slots, "log2Slots");
@@ -446,6 +447,30 @@ Shard::decodeValueTx(polytm::Tx &tx, ShardTable &table, std::size_t slot,
     return true;
 }
 
+std::uint64_t
+Shard::numericOf(std::uint64_t state, std::uint64_t value) const
+{
+    if (state == kFull)
+        return value;
+    return valueRefIsBlob(value) ? arena_.readBlobWord(value)
+                                 : inlineNumeric(value);
+}
+
+void
+Shard::bytesOf(std::uint64_t state, std::uint64_t value,
+               std::string *out) const
+{
+    if (state == kFull) {
+        // Numeric values read as their 8 raw bytes.
+        out->resize(8);
+        std::memcpy(out->data(), &value, 8);
+    } else if (valueRefIsBlob(value)) {
+        arena_.readBlob(value, out);
+    } else {
+        inlineRefCopy(value, out);
+    }
+}
+
 bool
 Shard::numericValueTx(polytm::Tx &tx, ShardTable &table,
                       std::size_t slot, LiveValue live,
@@ -453,14 +478,8 @@ Shard::numericValueTx(polytm::Tx &tx, ShardTable &table,
 {
     return decodeValueTx(
         tx, table, slot, live, view, [&](const LiveValue &v) {
-            if (!out)
-                return;
-            if (v.state == kFull)
-                *out = v.value;
-            else if (valueRefIsBlob(v.value))
-                *out = arena_.readBlobWord(v.value);
-            else
-                *out = inlineNumeric(v.value);
+            if (out)
+                *out = numericOf(v.state, v.value);
         });
 }
 
@@ -470,17 +489,8 @@ Shard::bytesValueTx(polytm::Tx &tx, ShardTable &table, std::size_t slot,
                     const ReadView &view)
 {
     return decodeValueTx(
-        tx, table, slot, live, view, [&](const LiveValue &v) {
-            if (v.state == kFull) {
-                // Numeric values read as their 8 raw bytes.
-                out->resize(8);
-                std::memcpy(out->data(), &v.value, 8);
-            } else if (valueRefIsBlob(v.value)) {
-                arena_.readBlob(v.value, out);
-            } else {
-                inlineRefCopy(v.value, out);
-            }
-        });
+        tx, table, slot, live, view,
+        [&](const LiveValue &v) { bytesOf(v.state, v.value, out); });
 }
 
 bool
@@ -553,30 +563,6 @@ Shard::settledValueTx(polytm::Tx &tx, const SlotRef &ref,
         return false;
     *out = {image.state, image.value, image.expiry};
     return true;
-}
-
-bool
-Shard::getForUpdateTx(polytm::Tx &tx, std::uint64_t key,
-                      std::uint64_t *value)
-{
-    bool found = false;
-    const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    LiveValue live;
-    if (!found || !settledValueTx(tx, ref, &live))
-        return false;
-    return numericValueTx(tx, *ref.table, ref.slot, live, value);
-}
-
-bool
-Shard::getBytesForUpdateTx(polytm::Tx &tx, std::uint64_t key,
-                           std::string *out)
-{
-    bool found = false;
-    const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    LiveValue live;
-    if (!found || !settledValueTx(tx, ref, &live))
-        return false;
-    return bytesValueTx(tx, *ref.table, ref.slot, live, out);
 }
 
 bool
@@ -850,23 +836,18 @@ Shard::prepareAddTx(polytm::Tx &tx, CommitRecord *record,
         const std::uint64_t own_state =
             own->newState.load(std::memory_order_relaxed);
         if (stateIsValue(own_state)) {
-            std::uint64_t current =
+            // Own blob: stable (never recycled while pending).
+            const std::uint64_t own_value =
                 own->newValue.load(std::memory_order_relaxed);
             if (own_state == kFullRef) {
                 // Coerce this composite's own byte value to numeric;
                 // its blob becomes garbage once the record commits.
-                const ValueRef own_ref = current;
-                if (valueRefIsBlob(own_ref)) {
-                    // Own blob: stable (never recycled while pending).
-                    current = arena_.readBlobWord(own_ref);
-                    if (reclaim)
-                        reclaim->push_back(own_ref);
-                } else {
-                    current = inlineNumeric(own_ref);
-                }
+                if (reclaim && valueRefIsBlob(own_value))
+                    reclaim->push_back(own_value);
                 own->newState.store(kFull, std::memory_order_release);
             }
-            own->newValue.store(current + unsigned_delta,
+            own->newValue.store(numericOf(own_state, own_value) +
+                                    unsigned_delta,
                                 std::memory_order_release);
         } else { // deleted earlier in this multiOp: recreate at delta
             own->newState.store(kFull, std::memory_order_release);
@@ -935,26 +916,15 @@ Shard::prepareGetTx(polytm::Tx &tx, CommitRecord *record,
     WriteIntent *own = nullptr;
     const SlotRef ref = writeLookup(tx, record, key, &found, &own);
     if (own) {
-        // Read-your-writes within the composite.
+        // Read-your-writes within the composite; its own blob is
+        // stable (never recycled while the record is pending).
         const std::uint64_t own_state =
             own->newState.load(std::memory_order_relaxed);
         if (!stateIsValue(own_state))
             return false;
-        const std::uint64_t own_value =
-            own->newValue.load(std::memory_order_relaxed);
-        if (own_state == kFull) {
-            if (value)
-                *value = own_value;
-            return true;
-        }
-        const ValueRef own_ref = own_value;
-        if (!valueRefIsBlob(own_ref)) {
-            if (value)
-                *value = inlineNumeric(own_ref);
-            return true;
-        }
         if (value)
-            *value = arena_.readBlobWord(own_ref); // own blob: stable
+            *value = numericOf(
+                own_state, own->newValue.load(std::memory_order_relaxed));
         return true;
     }
     LiveValue live;
@@ -975,19 +945,8 @@ Shard::prepareGetBytesTx(polytm::Tx &tx, CommitRecord *record,
             own->newState.load(std::memory_order_relaxed);
         if (!stateIsValue(own_state))
             return false;
-        const std::uint64_t own_value =
-            own->newValue.load(std::memory_order_relaxed);
-        if (own_state == kFull) {
-            out->resize(8);
-            std::memcpy(out->data(), &own_value, 8);
-            return true;
-        }
-        const ValueRef own_ref = own_value;
-        if (!valueRefIsBlob(own_ref)) {
-            inlineRefCopy(own_ref, out);
-            return true;
-        }
-        arena_.readBlob(own_ref, out); // own blob: stable
+        bytesOf(own_state, own->newValue.load(std::memory_order_relaxed),
+                out);
         return true;
     }
     LiveValue live;
@@ -1056,13 +1015,37 @@ Shard::get(polytm::ThreadToken &token, std::uint64_t key,
 
 bool
 Shard::put(polytm::ThreadToken &token, std::uint64_t key,
-           std::uint64_t value, std::uint64_t ttl_nanos)
+           std::uint64_t value, std::uint64_t expiry, std::uint64_t *lsn)
 {
-    const std::uint64_t expiry =
-        ttl_nanos == 0 ? 0 : nowNanos() + ttl_nanos;
+    return putLoop(token, key, kFull, value, expiry, lsn);
+}
+
+bool
+Shard::putBytes(polytm::ThreadToken &token, std::uint64_t key,
+                const void *data, std::size_t len, std::uint64_t expiry,
+                std::uint64_t *lsn)
+{
+    return putRef(token, key, stageValue(token, data, len), expiry, lsn);
+}
+
+bool
+Shard::putRef(polytm::ThreadToken &token, std::uint64_t key,
+              ValueRef staged, std::uint64_t expiry, std::uint64_t *lsn)
+{
+    if (putLoop(token, key, kFullRef, staged, expiry, lsn))
+        return true;
+    unstageValue(token, staged); // never published
+    return false;
+}
+
+bool
+Shard::putLoop(polytm::ThreadToken &token, std::uint64_t key,
+               std::uint64_t state, std::uint64_t value,
+               std::uint64_t expiry, std::uint64_t *lsn)
+{
     if (expiry != 0)
-        ttlSeen_.store(true, std::memory_order_relaxed);
-    std::vector<std::uint64_t> reclaim;
+        noteTtlUsed();
+    std::vector<std::uint64_t> &displaced = writerOf(token).displaced;
     for (;;) {
         // Capacity snapshot BEFORE the attempt: if a concurrent grow
         // doubles the table mid-attempt, tryGrow sees the enlarged
@@ -1072,11 +1055,14 @@ Shard::put(polytm::ThreadToken &token, std::uint64_t key,
         bool ok = false;
         SlotImage pre;
         poly_.run(token, [&](polytm::Tx &tx) {
-            reclaim.clear(); // retried attempts restart
-            ok = putTx(tx, key, value, expiry, &pre, &reclaim);
+            displaced.clear(); // retried attempts restart
+            ok = putSlotTx(tx, key, state, value, expiry, &pre,
+                           &displaced);
+            if (ok && lsn)
+                *lsn = walTicketTx(tx);
         });
         if (ok) {
-            finishWrite(token, pre, reclaim);
+            finishWrite(token, pre, false);
             return true;
         }
         if (!tryGrow(token, cap))
@@ -1085,35 +1071,41 @@ Shard::put(polytm::ThreadToken &token, std::uint64_t key,
 }
 
 bool
-Shard::putBytes(polytm::ThreadToken &token, std::uint64_t key,
-                const void *data, std::size_t len,
-                std::uint64_t ttl_nanos)
+Shard::del(polytm::ThreadToken &token, std::uint64_t key,
+           std::uint64_t *lsn)
 {
-    const std::uint64_t expiry =
-        ttl_nanos == 0 ? 0 : nowNanos() + ttl_nanos;
-    if (expiry != 0)
-        ttlSeen_.store(true, std::memory_order_relaxed);
-    const ValueRef ref = len <= kValueRefInlineMax
-                             ? makeInlineRef(data, len)
-                             : arena_.allocBlob(data, len);
-    std::vector<std::uint64_t> reclaim;
-    for (;;) {
-        const std::size_t cap = capacity(); // before the attempt
-        bool ok = false;
-        SlotImage pre;
-        poly_.run(token, [&](polytm::Tx &tx) {
-            reclaim.clear();
-            ok = putRefTx(tx, key, ref, expiry, &pre, &reclaim);
-        });
-        if (ok) {
-            finishWrite(token, pre, reclaim);
-            return true;
-        }
-        if (!tryGrow(token, cap)) {
-            arena_.freeBlob(ref); // never published
-            return false;
-        }
-    }
+    std::vector<std::uint64_t> &displaced = writerOf(token).displaced;
+    bool ok = false;
+    SlotImage pre;
+    poly_.run(token, [&](polytm::Tx &tx) {
+        displaced.clear();
+        ok = delTx(tx, key, &pre, &displaced);
+        if (lsn)
+            *lsn = walTicketTx(tx);
+    });
+    finishWrite(token, pre, true);
+    return ok;
+}
+
+ValueRef
+Shard::stageValue(polytm::ThreadToken &token, const void *data,
+                  std::size_t len)
+{
+    return len <= kValueRefInlineMax
+               ? makeInlineRef(data, len)
+               : arena_.allocBlob(data, len, writerOf(token).cache);
+}
+
+void
+Shard::unstageValue(polytm::ThreadToken &token, ValueRef staged)
+{
+    arena_.freeBlob(staged, writerOf(token).cache);
+}
+
+void
+Shard::retireValue(polytm::ThreadToken &token, ValueRef displaced)
+{
+    arena_.retire(displaced, writerOf(token).cache, readerEpochs_);
 }
 
 bool
@@ -1127,27 +1119,6 @@ Shard::getBytes(polytm::ThreadToken &token, std::uint64_t key,
         EpochPin pin(readerEpochs_, *token.epochSlot);
         ok = snapshotGetBytesTx(tx, key, out, ReadView{});
     });
-    return ok;
-}
-
-bool
-Shard::del(polytm::ThreadToken &token, std::uint64_t key)
-{
-    bool ok = false;
-    SlotImage pre;
-    std::vector<std::uint64_t> reclaim;
-    poly_.run(token, [&](polytm::Tx &tx) {
-        reclaim.clear();
-        ok = delTx(tx, key, &pre, &reclaim);
-    });
-    for (const std::uint64_t ref : reclaim)
-        retireBlob(ref);
-    if (stateIsValue(pre.state)) {
-        noteTombstones(1);
-        // Deletes drive maintenance like every other write — a
-        // del-only phase must still reclaim its retired blobs.
-        maintainTick(token);
-    }
     return ok;
 }
 
@@ -1229,7 +1200,7 @@ Shard::noteTombstones(std::int64_t delta)
 void
 Shard::noteInserted(polytm::ThreadToken &token)
 {
-    WriterRecord &writer = writers_[static_cast<std::size_t>(token.tid)];
+    WriterRecord &writer = writerOf(token);
     ShardTable *live = epochMirror_.load(std::memory_order_acquire)->live;
     if (writer.table != live) {
         // A grow or compaction replaced the table the held-back
@@ -1247,25 +1218,36 @@ Shard::noteInserted(polytm::ThreadToken &token)
 void
 Shard::deregisterWorker(polytm::ThreadToken &token)
 {
-    WriterRecord &writer = writers_[static_cast<std::size_t>(token.tid)];
+    WriterRecord &writer = writerOf(token);
     if (writer.pending != 0 &&
         writer.table == epochMirror_.load(std::memory_order_acquire)->live)
         writer.table->consumed.fetch_add(writer.pending,
                                          std::memory_order_relaxed);
     writer.pending = 0;
+    arena_.flushCache(writer.cache);
     poly_.deregisterThread(token);
 }
 
 void
 Shard::finishWrite(polytm::ThreadToken &token, const SlotImage &pre,
-                   const std::vector<std::uint64_t> &reclaim)
+                   bool deleted)
 {
-    for (const std::uint64_t ref : reclaim)
-        retireBlob(ref);
-    if (pre.state == kEmpty)
+    // The displacing transaction committed: a pinned reader may still
+    // be copying the handles, so they retire rather than recycle.
+    for (const std::uint64_t ref : writerOf(token).displaced)
+        retireValue(token, ref);
+    if (deleted) {
+        if (!stateIsValue(pre.state))
+            return;
+        // Deletes drive maintenance like every other write — a
+        // del-only phase must still reclaim its retired blobs (and
+        // move an in-flight migration).
+        noteTombstones(1);
+    } else if (pre.state == kEmpty) {
         noteInserted(token);
-    else if (pre.state == kTombstone)
+    } else if (pre.state == kTombstone) {
         noteTombstones(-1); // insert reused a tombstone
+    }
     maintainTick(token);
 }
 
@@ -1518,7 +1500,7 @@ Shard::migrateChunk(polytm::ThreadToken &token)
                 return;
     });
     for (const std::uint64_t ref : reclaim)
-        retireBlob(ref); // a doomed scan may still hold the handles
+        retireValue(token, ref); // a doomed scan may still hold them
     if (consumed_live > 0)
         noteConsumed(consumed_live);
     if (stalled) {
@@ -1625,7 +1607,7 @@ Shard::sweepChunk(polytm::ThreadToken &token)
         }
     });
     for (const std::uint64_t ref : reclaim)
-        retireBlob(ref);
+        retireValue(token, ref);
     trace(obs::TraceKind::kSweepChunk, begin / chunk, expired_count);
     if (expired_count > 0) {
         live.tombstones.fetch_add(
@@ -1661,8 +1643,7 @@ Shard::maintainTick(polytm::ThreadToken &token)
         }
         return;
     }
-    const std::uint64_t ticks =
-        writers_[static_cast<std::size_t>(token.tid)].ticks++;
+    const std::uint64_t ticks = writerOf(token).ticks++;
     if (ttlSeen_.load(std::memory_order_relaxed) && (ticks & 63) == 0)
         sweepChunk(token);
     // Recycle retired blobs whose reader epochs have quiesced. The

@@ -41,16 +41,30 @@
  * failure once growth is capped (ShardOptions::maxLog2Slots) AND the
  * table is full; otherwise callers grow-and-retry via tryGrow().
  *
+ * Writers. The shard owns the single-key write path (put, putBytes,
+ * putRef, del) and each writer's private state: a line-aligned record
+ * per tid holding the writer's maintenance tick, its held-back
+ * new-slot count, its displaced-handle scratch list and its
+ * ValueArena::Cache (magazines, slab and limbo). Only the thread
+ * holding the tid touches the record, so a write touches no shared
+ * bookkeeping line in steady state. KvStore's single-key writes and
+ * WAL replay call the same write loop; composites (multiOp, batches)
+ * run the *Tx primitives themselves but stage, unstage and retire
+ * their values through the same records (stageValue, unstageValue,
+ * retireValue). deregisterWorker hands a leaving writer's state back
+ * to the shard.
+ *
  * Values. A slot's value word is state-tagged: kFull means a raw
  * 64-bit value (numeric API, kAdd arithmetic); kFullRef means a
  * ValueRef — inline small bytes or a blob handle into the shard's
  * ValueArena (see value_arena.hpp). Numeric reads of byte values
  * decode the leading 8 bytes; byte reads of numeric values return the
- * 8 raw bytes. Blob allocation happens outside transactions; displaced
- * blob handles are pushed onto caller-provided reclaim lists and
- * *retired* (not freed) after the displacing transaction committed:
- * the arena recycles them only once every reader-epoch section that
- * could hold the handle has ended (readerEpochs_). Every blob
+ * 8 raw bytes. Blob allocation happens outside transactions
+ * (stageValue); displaced blob handles are pushed onto reclaim lists
+ * and *retired* (not freed) into the writer's limbo after the
+ * displacing transaction committed: the arena recycles them only once
+ * every reader-epoch section that could hold the handle has ended
+ * (readerEpochs_). Every blob
  * dereference runs inside such a section, on a handle read through
  * the TM inside it, so a copy-out needs no check (decodeValueTx).
  *
@@ -111,7 +125,6 @@
 #define PROTEUS_KVSTORE_SHARD_HPP
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -327,25 +340,63 @@ class Shard
             static_cast<std::size_t>(token.tid));
         return token;
     }
-    /** Adds the worker's held-back new-slot count (see
-     *  ShardTable::consumed) before giving its tid back. */
+    /**
+     * Give the tid back, after handing the writer record's state back
+     * to the shard: the held-back new-slot count joins the live
+     * table's consumed count (see ShardTable::consumed), and the arena
+     * cache is flushed (magazines to the free lists, slab tail to the
+     * chunk, limbo to the shared limbo that maintenance sweeps).
+     */
     void deregisterWorker(polytm::ThreadToken &token);
 
     /**
      * Whole-op transactions (each runs its own PolyTM transaction).
-     * put()/putBytes() grow-and-retry on a full table and fail only
-     * when growth is capped. ttl_nanos is relative (0 = no expiry).
+     *
+     * The writes run the shard's one single-key write loop: the
+     * transaction, a grow-and-retry on a full table (they fail only
+     * when growth is capped), and the post-commit bookkeeping —
+     * displaced blobs retired into the writer's limbo, the consumed
+     * and tombstone heuristics fed, one maintenance tick. `expiry` is
+     * an absolute nowNanos() deadline (0 = none). A non-null `lsn`
+     * receives a WAL ticket (walTicketTx) drawn inside the write's
+     * transaction: by a put only when it applied, by a del always (a
+     * miss may still have reclaimed an expired slot). putBytes stages
+     * its value (stageValue, which may throw) and publishes it with
+     * putRef; putRef takes a value staged by the same token and
+     * unstages it when the put fails.
      */
     bool get(polytm::ThreadToken &token, std::uint64_t key,
              std::uint64_t *value = nullptr);
     bool put(polytm::ThreadToken &token, std::uint64_t key,
-             std::uint64_t value, std::uint64_t ttl_nanos = 0);
-    bool del(polytm::ThreadToken &token, std::uint64_t key);
+             std::uint64_t value, std::uint64_t expiry = 0,
+             std::uint64_t *lsn = nullptr);
     bool putBytes(polytm::ThreadToken &token, std::uint64_t key,
                   const void *data, std::size_t len,
-                  std::uint64_t ttl_nanos = 0);
+                  std::uint64_t expiry = 0, std::uint64_t *lsn = nullptr);
+    bool putRef(polytm::ThreadToken &token, std::uint64_t key,
+                ValueRef staged, std::uint64_t expiry = 0,
+                std::uint64_t *lsn = nullptr);
+    bool del(polytm::ThreadToken &token, std::uint64_t key,
+             std::uint64_t *lsn = nullptr);
     bool getBytes(polytm::ThreadToken &token, std::uint64_t key,
                   std::string *out);
+
+    /**
+     * The write side of a byte value's life, on the calling writer's
+     * arena cache. stageValue packs up to kValueRefInlineMax bytes
+     * inline and copies longer values into a fresh blob; call it
+     * outside any transaction. It throws std::bad_alloc when the arena
+     * cannot grow and std::length_error above
+     * ValueArena::kMaxBlobBytes, in both cases with nothing allocated.
+     * unstageValue recycles a staged value that no committed slot word
+     * ever named (a failed write's). retireValue defers a displaced
+     * value (one a committed slot word named) until every reader
+     * section that could hold it has ended. Both ignore inline values.
+     */
+    ValueRef stageValue(polytm::ThreadToken &token, const void *data,
+                        std::size_t len);
+    void unstageValue(polytm::ThreadToken &token, ValueRef staged);
+    void retireValue(polytm::ThreadToken &token, ValueRef displaced);
 
     /**
      * Collect up to `limit` live entries starting from key's home slot
@@ -406,20 +457,6 @@ class Shard
                        std::uint64_t *value, const ReadView &view);
     bool snapshotGetBytesTx(polytm::Tx &tx, std::uint64_t key,
                             std::string *out, const ReadView &view);
-    /**
-     * getTx that first makes the slot writable — waiting out / folding
-     * any foreign intent exactly like the write primitives do — so the
-     * returned value is the one a subsequent write in this same
-     * transaction builds on. Required for reads inside writing
-     * composites: a plain getTx may return the pre-image of a
-     * still-PENDING foreign commit that a following putTx then folds,
-     * and the commit flip between the two is a plain store the TM does
-     * not track, so the transaction would commit both answers.
-     */
-    bool getForUpdateTx(polytm::Tx &tx, std::uint64_t key,
-                        std::uint64_t *value);
-    bool getBytesForUpdateTx(polytm::Tx &tx, std::uint64_t key,
-                             std::string *out);
     /** Store a raw 64-bit value (state kFull). False on a full table. */
     bool putTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t value,
                std::uint64_t expiry = 0, SlotImage *pre = nullptr,
@@ -491,7 +528,18 @@ class Shard
                       std::int64_t delta, bool *applied,
                       std::vector<std::uint64_t> *reclaim = nullptr,
                       SlotImage *post = nullptr);
-    /** Read that sees this commit's own intents (read-your-writes). */
+    /**
+     * Reads inside a writing composite. They first make the slot
+     * writable — waiting out / folding any foreign intent exactly like
+     * the write primitives do — so the returned value is the one a
+     * later write in the same transaction builds on: a plain getTx may
+     * return the pre-image of a still-PENDING foreign commit that a
+     * following putTx then folds, and the commit flip between the two
+     * is a plain store the TM does not track, so the transaction would
+     * commit both answers. With a `record` (a 2PC prepare) they also
+     * see that commit's own intents (read-your-writes); a single-shard
+     * composite passes nullptr.
+     */
     bool prepareGetTx(polytm::Tx &tx, CommitRecord *record,
                       std::uint64_t key, std::uint64_t *value);
     bool prepareGetBytesTx(polytm::Tx &tx, CommitRecord *record,
@@ -551,25 +599,6 @@ class Shard
      *  the compaction-vs-grow decision; drift is tolerated. */
     void noteTombstones(std::int64_t delta);
 
-    /**
-     * Post-commit bookkeeping shared by every direct put path (the
-     * Shard wrappers and KvStore's single-key ones): free the
-     * displaced blob handles, feed the consumed-slot heuristic
-     * (batched per writer, see ShardTable::consumed), run a
-     * maintenance tick. Call only after the put's transaction
-     * committed.
-     */
-    void finishWrite(polytm::ThreadToken &token, const SlotImage &pre,
-                     const std::vector<std::uint64_t> &reclaim);
-    /** finishWrite for callers that route displaced handles through
-     *  their own retire batching (KvStore session backlogs). */
-    void
-    finishWrite(polytm::ThreadToken &token, const SlotImage &pre)
-    {
-        static const std::vector<std::uint64_t> kNone;
-        finishWrite(token, pre, kNone);
-    }
-
     /** Record that TTL'd values exist (enables the sweep); called by
      *  layers that drive the *Tx primitives directly. */
     void noteTtlUsed() { ttlSeen_.store(true, std::memory_order_relaxed); }
@@ -586,16 +615,10 @@ class Shard
      *  read opens one at the blob (decodeValueTx). */
     EpochDomain &readerEpochs() { return readerEpochs_; }
 
-    /** Defer-recycle a displaced blob handle once its displacing
-     *  transaction committed: parks it in the arena limbo (recycled
-     *  by maintenance once every reader-epoch section that could
-     *  hold it has ended). */
-    void retireBlob(ValueRef ref) { arena_.retireBlob(ref); }
-
     /** Current live-table slot count (grows over the shard's life). */
     std::size_t capacity() const;
     bool migrationActive() const;
-    /** Step in which finishWrite adds a writer's inserts to a
+    /** Step in which a writer adds its inserts to a
      *  `slots`-slot table's consumed count. */
     static std::size_t
     consumedStep(std::size_t slots)
@@ -724,9 +747,24 @@ class Shard
     std::size_t probe(polytm::Tx &tx, ShardTable &table,
                       std::uint64_t key, bool *found);
 
-    /** finishWrite's insert bookkeeping: counts one new slot in the
-     *  caller's writer record, adding the record's count to the live
-     *  table's consumed once it reaches consumedStep(). */
+    /** The single-key put loop behind put/putRef (see put()). */
+    bool putLoop(polytm::ThreadToken &token, std::uint64_t key,
+                 std::uint64_t state, std::uint64_t value,
+                 std::uint64_t expiry, std::uint64_t *lsn);
+
+    /**
+     * Post-commit bookkeeping of a single-key write: retire the
+     * writer's displaced handles, feed the heuristics — a put's insert
+     * into an empty slot (noteInserted) or a reused tombstone, a del's
+     * new tombstone — and run a maintenance tick. A del that found no
+     * value wrote nothing and ticks nothing.
+     */
+    void finishWrite(polytm::ThreadToken &token, const SlotImage &pre,
+                     bool deleted);
+
+    /** Insert bookkeeping: counts one new slot in the caller's writer
+     *  record, adding the record's count to the live table's consumed
+     *  once it reaches consumedStep(). */
     void noteInserted(polytm::ThreadToken &token);
 
     /** Resync the live table's heuristic tombstone count from its
@@ -824,6 +862,14 @@ class Shard
     bool decodeValueTx(polytm::Tx &tx, ShardTable &table,
                        std::size_t slot, LiveValue live,
                        const ReadView &view, Decode &&decode);
+    /** Decode a (state, value word) pair that holds a value: a kFull
+     *  word, an inline ValueRef or a blob's payload (numeric: the
+     *  leading 8 bytes, zero-padded; bytes: a kFull word's 8 raw
+     *  bytes). A blob needs the caller's pin, or a blob no committed
+     *  slot word names yet (a composite's own staged value). */
+    std::uint64_t numericOf(std::uint64_t state, std::uint64_t value) const;
+    void bytesOf(std::uint64_t state, std::uint64_t value,
+                 std::string *out) const;
     /** Numeric view of a resolved slot (see decodeValueTx). */
     bool numericValueTx(polytm::Tx &tx, ShardTable &table,
                         std::size_t slot, LiveValue live,
@@ -885,9 +931,13 @@ class Shard
     EpochDomain readerEpochs_{static_cast<std::size_t>(tm::kMaxThreads)};
 
     /**
-     * One writer's bookkeeping, on its own line, read and written only
-     * by the thread holding the tid (PolyTM's admin mutex orders a
-     * tid's hand-over to its next holder).
+     * One writer's private state (see the file comment), on its own
+     * lines, read and written only by the thread holding the tid
+     * (PolyTM's admin mutex orders a tid's hand-over to its next
+     * holder). One per tid, allocated and zeroed at construction, so
+     * the write path allocates no record; ~4.4 KiB each, so the
+     * records live outside the shard object, which stays small enough
+     * to build on a stack.
      */
     struct alignas(kCacheLineSize) WriterRecord
     {
@@ -896,8 +946,18 @@ class Shard
         /** Inserts into `table` not yet added to its consumed count. */
         std::size_t pending = 0;
         ShardTable *table = nullptr;
+        /** Displaced handles of the writer's current single-key write
+         *  (reused, so overwriting a blob allocates nothing). */
+        std::vector<std::uint64_t> displaced;
+        ValueArena::Cache cache;
     };
-    std::array<WriterRecord, tm::kMaxThreads> writers_{};
+    const std::unique_ptr<WriterRecord[]> writers_;
+
+    WriterRecord &
+    writerOf(const polytm::ThreadToken &token)
+    {
+        return writers_[static_cast<std::size_t>(token.tid)];
+    }
 
     /** TM-visible: holds the current TableEpoch*. Every transaction
      *  reads it, so epoch changes conflict with all straddlers. */

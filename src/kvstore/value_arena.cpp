@@ -105,7 +105,7 @@ ValueArena::releaseSlabLocked(Cache &cache)
 }
 
 std::atomic<std::uint64_t> *
-ValueArena::carve(std::size_t words, Cache *cache, Stripe &st)
+ValueArena::carve(std::size_t words, Cache &cache, Stripe &st)
 {
     // Allocation-failure injection: surfaces as the bad_alloc a real
     // exhausted arena would throw, so the write paths' kNoMemory
@@ -114,20 +114,19 @@ ValueArena::carve(std::size_t words, Cache *cache, Stripe &st)
     if (fpCarve.fire())
         throw std::bad_alloc{};
     std::atomic<std::uint64_t> *blob = nullptr;
-    if (cache != nullptr &&
-        words * sizeof(std::uint64_t) <= Cache::kSlabMaxBlobBytes) {
-        if (static_cast<std::size_t>(cache->slabEnd_ - cache->slabNext_) <
+    if (words * sizeof(std::uint64_t) <= Cache::kSlabMaxBlobBytes) {
+        if (static_cast<std::size_t>(cache.slabEnd_ - cache.slabNext_) <
             words) {
             // Return the tail first: when nothing was carved after
             // this slab, the next one continues it and strands nothing.
             std::unique_lock<std::mutex> lk = lockCarve();
-            releaseSlabLocked(*cache);
+            releaseSlabLocked(cache);
             std::size_t got = 0;
-            cache->slabNext_ = takeLocked(words, kSlabWords, &got);
-            cache->slabEnd_ = cache->slabNext_ + got;
+            cache.slabNext_ = takeLocked(words, kSlabWords, &got);
+            cache.slabEnd_ = cache.slabNext_ + got;
         }
-        blob = cache->slabNext_;
-        cache->slabNext_ += words;
+        blob = cache.slabNext_;
+        cache.slabNext_ += words;
     } else {
         std::unique_lock<std::mutex> lk = lockCarve();
         std::size_t got = 0;
@@ -207,43 +206,37 @@ ValueArena::publish(std::atomic<std::uint64_t> *blob,
 }
 
 ValueRef
-ValueArena::allocBlob(const void *data, std::size_t len, Cache *cache)
+ValueArena::allocBlob(const void *data, std::size_t len, Cache &cache)
 {
     const std::size_t cls = classOf(len);
     const std::size_t cap_bytes = classCapacity(cls);
     Stripe &st = stripe();
     st.allocs.fetch_add(1, std::memory_order_relaxed);
 
+    Cache::ClassCache &cc = cache.classes_[cls];
     std::atomic<std::uint64_t> *blob = nullptr;
-    if (cache != nullptr && cache->classes_[cls].count > 0) {
-        blob = cache->classes_[cls].blobs[--cache->classes_[cls].count];
+    if (cc.count > 0) {
+        blob = cc.blobs[--cc.count];
         st.magazineHits.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (blob == nullptr) {
-        blob = popFree(cls);
-        if (blob != nullptr) {
-            st.globalHits.fetch_add(1, std::memory_order_relaxed);
-            if (cache != nullptr) {
-                // Batch-refill half a magazine so the next allocs of
-                // this class stay off the shared list entirely.
-                auto &cc = cache->classes_[cls];
-                while (cc.count < Cache::kMagazine / 2) {
-                    std::atomic<std::uint64_t> *extra = popFree(cls);
-                    if (extra == nullptr)
-                        break;
-                    cc.blobs[cc.count++] = extra;
-                }
-            }
+    } else if ((blob = popFree(cls)) != nullptr) {
+        st.globalHits.fetch_add(1, std::memory_order_relaxed);
+        // Batch-refill half a magazine so the next allocs of this
+        // class stay off the shared list entirely.
+        while (cc.count < Cache::kMagazine / 2) {
+            std::atomic<std::uint64_t> *extra = popFree(cls);
+            if (extra == nullptr)
+                break;
+            cc.blobs[cc.count++] = extra;
         }
-    }
-    if (blob == nullptr)
+    } else {
         blob = carve(wordsFor(cap_bytes), cache, st);
+    }
     st.bytesLive.fetch_add(cap_bytes, std::memory_order_relaxed);
     return publish(blob, cap_bytes, data, len);
 }
 
 void
-ValueArena::freeBlob(ValueRef ref, Cache *cache)
+ValueArena::freeBlob(ValueRef ref, Cache &cache)
 {
     if (!valueRefIsBlob(ref))
         return;
@@ -255,63 +248,36 @@ ValueArena::freeBlob(ValueRef ref, Cache *cache)
 
 void
 ValueArena::stash(std::size_t cls, std::atomic<std::uint64_t> *blob,
-                  Cache *cache)
+                  Cache &cache)
 {
-    if (cache != nullptr &&
-        cache->classes_[cls].count < Cache::kMagazine) {
-        cache->classes_[cls].blobs[cache->classes_[cls].count++] = blob;
+    Cache::ClassCache &cc = cache.classes_[cls];
+    if (cc.count < Cache::kMagazine) {
+        cc.blobs[cc.count++] = blob;
         return;
     }
     pushFree(cls, blob);
 }
 
 void
-ValueArena::retireBlobs(const ValueRef *refs, std::size_t count)
-{
-    std::size_t blobs = 0;
-    std::size_t bytes = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (valueRefIsBlob(refs[i])) {
-            ++blobs;
-            bytes += capBytesOf(blobOf(refs[i]));
-        }
-    }
-    if (blobs == 0)
-        return;
-    Stripe &st = stripe();
-    st.bytesLive.fetch_sub(bytes, std::memory_order_relaxed);
-    st.retired.fetch_add(blobs, std::memory_order_relaxed);
-    trace(obs::TraceKind::kArenaRetire, blobs, bytes);
-    std::lock_guard<std::mutex> lk(limboMutex_);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (valueRefIsBlob(refs[i]))
-            pending_.push_back(blobOf(refs[i]));
-    }
-    limboCount_.store(pending_.size() + limbo_.size(),
-                      std::memory_order_relaxed);
-}
-
-void
-ValueArena::retireOwned(ValueRef ref, OwnerLimbo &limbo,
-                        EpochDomain &readers, Cache *cache)
+ValueArena::retire(ValueRef ref, Cache &cache, EpochDomain &readers)
 {
     if (!valueRefIsBlob(ref))
         return;
     std::atomic<std::uint64_t> *blob = blobOf(ref);
-    // Account once, here (the shared-limbo spill must NOT repeat it).
+    // Account once, here (a spill to the shared limbo must NOT repeat
+    // it).
     Stripe &st = stripe();
     st.bytesLive.fetch_sub(capBytesOf(blob), std::memory_order_relaxed);
     st.retired.fetch_add(1, std::memory_order_relaxed);
-    limbo.entries_.push_back({blob, 0});
-    if (limbo.entries_.size() >= OwnerLimbo::kDrainThreshold)
-        drainOwned(limbo, readers, cache);
+    cache.limbo_.push_back({blob, 0});
+    if (cache.limbo_.size() >= Cache::kDrainThreshold)
+        drain(cache, readers);
 }
 
 void
-ValueArena::drainOwned(OwnerLimbo &limbo, EpochDomain &readers,
-                       Cache *cache)
+ValueArena::drain(Cache &cache, EpochDomain &readers)
 {
-    if (limbo.entries_.empty())
+    if (cache.limbo_.empty())
         return;
     // One epoch fence stamps the whole unstamped batch. advance() is
     // an RMW, so it reads the epoch's modification-order tail — the
@@ -319,7 +285,7 @@ ValueArena::drainOwned(OwnerLimbo &limbo, EpochDomain &readers,
     // before this point, which is exactly the guarantee the ripeness
     // test below leans on (see reclaim()).
     const std::uint64_t tag = readers.advance();
-    for (OwnerLimbo::Entry &entry : limbo.entries_) {
+    for (Cache::LimboEntry &entry : cache.limbo_) {
         if (entry.epoch == 0)
             entry.epoch = tag;
     }
@@ -327,51 +293,53 @@ ValueArena::drainOwned(OwnerLimbo &limbo, EpochDomain &readers,
     std::size_t bytes = 0;
     std::size_t kept = 0;
     std::size_t freed = 0;
-    for (OwnerLimbo::Entry &entry : limbo.entries_) {
+    for (Cache::LimboEntry &entry : cache.limbo_) {
         if (entry.epoch < min_active) {
-            bytes += capBytesOf(entry.blob);
+            // No reader can reach the blob any more: the minActive()
+            // scan that ripened it read every section's exit, which
+            // orders the readers' payload loads before the stores of
+            // its next owner.
+            const std::size_t cap_bytes = capBytesOf(entry.blob);
+            bytes += cap_bytes;
             ++freed;
-            recycle(entry.blob, cache);
+            stash(classOf(cap_bytes), entry.blob, cache);
         } else {
-            limbo.entries_[kept++] = entry;
+            cache.limbo_[kept++] = entry;
         }
     }
-    limbo.entries_.resize(kept);
-    if (freed > 0)
+    cache.limbo_.resize(kept);
+    if (freed > 0) {
+        stripe().recycled.fetch_add(freed, std::memory_order_relaxed);
         trace(obs::TraceKind::kArenaRecycle, freed, bytes);
-    // Pathological pinning (a reader parked in a section for the
-    // owner's whole write burst): bound the ring by handing the
-    // backlog to the shared limbo, whose sweeper retries on its own
-    // cadence. Accounting already happened at retireOwned.
-    if (limbo.entries_.size() >= OwnerLimbo::kCapacity)
-        spillOwned(limbo);
-}
-
-void
-ValueArena::spillOwned(OwnerLimbo &limbo)
-{
-    if (limbo.entries_.empty())
-        return;
-    std::lock_guard<std::mutex> lk(limboMutex_);
-    for (const OwnerLimbo::Entry &entry : limbo.entries_) {
-        // Into pending_ (unstamped) even when the entry already
-        // carries a tag: the next shared sweep re-stamps with a newer
-        // — strictly more conservative — fence.
-        pending_.push_back(entry.blob);
     }
-    limbo.entries_.clear();
-    limboCount_.store(pending_.size() + limbo_.size(),
-                      std::memory_order_relaxed);
+    // Pathological pinning (a reader parked in a section for the
+    // owner's whole write burst): bound the limbo by handing the
+    // backlog to the shared limbo, whose sweeper retries on its own
+    // cadence. Accounting already happened at retire.
+    if (cache.limbo_.size() >= Cache::kLimboCapacity)
+        spill(cache);
 }
 
 void
-ValueArena::recycle(std::atomic<std::uint64_t> *blob, Cache *cache)
+ValueArena::spill(Cache &cache)
 {
-    // No reader can reach the blob any more: the minActive() scan
-    // that ripened it read every section's exit, which orders the
-    // readers' payload loads before the stores of its next owner.
-    stripe().recycled.fetch_add(1, std::memory_order_relaxed);
-    stash(classOf(capBytesOf(blob)), blob, cache);
+    if (cache.limbo_.empty())
+        return;
+    std::size_t bytes = 0;
+    {
+        std::lock_guard<std::mutex> lk(limboMutex_);
+        for (const Cache::LimboEntry &entry : cache.limbo_) {
+            // Into pending_ (unstamped) even when the entry already
+            // carries a tag: the next shared sweep re-stamps with a
+            // newer — strictly more conservative — fence.
+            pending_.push_back(entry.blob);
+            bytes += capBytesOf(entry.blob);
+        }
+        limboCount_.store(pending_.size() + limbo_.size(),
+                          std::memory_order_relaxed);
+    }
+    trace(obs::TraceKind::kArenaSpill, cache.limbo_.size(), bytes);
+    cache.limbo_.clear();
 }
 
 void
@@ -380,7 +348,7 @@ ValueArena::reclaim(EpochDomain &readers)
     if (limboCount_.load(std::memory_order_relaxed) == 0)
         return;
     // Move ripe entries out under the lock, recycle them outside it.
-    std::vector<LimboEntry> ripe;
+    std::vector<Cache::LimboEntry> ripe;
     {
         std::lock_guard<std::mutex> lk(limboMutex_);
         // Stamp the pending batch. The fence MUST come after the
@@ -409,17 +377,22 @@ ValueArena::reclaim(EpochDomain &readers)
         limboCount_.store(limbo_.size(), std::memory_order_relaxed);
     }
     std::size_t bytes = 0;
-    for (const LimboEntry &entry : ripe) {
-        bytes += capBytesOf(entry.blob);
-        recycle(entry.blob, nullptr);
+    for (const Cache::LimboEntry &entry : ripe) {
+        // Ripe: no reader can reach it any more (see drain()).
+        const std::size_t cap_bytes = capBytesOf(entry.blob);
+        bytes += cap_bytes;
+        pushFree(classOf(cap_bytes), entry.blob);
     }
-    if (!ripe.empty())
+    if (!ripe.empty()) {
+        stripe().recycled.fetch_add(ripe.size(), std::memory_order_relaxed);
         trace(obs::TraceKind::kArenaRecycle, ripe.size(), bytes);
+    }
 }
 
 void
 ValueArena::flushCache(Cache &cache)
 {
+    spill(cache);
     for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
         auto &cc = cache.classes_[cls];
         while (cc.count > 0)

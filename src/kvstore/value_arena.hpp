@@ -30,25 +30,28 @@
  * Allocation keeps writers off each other's cache lines, the way a
  * jemalloc tcache fronts its arena. Each size class has a lock-free
  * global free list (Treiber stack, ABA-tagged head, the next pointer
- * lives in the dead payload's first word), and sessions carry a Cache:
- * a bounded per-class magazine refilled in batches from the global
- * list, plus a private slab. A growing store has nothing to recycle,
- * so every insert needs a fresh blob; a session bump-allocates blobs
- * of up to kSlabMaxBlobBytes from its slab and takes the carve mutex
- * only to carve the next kSlabBytes from the newest chunk (larger
- * blobs, and callers without a Cache, carve under it each time).
- * Blobs of two sessions therefore never share a line, except where
- * their slabs meet. The per-operation counters sit in per-thread,
- * line-padded stripes that stats() and bytesLive() sum. Freeing splits
- * by reachability:
+ * lives in the dead payload's first word), and every allocation and
+ * free goes through a writer's Cache: a bounded per-class magazine
+ * refilled in batches from the global list, a private slab, and a
+ * limbo of the writer's retired blobs. One Cache per writer per shard
+ * lives in the shard's record for that writer (see Shard). A growing
+ * store has nothing to recycle, so every insert needs a fresh blob; a
+ * writer bump-allocates blobs of up to kSlabMaxBlobBytes from its slab
+ * and takes the carve mutex only to carve the next kSlabBytes from the
+ * newest chunk (larger blobs carve under it each time). Blobs of two
+ * writers therefore never share a line, except where their slabs meet.
+ * The per-operation counters sit in per-thread, line-padded stripes
+ * that stats() and bytesLive() sum. Freeing splits by reachability:
  *
  *  - freeBlob(): immediate recycle, legal ONLY for blobs whose handle
  *    was never reachable through a committed slot word (staged blobs
- *    of a failed multiOp, capped-store put failures);
- *  - retireBlob(): deferred recycle for displaced handles — the blob
- *    parks in a limbo list tagged with a reader epoch and is moved to
- *    the free lists by reclaim() once every reader section that could
- *    hold the handle has ended.
+ *    of a failed write);
+ *  - retire(): deferred recycle for displaced handles. The blob parks
+ *    in the writer's own limbo, which the writer drains itself once
+ *    every reader section that could hold the handle has ended; what
+ *    it cannot drain (a reader parked in a section, or the writer
+ *    leaving) spills to the arena's shared limbo, which reclaim()
+ *    sweeps on the shard's maintenance cadence.
  *
  * Memory is never returned to the OS while the arena lives: chunks are
  * only released on destruction, so a stale handle (a read-ahead peek)
@@ -178,13 +181,14 @@ class ValueArena
     }
 
     /**
-     * Per-session allocation cache: a free-blob magazine (one bounded
-     * stack per size class) and a private slab that fresh blobs are
-     * bump-allocated from. Pass to allocBlob/freeBlob on session-owned
-     * paths; the cache absorbs the alloc/free traffic of one thread
-     * without touching shared state. Must be flushed back (flushCache)
-     * before its owner forgets it, or the cached capacity leaks until
-     * arena destruction.
+     * One writer's allocation state: a free-blob magazine (one bounded
+     * stack per size class), a private slab that fresh blobs are
+     * bump-allocated from, and a limbo of the writer's retired blobs.
+     * Only its owner touches it, so the alloc/free/retire traffic of
+     * one writer touches no shared state in steady state. Must be
+     * flushed back (flushCache) before its owner forgets it, or the
+     * cached capacity and the parked blobs leak until arena
+     * destruction.
      */
     class Cache
     {
@@ -200,6 +204,13 @@ class ValueArena
          * sixteenth of a slab.
          */
         static constexpr std::size_t kSlabMaxBlobBytes = kSlabBytes / 16;
+        /** Retired blobs parked before retire() attempts a drain. */
+        static constexpr std::size_t kDrainThreshold = 32;
+        /** Limbo bound; beyond it a drain spills to the shared limbo. */
+        static constexpr std::size_t kLimboCapacity = 256;
+
+        /** Retired blobs parked in this cache's limbo. */
+        std::size_t limboSize() const { return limbo_.size(); }
 
       private:
         friend class ValueArena;
@@ -208,44 +219,23 @@ class ValueArena
             std::atomic<std::uint64_t> *blobs[kMagazine];
             std::uint32_t count = 0;
         };
-        ClassCache classes_[kNumClasses]{};
-        /** Unused part of the slab: fresh blobs come from its front. */
-        std::atomic<std::uint64_t> *slabNext_ = nullptr;
-        std::atomic<std::uint64_t> *slabEnd_ = nullptr;
-    };
-
-    /**
-     * Per-session limbo for owner-driven reclamation. A session that
-     * displaces a blob parks the handle here instead of in the
-     * arena's shared limbo; the SAME session later drains its own
-     * ring once reader quiescence is proven — no limboMutex_, no
-     * shared vector push on the putBytes hot path. Entries are
-     * unstamped (epoch 0) at retire; a drain stamps the batch with
-     * one advance() RMW (the only operation guaranteed to observe the
-     * epoch's modification-order tail — a plain load could read a
-     * value older than a concurrently pinned reader's entry epoch and
-     * recycle under it). Overflow and session close spill to the
-     * shared limbo, so nothing leaks past the owner's lifetime.
-     */
-    class OwnerLimbo
-    {
-      public:
-        /** Buffered retires before the owner attempts a drain. */
-        static constexpr std::size_t kDrainThreshold = 32;
-        /** Hard bound; beyond it a drain spills to the shared limbo. */
-        static constexpr std::size_t kCapacity = 256;
-
-        std::size_t size() const { return entries_.size(); }
-        bool empty() const { return entries_.empty(); }
-
-      private:
-        friend class ValueArena;
-        struct Entry
+        /**
+         * Limbo entries are unstamped (epoch 0) at retire; a drain
+         * stamps the batch with one advance() RMW (the only operation
+         * guaranteed to observe the epoch's modification-order tail —
+         * a plain load could read a value older than a concurrently
+         * pinned reader's entry epoch and recycle under it).
+         */
+        struct LimboEntry
         {
             std::atomic<std::uint64_t> *blob;
             std::uint64_t epoch; //!< 0 until a drain stamps it
         };
-        std::vector<Entry> entries_;
+        ClassCache classes_[kNumClasses]{};
+        /** Unused part of the slab: fresh blobs come from its front. */
+        std::atomic<std::uint64_t> *slabNext_ = nullptr;
+        std::atomic<std::uint64_t> *slabEnd_ = nullptr;
+        std::vector<LimboEntry> limbo_;
     };
 
     /** Contention/throughput telemetry (monotonic, relaxed). */
@@ -269,78 +259,59 @@ class ValueArena
     ValueArena &operator=(const ValueArena &) = delete;
 
     /**
-     * Allocate a blob, copy `len` bytes into it and return its handle.
-     * Call *outside* any transaction (allocation is a side effect a
-     * retried transaction body must not repeat); publish the handle in
-     * a slot's value word transactionally afterwards.
+     * Allocate a blob from `cache` (magazine, then the global list,
+     * then a fresh carve), copy `len` bytes into it and return its
+     * handle. Call *outside* any transaction (allocation is a side
+     * effect a retried transaction body must not repeat); publish the
+     * handle in a slot's value word transactionally afterwards.
      */
-    ValueRef allocBlob(const void *data, std::size_t len,
-                       Cache *cache = nullptr);
+    ValueRef allocBlob(const void *data, std::size_t len, Cache &cache);
 
     /**
      * Immediately recycle a blob whose handle was NEVER reachable
-     * through a committed slot word (a failed multiOp's staged blobs,
-     * a capped-store put that could not publish). Published handles
-     * must go through retireBlob instead — a pinned reader may still
-     * be copying them. Inline refs are ignored, so callers can pass
-     * any kFullRef word.
+     * through a committed slot word (a failed write's staged blob).
+     * Published handles must go through retire instead — a pinned
+     * reader may still be copying them. Inline refs are ignored, so
+     * callers can pass any kFullRef word.
      */
-    void freeBlob(ValueRef ref, Cache *cache = nullptr);
+    void freeBlob(ValueRef ref, Cache &cache);
 
     /**
-     * Defer-recycle a displaced blob: parks it on the pending limbo
-     * list (one uncontended lock, no epoch traffic). A later
-     * reclaim() recycles it once every reader section that could
-     * hold the handle has ended. Inline refs are ignored. The batch
-     * form takes the lock once for the whole span — sessions buffer
-     * their displaced handles and flush them through it.
-     */
-    void retireBlob(ValueRef ref) { retireBlobs(&ref, 1); }
-    void retireBlobs(const ValueRef *refs, std::size_t count);
-
-    /**
-     * Owner-driven variant of retireBlob: park the displaced handle
-     * on the caller's own limbo (no shared state). At
-     * OwnerLimbo::kDrainThreshold the call drains the ring in place —
-     * ripe blobs go straight into the caller's magazine (then the
-     * global free lists), so displace-churn recycles its own garbage.
+     * Defer-recycle a displaced blob once its displacing transaction
+     * committed: park it in `cache`'s limbo (no shared state). At
+     * Cache::kDrainThreshold the call drains the limbo in place, so
+     * displace churn recycles its own garbage into its own magazine.
      * Inline refs are ignored.
      */
-    void retireOwned(ValueRef ref, OwnerLimbo &limbo,
-                     EpochDomain &readers, Cache *cache = nullptr);
+    void retire(ValueRef ref, Cache &cache, EpochDomain &readers);
 
     /**
-     * Stamp + sweep the owner limbo: one advance() RMW tags every
+     * Stamp + sweep `cache`'s limbo: one advance() RMW tags every
      * unstamped entry, then entries older than the oldest active
-     * reader section recycle into `cache`/the free lists. Entries
-     * still pinned stay; if the ring exceeds kCapacity anyway, the
-     * overflow spills to the shared limbo for the shard sweeper.
+     * reader section recycle into the magazine (then the free lists).
+     * Entries still pinned stay; if the limbo exceeds
+     * Cache::kLimboCapacity anyway, it spills to the shared limbo.
      */
-    void drainOwned(OwnerLimbo &limbo, EpochDomain &readers,
-                    Cache *cache = nullptr);
+    void drain(Cache &cache, EpochDomain &readers);
 
     /**
-     * Hand every parked entry to the shared limbo (session close /
-     * destruction; quiescence is NOT required). Cheap no-op when
-     * empty.
-     */
-    void spillOwned(OwnerLimbo &limbo);
-
-    /**
-     * Reclaim sweep against the shard's reader-epoch domain: captures
-     * the pending batch under the limbo lock, THEN takes the domain's
-     * epoch fence (ordering matters — a retire that lands after the
-     * capture waits for the next sweep instead of being stamped with
-     * a tag older than a reader that can still hold it), and recycles
-     * every stamped blob whose tag predates the oldest active reader
-     * section. Cheap no-op when the limbo is empty.
+     * Reclaim sweep of the shared limbo against the shard's
+     * reader-epoch domain: captures the pending batch under the limbo
+     * lock, THEN takes the domain's epoch fence (ordering matters — a
+     * spill that lands after the capture waits for the next sweep
+     * instead of being stamped with a tag older than a reader that can
+     * still hold it), and recycles every stamped blob whose tag
+     * predates the oldest active reader section. Cheap no-op when the
+     * limbo is empty.
      */
     void reclaim(EpochDomain &readers);
 
     /**
-     * Spill a session magazine back to the global free lists and give
-     * up its slab. An unused slab tail that still ends the newest
-     * chunk goes back to the chunk, so the next carve starts there.
+     * Give a cache back: its magazines go to the global free lists,
+     * its limbo to the shared limbo (quiescence is NOT required), and
+     * its slab is dropped. An unused slab tail that still ends the
+     * newest chunk goes back to the chunk, so the next carve starts
+     * there.
      */
     void flushCache(Cache &cache);
 
@@ -382,7 +353,8 @@ class ValueArena
      */
     std::size_t bytesLive() const;
 
-    /** Blobs parked in limbo awaiting reader-epoch quiescence. */
+    /** Blobs in the shared limbo awaiting reader-epoch quiescence
+     *  (writers' own limbos are not counted; see Cache). */
     std::size_t limboCount() const
     {
         return limboCount_.load(std::memory_order_relaxed);
@@ -442,11 +414,6 @@ class ValueArena
         std::size_t used = 0;
     };
 
-    struct LimboEntry
-    {
-        std::atomic<std::uint64_t> *blob;
-        std::uint64_t epoch; //!< stamped by the first sweep after retire
-    };
 
     /**
      * One writer's per-operation counters, alone on a cache line. A
@@ -482,7 +449,7 @@ class ValueArena
 
     /** A fresh `words`-word blob: from the cache's slab when it is
      *  small enough, else straight from the newest chunk. */
-    std::atomic<std::uint64_t> *carve(std::size_t words, Cache *cache,
+    std::atomic<std::uint64_t> *carve(std::size_t words, Cache &cache,
                                       Stripe &st);
     /** Lock mutex_, counting acquisitions that found it held. */
     std::unique_lock<std::mutex> lockCarve();
@@ -508,11 +475,9 @@ class ValueArena
     /** Hand a dead blob of class `cls` to `cache`'s magazine when it
      *  has room, else to the class's global free list. */
     void stash(std::size_t cls, std::atomic<std::uint64_t> *blob,
-               Cache *cache);
-    /** Reuse a retired blob whose reader sections have all ended;
-     *  the owner-drain path passes its cache (the displacer
-     *  re-allocates soon). */
-    void recycle(std::atomic<std::uint64_t> *blob, Cache *cache);
+               Cache &cache);
+    /** Move every limbo entry of `cache` to the shared limbo. */
+    void spill(Cache &cache);
 
     mutable std::mutex mutex_; //!< guards chunk carving only
     std::vector<Chunk> chunks_;
@@ -525,10 +490,10 @@ class ValueArena
     Padded<std::atomic<std::uint64_t>> freeHeads_[kNumClasses];
 
     std::mutex limboMutex_;
-    /** Retired, not yet epoch-stamped (awaiting the next sweep). */
+    /** Spilled, not yet epoch-stamped (awaiting the next sweep). */
     std::vector<std::atomic<std::uint64_t> *> pending_;
     /** Epoch-stamped, awaiting reader quiescence. */
-    std::vector<LimboEntry> limbo_;
+    std::vector<Cache::LimboEntry> limbo_;
     std::atomic<std::size_t> limboCount_{0};
 
     Stripe stripes_[kStripes];

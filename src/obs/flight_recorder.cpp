@@ -28,7 +28,7 @@ traceKindName(TraceKind kind)
       case TraceKind::kCompact:          return "shard.compact";
       case TraceKind::kMigrateChunk:     return "shard.migrate_chunk";
       case TraceKind::kSweepChunk:       return "shard.sweep_chunk";
-      case TraceKind::kArenaRetire:      return "arena.retire";
+      case TraceKind::kArenaSpill:       return "arena.spill";
       case TraceKind::kArenaRecycle:     return "arena.recycle";
       case TraceKind::kRetune:           return "tuner.retune";
       case TraceKind::kWalAppend:        return "wal.append";

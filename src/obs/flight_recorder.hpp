@@ -54,7 +54,7 @@ enum class TraceKind : std::uint16_t
     kMigrateChunk,     // a = chunk index, b = entries moved
     kSweepChunk,       // a = chunk index, b = entries expired
     // Value arena reclamation.
-    kArenaRetire,      // a = blobs retired, b = bytes
+    kArenaSpill,       // a = blobs spilled to the shared limbo, b = bytes
     kArenaRecycle,     // a = blobs recycled, b = bytes
     // Auto-tuner decisions.
     kRetune,           // a = (oldConfig << 32) | newConfig, b = KPI bits

@@ -788,6 +788,35 @@ TEST(KvStoreTest, TtlExpiresLazilyAndSweeps)
     store.closeSession(session);
 }
 
+TEST(KvStoreTest, MaximumTtlNeverExpires)
+{
+    // A TTL past the clock's range saturates to "never" instead of
+    // wrapping into a deadline that has already passed.
+    KvStore store(smallStore(2, 8));
+    auto session = store.openSession();
+    constexpr std::uint64_t kForever = ~std::uint64_t{0};
+    ASSERT_TRUE(store.put(session, 1, 100, kForever));
+    const std::string wide(80, 'w');
+    ASSERT_TRUE(
+        store.putBytes(session, 2, wide.data(), wide.size(), kForever));
+    std::vector<KvOp> ops(1);
+    ops[0].kind = KvOp::Kind::kPut;
+    ops[0].key = 3;
+    ops[0].value = 300;
+    ops[0].ttlNanos = kForever;
+    ASSERT_TRUE(store.multiOp(session, ops));
+
+    std::uint64_t value = 0;
+    EXPECT_TRUE(store.get(session, 1, &value)) << "put";
+    EXPECT_EQ(value, 100u);
+    std::string out;
+    EXPECT_TRUE(store.getBytes(session, 2, &out)) << "putBytes";
+    EXPECT_EQ(out, wide);
+    EXPECT_TRUE(store.get(session, 3, &value)) << "multiOp kPut";
+    EXPECT_EQ(value, 300u);
+    store.closeSession(session);
+}
+
 TEST(KvStoreTest, DefaultTtlFromOptionsApplies)
 {
     KvStoreOptions options = smallStore(2, 8);

@@ -5,8 +5,9 @@
  * nor writing multiOps allocate: grouping, the read-ahead, the
  * snapshot-read rounds and the 2PC prepare/finalize passes all reuse
  * session-owned memory. Blob overwrites (single-key putBytes and
- * putBytes inside single-shard and cross-shard multiOps) allocate
- * nothing either: the displaced handles land in a session buffer.
+ * putBytes inside single-shard and cross-shard multiOps, and the
+ * standalone Shard::putBytes) allocate nothing either: the displaced
+ * handles land in a reused buffer.
  */
 
 #include <gtest/gtest.h>
@@ -208,9 +209,10 @@ TEST_F(MultiOpAllocTest, WritingMultiOpsAllocateNothing)
 /**
  * Overwriting a blob value displaces the old blob, and the write path
  * captures its handle for deferred reclamation. The capture buffer is
- * session-owned, so after warm-up a blob overwrite allocates nothing:
- * the new blob comes from the session's magazine and the old one
- * recycles through the session's owner limbo.
+ * writer-owned, so after warm-up a blob overwrite allocates nothing:
+ * the new blob comes from the writer's magazine and the old one
+ * recycles through the writer's limbo (both kept in the shard's record
+ * for the writer's tid).
  */
 class BlobOverwriteAllocTest : public MultiOpAllocTest
 {
@@ -243,6 +245,30 @@ TEST_F(BlobOverwriteAllocTest, PutBytesOverBlobAllocatesNothing)
     };
     allocationsOver(kWarmup, write);
     EXPECT_EQ(allocationsOver(kMeasured, write), 0u);
+    EXPECT_TRUE(all_ok);
+}
+
+TEST_F(BlobOverwriteAllocTest, ShardPutBytesOverBlobAllocatesNothing)
+{
+    // The standalone shard API runs the same write loop on the same
+    // per-writer state: the new blob comes from the writer's magazine,
+    // the displaced one lands in its limbo. (The store runs one thread
+    // per shard, so the shard call borrows the session's token.)
+    Shard &shard = store_->shard(0);
+    const std::vector<std::uint64_t> keys = wideKeysOn(0);
+    ASSERT_FALSE(keys.empty());
+    polytm::ThreadToken &token = session_.token(0);
+    bool all_ok = true;
+    const auto write = [&](int i) {
+        all_ok &= shard.putBytes(token,
+                                 keys[static_cast<std::size_t>(i) %
+                                      keys.size()],
+                                 value_.data(), value_.size());
+    };
+    allocationsOver(kWarmup, write);
+    const std::uint64_t hits = shard.arena().stats().magazineHits;
+    EXPECT_EQ(allocationsOver(kMeasured, write), 0u);
+    EXPECT_GT(shard.arena().stats().magazineHits, hits);
     EXPECT_TRUE(all_ok);
 }
 

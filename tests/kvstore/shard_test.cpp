@@ -1,8 +1,9 @@
 /**
  * Shard unit tests: open-addressing semantics (overwrite, tombstone
  * reuse, full-table behaviour), scans, transactional composition
- * through the *Tx primitives, and the grow trigger's consumed count,
- * which each writer batches in its own record.
+ * through the *Tx primitives, the grow trigger's consumed count,
+ * which each writer batches in its own record, and blob reclamation
+ * through the writers' own caches and limbos.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <string>
 #include <thread>
 
+#include "common/timing.hpp"
 #include "kvstore/shard.hpp"
 
 namespace proteus::kvstore {
@@ -244,8 +246,9 @@ TEST(ShardTest, TtlLazyExpiryAndSweep)
     auto token = shard.registerWorker();
 
     constexpr std::uint64_t kTtl = 30ull * 1000 * 1000; // 30 ms
+    const std::uint64_t deadline = nowNanos() + kTtl;
     for (std::uint64_t key = 0; key < 8; ++key)
-        ASSERT_TRUE(shard.put(token, key, key, kTtl));
+        ASSERT_TRUE(shard.put(token, key, key, deadline));
     ASSERT_TRUE(shard.put(token, 100, 1));
 
     std::uint64_t value = 0;
@@ -418,6 +421,91 @@ TEST(ShardTest, DeregisteringWriterLeavesItsHeldBackInsertsCounted)
     ASSERT_TRUE(shard.put(next, 1, 2)); // overwrite: no new slot
     EXPECT_EQ(shard.growCount(), 1u);
     shard.deregisterWorker(next);
+}
+
+/** A blob payload that names its key: the key's 8 bytes, then one
+ *  fill byte repeated, of a length that varies with the round. */
+std::string
+churnPayload(std::uint64_t key, int round)
+{
+    std::string out(8 + 16 + (key * 7 + static_cast<std::uint64_t>(round)) %
+                                 200,
+                    static_cast<char>('a' + round % 26));
+    std::memcpy(out.data(), &key, sizeof(key));
+    return out;
+}
+
+bool
+holdsChurnPayload(const std::string &bytes, std::uint64_t key)
+{
+    std::uint64_t named = 0;
+    if (bytes.size() < 24)
+        return false;
+    std::memcpy(&named, bytes.data(), sizeof(named));
+    return named == key &&
+           bytes.find_first_not_of(bytes[8], 8) == std::string::npos;
+}
+
+TEST(ShardTest, WritersChurnBlobsWhileAReaderChecksEveryPayload)
+{
+    // Two standalone writers overwrite and delete blob values through
+    // their own records (cache, slab, limbo) while a reader copies
+    // every value it finds: a copy of a blob recycled under it would
+    // name another key or mix two fills. Once every token is given
+    // back, the writers' limbos sit in the shared limbo, and
+    // maintenance recycles all of it.
+    constexpr std::uint64_t kKeys = 64;
+    constexpr int kRounds = 20000;
+    ShardOptions options = tinyShard(8);
+    options.initial.threads = 3;
+    Shard shard(options);
+
+    std::atomic<int> writers_done{0};
+    std::atomic<int> failed_puts{0};
+    std::atomic<bool> torn{false};
+    const auto writer = [&](std::uint64_t me) {
+        auto token = shard.registerWorker();
+        for (int round = 0; round < kRounds; ++round) {
+            const std::uint64_t key =
+                (static_cast<std::uint64_t>(round) * 13 + me * 7) % kKeys;
+            if (round % 5 == 4) {
+                shard.del(token, key);
+                continue;
+            }
+            const std::string value = churnPayload(key, round);
+            if (!shard.putBytes(token, key, value.data(), value.size()))
+                failed_puts.fetch_add(1);
+        }
+        shard.deregisterWorker(token);
+        writers_done.fetch_add(1);
+    };
+    std::thread reader([&] {
+        auto token = shard.registerWorker();
+        std::string out;
+        for (std::uint64_t key = 0; writers_done.load() < 2;
+             key = (key + 1) % kKeys) {
+            if (shard.getBytes(token, key, &out) &&
+                !holdsChurnPayload(out, key))
+                torn.store(true);
+        }
+        shard.deregisterWorker(token);
+    });
+    std::thread first(writer, 0);
+    std::thread second(writer, 1);
+    first.join();
+    second.join();
+    reader.join();
+    EXPECT_EQ(failed_puts.load(), 0);
+    EXPECT_FALSE(torn.load()) << "a read copied a recycled blob";
+
+    auto token = shard.registerWorker();
+    for (int tick = 0; tick < 64 && shard.arena().limboCount() != 0; ++tick)
+        shard.maintainTick(token);
+    EXPECT_EQ(shard.arena().limboCount(), 0u);
+    shard.deregisterWorker(token);
+    const ValueArena::Stats stats = shard.arena().stats();
+    EXPECT_GT(stats.retired, 0u);
+    EXPECT_EQ(stats.recycled, stats.retired);
 }
 
 } // namespace

@@ -9,20 +9,21 @@
  *  2. Copy-out round trips at every class edge.
  *  3. Recycling: a freed blob is reused only within its class, a
  *     recycled blob's next handle differs from its stale one (a new
- *     generation), and an owner-limbo retire waits out a reader
- *     section that opened before it, also after a nested pin joined
- *     and left that section.
+ *     generation), and a retire into a cache's limbo waits out a
+ *     reader section that opened before it, also after a nested pin
+ *     joined and left that section.
  *  4. Accounting: bytesLive() returns to 0 once every blob is gone.
  *  5. A four-thread alloc/free/retire stress over mixed lengths with
- *     pinned readers (for the sanitizer jobs).
+ *     pinned readers, limbos drained by their owners and spilled to
+ *     the shared limbo (for the sanitizer jobs).
  *  6. Chunks: each is one 2 MiB huge page on its own boundary, and the
  *     largest class fits in one.
- *  7. Slabs: each session cache bumps its fresh blobs from a private
- *     slab, so one cache's blobs lie back to back however allocations
- *     through two caches interleave; a flushed slab's unused tail is
- *     the next thing carved; and four threads with their own caches
- *     get disjoint blobs while the per-thread counter stripes sum to
- *     the exact totals.
+ *  7. Slabs: each cache bumps its fresh blobs from a private slab, so
+ *     one cache's blobs lie back to back however allocations through
+ *     two caches interleave; a flushed slab's unused tail is the next
+ *     thing carved; and four threads with their own caches get
+ *     disjoint blobs while the per-thread counter stripes sum to the
+ *     exact totals.
  */
 
 #include <gtest/gtest.h>
@@ -104,8 +105,10 @@ TEST(ValueArenaTest, ClassMapBoundsWasteForEveryLength)
 TEST(ValueArenaTest, OversizedBlobThrowsLengthError)
 {
     Arena arena;
+    Arena::Cache cache;
     const std::string big(Arena::kMaxBlobBytes + 1, 'x');
-    EXPECT_THROW(arena.allocBlob(big.data(), big.size()), std::length_error);
+    EXPECT_THROW(arena.allocBlob(big.data(), big.size(), cache),
+                 std::length_error);
     EXPECT_EQ(arena.bytesLive(), 0u);
     EXPECT_EQ(arena.stats().carves, 0u);
 }
@@ -114,12 +117,13 @@ TEST(ValueArenaTest, ChunkIsOneHugePageThatHoldsTheLargestClass)
 {
     constexpr std::uint64_t kChunkBytes = std::uint64_t{2} << 20;
     Arena arena;
+    Arena::Cache cache;
     const std::string small(40, 's');
-    const ValueRef first = arena.allocBlob(small.data(), small.size());
+    const ValueRef first = arena.allocBlob(small.data(), small.size(), cache);
     EXPECT_EQ(addressOf(first) % kChunkBytes, 0u);
 
     const std::string big(Arena::kMaxBlobBytes, 'b');
-    const ValueRef next = arena.allocBlob(big.data(), big.size());
+    const ValueRef next = arena.allocBlob(big.data(), big.size(), cache);
     // Header (16 B) and payload both inside the first blob's chunk.
     EXPECT_GT(addressOf(next), addressOf(first));
     EXPECT_LE(addressOf(next) + 16 + Arena::kMaxBlobBytes,
@@ -127,13 +131,15 @@ TEST(ValueArenaTest, ChunkIsOneHugePageThatHoldsTheLargestClass)
     std::string out;
     arena.readBlob(next, &out);
     EXPECT_EQ(out, big);
-    arena.freeBlob(first);
-    arena.freeBlob(next);
+    arena.freeBlob(first, cache);
+    arena.freeBlob(next, cache);
+    arena.flushCache(cache);
 }
 
 TEST(ValueArenaTest, RoundTripsAtEveryClassEdge)
 {
     Arena arena;
+    Arena::Cache cache;
     std::uint64_t seed = 1;
     for (std::size_t cls = 0; cls < Arena::kNumClasses; ++cls) {
         const std::size_t cap = Arena::classCapacity(cls);
@@ -142,7 +148,7 @@ TEST(ValueArenaTest, RoundTripsAtEveryClassEdge)
                 continue;
             const std::string value = pattern(len, seed++);
             const std::size_t live = arena.bytesLive();
-            const ValueRef ref = arena.allocBlob(value.data(), len);
+            const ValueRef ref = arena.allocBlob(value.data(), len, cache);
             ASSERT_TRUE(valueRefIsBlob(ref));
             // The blob landed in the class the map names.
             EXPECT_EQ(arena.bytesLive() - live,
@@ -155,54 +161,64 @@ TEST(ValueArenaTest, RoundTripsAtEveryClassEdge)
             std::uint64_t expect_word = 0;
             std::memcpy(&expect_word, value.data(), len < 8 ? len : 8);
             EXPECT_EQ(arena.readBlobWord(ref), expect_word) << "len " << len;
-            arena.freeBlob(ref);
+            arena.freeBlob(ref, cache);
         }
     }
+    arena.flushCache(cache);
     EXPECT_EQ(arena.bytesLive(), 0u);
 }
 
 TEST(ValueArenaTest, FreedBlobIsReusedWithinItsClassOnly)
 {
     Arena arena;
+    Arena::Cache cache;
     const std::string a(100, 'a'); // class capacity 112
-    const ValueRef first = arena.allocBlob(a.data(), a.size());
-    arena.freeBlob(first);
+    const ValueRef first = arena.allocBlob(a.data(), a.size(), cache);
+    arena.freeBlob(first, cache);
 
     // Next class up (113..128): must not receive the freed 112-B blob.
     const std::string b(120, 'b');
-    const ValueRef other = arena.allocBlob(b.data(), b.size());
+    const ValueRef other = arena.allocBlob(b.data(), b.size(), cache);
     EXPECT_NE(addressOf(other), addressOf(first));
 
-    // Same class, different length: reuses it.
+    // Same class, different length: reuses it, from the magazine.
+    const std::uint64_t hits = arena.stats().magazineHits;
     const std::string c(97, 'c');
-    const ValueRef reused = arena.allocBlob(c.data(), c.size());
+    const ValueRef reused = arena.allocBlob(c.data(), c.size(), cache);
     EXPECT_EQ(addressOf(reused), addressOf(first));
+    EXPECT_EQ(arena.stats().magazineHits, hits + 1);
     std::string out;
     arena.readBlob(reused, &out);
     EXPECT_EQ(out, c);
 
-    // Through a session magazine: same rule, no shared list touched.
-    Arena::Cache cache;
-    arena.freeBlob(reused, &cache);
-    const std::uint64_t hits = arena.stats().magazineHits;
-    const std::string d(112, 'd');
-    const ValueRef from_cache = arena.allocBlob(d.data(), d.size(), &cache);
-    EXPECT_EQ(addressOf(from_cache), addressOf(first));
-    EXPECT_EQ(arena.stats().magazineHits, hits + 1);
-
-    arena.freeBlob(other, &cache);
-    arena.freeBlob(from_cache, &cache);
+    // Through the global list: a flushed magazine's blob serves the
+    // next cache's alloc of the same class.
+    arena.freeBlob(reused, cache);
     arena.flushCache(cache);
+    Arena::Cache next;
+    const std::string d(112, 'd');
+    const ValueRef from_global = arena.allocBlob(d.data(), d.size(), next);
+    EXPECT_EQ(addressOf(from_global), addressOf(first));
+    EXPECT_EQ(arena.stats().globalHits, 1u);
+
+    arena.freeBlob(other, next);
+    arena.freeBlob(from_global, next);
+    arena.flushCache(next);
     EXPECT_EQ(arena.bytesLive(), 0u);
 }
 
 TEST(ValueArenaTest, RecycledBlobStartsANewGeneration)
 {
     Arena arena;
+    Arena::Cache cache;
     EpochDomain readers(1);
     const std::string v1 = pattern(200, 1);
-    const ValueRef stale = arena.allocBlob(v1.data(), v1.size());
-    arena.retireBlob(stale);
+    const ValueRef stale = arena.allocBlob(v1.data(), v1.size(), cache);
+    arena.retire(stale, cache, readers);
+    EXPECT_EQ(cache.limboSize(), 1u);
+    // A flush spills the limbo to the shared one, which reclaim sweeps.
+    arena.flushCache(cache);
+    EXPECT_EQ(cache.limboSize(), 0u);
     EXPECT_EQ(arena.limboCount(), 1u);
     arena.reclaim(readers); // nobody pinned: recycles at once
     EXPECT_EQ(arena.limboCount(), 0u);
@@ -214,13 +230,14 @@ TEST(ValueArenaTest, RecycledBlobStartsANewGeneration)
     // closed, so a slot that got the same blob back must not show the
     // handle word that transaction decoded.
     const std::string v2 = pattern(193, 2);
-    const ValueRef fresh = arena.allocBlob(v2.data(), v2.size());
+    const ValueRef fresh = arena.allocBlob(v2.data(), v2.size(), cache);
     ASSERT_EQ(addressOf(fresh), addressOf(stale));
     EXPECT_NE(fresh, stale);
     std::string out;
     arena.readBlob(fresh, &out);
     EXPECT_EQ(out, v2);
-    arena.freeBlob(fresh);
+    arena.freeBlob(fresh, cache);
+    arena.flushCache(cache);
 }
 
 TEST(ValueArenaTest, OwnerLimboWaitsForEarlierReaderSection)
@@ -228,40 +245,39 @@ TEST(ValueArenaTest, OwnerLimboWaitsForEarlierReaderSection)
     Arena arena;
     EpochDomain readers(2);
     EpochSlot &reader = *readers.claimSlot(0);
-    Arena::OwnerLimbo limbo;
     Arena::Cache cache;
 
     const std::string value = pattern(150, 3);
-    const ValueRef ref = arena.allocBlob(value.data(), value.size(), &cache);
+    const ValueRef ref = arena.allocBlob(value.data(), value.size(), cache);
     std::string out;
     {
         EpochPin pin(readers, reader);
         EXPECT_TRUE(pin.opened());
-        arena.retireOwned(ref, limbo, readers, &cache);
-        EXPECT_EQ(limbo.size(), 1u);
+        arena.retire(ref, cache, readers);
+        EXPECT_EQ(cache.limboSize(), 1u);
         {
             // Joins the outer section; leaving it must not end that.
             EpochPin nested(readers, reader);
             EXPECT_FALSE(nested.opened());
         }
-        arena.drainOwned(limbo, readers, &cache);
+        arena.drain(cache, readers);
         // The section opened before the retire: the blob must stay.
-        EXPECT_EQ(limbo.size(), 1u);
+        EXPECT_EQ(cache.limboSize(), 1u);
         EXPECT_EQ(arena.stats().recycled, 0u);
         arena.readBlob(ref, &out);
         EXPECT_EQ(out, value);
     }
-    arena.drainOwned(limbo, readers, &cache);
-    EXPECT_TRUE(limbo.empty());
+    arena.drain(cache, readers);
+    EXPECT_EQ(cache.limboSize(), 0u);
     EXPECT_EQ(arena.stats().recycled, 1u);
 
     // Recycled into the owner's magazine: the next same-class alloc
     // takes it from there.
     const std::uint64_t hits = arena.stats().magazineHits;
-    const ValueRef again = arena.allocBlob(value.data(), value.size(), &cache);
+    const ValueRef again = arena.allocBlob(value.data(), value.size(), cache);
     EXPECT_EQ(addressOf(again), addressOf(ref));
     EXPECT_EQ(arena.stats().magazineHits, hits + 1);
-    arena.freeBlob(again, &cache);
+    arena.freeBlob(again, cache);
     arena.flushCache(cache);
 }
 
@@ -269,8 +285,8 @@ TEST(ValueArenaTest, BytesLiveReturnsToZero)
 {
     Arena arena;
     EpochDomain readers(1);
-    Arena::OwnerLimbo limbo;
     Arena::Cache cache;
+    Arena::Cache spilled;
     Rng rng(7);
     std::vector<ValueRef> refs;
     std::size_t expect_live = 0;
@@ -278,31 +294,32 @@ TEST(ValueArenaTest, BytesLiveReturnsToZero)
         const std::size_t len =
             i % 50 == 0 ? 8192 + rng.nextBounded(60000) : rng.nextBounded(700);
         const std::string value = pattern(len, static_cast<std::uint64_t>(i));
-        refs.push_back(arena.allocBlob(value.data(), len, &cache));
+        refs.push_back(arena.allocBlob(value.data(), len, cache));
         expect_live += Arena::classCapacity(Arena::classOf(len));
     }
     EXPECT_EQ(arena.bytesLive(), expect_live);
 
-    // A third each through freeBlob, the shared limbo and an owner
-    // limbo.
+    // A third each through freeBlob, a limbo its owner drains and a
+    // limbo spilled to the shared one.
     for (std::size_t i = 0; i < refs.size(); ++i) {
         switch (i % 3) {
           case 0:
-            arena.freeBlob(refs[i], &cache);
+            arena.freeBlob(refs[i], cache);
             break;
           case 1:
-            arena.retireBlob(refs[i]);
+            arena.retire(refs[i], spilled, readers);
             break;
           default:
-            arena.retireOwned(refs[i], limbo, readers, &cache);
+            arena.retire(refs[i], cache, readers);
             break;
         }
     }
     EXPECT_EQ(arena.bytesLive(), 0u);
-    arena.drainOwned(limbo, readers, &cache);
+    arena.drain(cache, readers);
+    EXPECT_EQ(cache.limboSize(), 0u);
+    arena.flushCache(spilled);
     arena.reclaim(readers);
     arena.flushCache(cache);
-    EXPECT_TRUE(limbo.empty());
     EXPECT_EQ(arena.limboCount(), 0u);
     const Arena::Stats stats = arena.stats();
     EXPECT_EQ(stats.retired, 200u);
@@ -343,6 +360,7 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
     constexpr std::size_t kShared = 16;
 
     Arena arena;
+    Arena::Cache main_cache;
     EpochDomain readers(kThreads);
     // Published handles, read by every thread. Only retire paths ever
     // dispose of them; private blobs are never published, so freeBlob
@@ -350,7 +368,8 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
     std::vector<std::atomic<ValueRef>> shared(kShared);
     for (std::size_t i = 0; i < kShared; ++i) {
         const std::string value = publishedValue(i + 1);
-        shared[i].store(arena.allocBlob(value.data(), value.size()));
+        shared[i].store(
+            arena.allocBlob(value.data(), value.size(), main_cache));
     }
 
     std::atomic<int> bad_reads{0};
@@ -359,7 +378,6 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
         threads.emplace_back([&, t] {
             EpochSlot &slot = *readers.claimSlot(static_cast<std::size_t>(t));
             Arena::Cache cache;
-            Arena::OwnerLimbo limbo;
             Rng rng(static_cast<std::uint64_t>(100 + t));
             std::string out;
             for (int i = 0; i < kIters; ++i) {
@@ -375,24 +393,24 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
                                                 : rng.nextBounded(300);
                     const std::string value = pattern(len, seed);
                     const ValueRef ref =
-                        arena.allocBlob(value.data(), len, &cache);
+                        arena.allocBlob(value.data(), len, cache);
                     arena.readBlob(ref, &out);
                     if (out != value)
                         bad_reads.fetch_add(1);
-                    arena.freeBlob(ref, &cache);
+                    arena.freeBlob(ref, cache);
                     break;
                   }
                   case 1: {
-                    // Displace a published blob; retire the old one
-                    // through the owner limbo or the shared limbo.
+                    // Displace a published blob and retire the old
+                    // one; now and then spill the limbo to the shared
+                    // one and sweep that.
                     const std::string value = publishedValue(seed);
                     const ValueRef ref =
-                        arena.allocBlob(value.data(), value.size(), &cache);
+                        arena.allocBlob(value.data(), value.size(), cache);
                     const ValueRef old = shared[pick].exchange(ref);
-                    if (rng.nextBounded(2) == 0) {
-                        arena.retireOwned(old, limbo, readers, &cache);
-                    } else {
-                        arena.retireBlob(old);
+                    arena.retire(old, cache, readers);
+                    if (rng.nextBounded(8) == 0) {
+                        arena.flushCache(cache);
                         arena.reclaim(readers);
                     }
                     break;
@@ -408,8 +426,7 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
                   }
                 }
             }
-            arena.drainOwned(limbo, readers, &cache);
-            arena.spillOwned(limbo);
+            arena.drain(cache, readers);
             arena.flushCache(cache);
         });
     }
@@ -418,7 +435,8 @@ TEST(ValueArenaTest, ConcurrentAllocFreeRetireStress)
 
     EXPECT_EQ(bad_reads.load(), 0);
     for (std::atomic<ValueRef> &ref : shared)
-        arena.retireBlob(ref.load());
+        arena.retire(ref.load(), main_cache, readers);
+    arena.flushCache(main_cache);
     arena.reclaim(readers);
     EXPECT_EQ(arena.limboCount(), 0u);
     EXPECT_EQ(arena.bytesLive(), 0u);
@@ -444,9 +462,9 @@ TEST(ValueArenaTest, EachCacheBumpsItsBlobsFromItsOwnSlab)
     std::vector<ValueRef> from_second;
     for (int i = 0; i < kEach; ++i) {
         from_first.push_back(
-            arena.allocBlob(value.data(), value.size(), &first));
+            arena.allocBlob(value.data(), value.size(), first));
         from_second.push_back(
-            arena.allocBlob(value.data(), value.size(), &second));
+            arena.allocBlob(value.data(), value.size(), second));
     }
     // Interleaved allocations, yet each cache's blobs are contiguous
     // and the two runs are disjoint.
@@ -468,10 +486,10 @@ TEST(ValueArenaTest, EachCacheBumpsItsBlobsFromItsOwnSlab)
     for (const ValueRef ref : from_first) {
         arena.readBlob(ref, &out);
         EXPECT_EQ(out, value);
-        arena.freeBlob(ref, &first);
+        arena.freeBlob(ref, first);
     }
     for (const ValueRef ref : from_second)
-        arena.freeBlob(ref, &second);
+        arena.freeBlob(ref, second);
     arena.flushCache(first);
     arena.flushCache(second);
     EXPECT_EQ(arena.bytesLive(), 0u);
@@ -483,19 +501,20 @@ TEST(ValueArenaTest, FlushedSlabTailIsTheNextThingCarved)
     Arena::Cache cache;
     const std::string value = pattern(100, 6);
     const ValueRef cached = arena.allocBlob(value.data(), value.size(),
-                                            &cache);
+                                            cache);
     arena.flushCache(cache);
-    // No cache: carved straight from the chunk, where the slab's
-    // unused tail went back.
-    const ValueRef next = arena.allocBlob(value.data(), value.size());
+    // Past the slab cap: carved straight from the chunk, where the
+    // slab's unused tail went back.
+    const std::string wide = pattern(Arena::Cache::kSlabMaxBlobBytes, 7);
+    const ValueRef next = arena.allocBlob(wide.data(), wide.size(), cache);
     EXPECT_EQ(addressOf(next), addressOf(cached) + footprint(value.size()));
     // The cache starts a fresh slab after the direct carve.
     const ValueRef again = arena.allocBlob(value.data(), value.size(),
-                                           &cache);
-    EXPECT_EQ(addressOf(again), addressOf(next) + footprint(value.size()));
-    arena.freeBlob(cached);
-    arena.freeBlob(next);
-    arena.freeBlob(again);
+                                           cache);
+    EXPECT_EQ(addressOf(again), addressOf(next) + footprint(wide.size()));
+    arena.freeBlob(cached, cache);
+    arena.freeBlob(next, cache);
+    arena.freeBlob(again, cache);
     arena.flushCache(cache);
     EXPECT_EQ(arena.bytesLive(), 0u);
 }
@@ -517,7 +536,6 @@ TEST(ValueArenaTest, ConcurrentCachesCarveDisjointBlobsAndCountExactly)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             Arena::Cache cache;
-            Arena::OwnerLimbo limbo;
             Rng rng(static_cast<std::uint64_t>(300 + t));
             for (int i = 0; i < kIters; ++i) {
                 const std::uint64_t seed =
@@ -529,16 +547,20 @@ TEST(ValueArenaTest, ConcurrentCachesCarveDisjointBlobsAndCountExactly)
                                             : 8 + rng.nextBounded(300);
                 const std::string value = pattern(len, seed);
                 const ValueRef ref =
-                    arena.allocBlob(value.data(), len, &cache);
+                    arena.allocBlob(value.data(), len, cache);
                 switch (rng.nextBounded(4)) {
                   case 0:
-                    arena.freeBlob(ref, &cache);
+                    arena.freeBlob(ref, cache);
                     break;
                   case 1:
-                    arena.retireOwned(ref, limbo, readers, &cache);
+                    arena.retire(ref, cache, readers);
                     break;
                   case 2:
-                    arena.retireBlob(ref);
+                    // Retire, then give the whole cache back: its
+                    // limbo spills to the shared one, its slab tail
+                    // to the chunk.
+                    arena.retire(ref, cache, readers);
+                    arena.flushCache(cache);
                     arena.reclaim(readers);
                     break;
                   default:
@@ -546,8 +568,7 @@ TEST(ValueArenaTest, ConcurrentCachesCarveDisjointBlobsAndCountExactly)
                     break;
                 }
             }
-            arena.drainOwned(limbo, readers, &cache);
-            arena.spillOwned(limbo);
+            arena.drain(cache, readers);
             arena.flushCache(cache);
         });
     }
@@ -582,9 +603,11 @@ TEST(ValueArenaTest, ConcurrentCachesCarveDisjointBlobsAndCountExactly)
     EXPECT_EQ(arena.limboCount(), 0u);
     EXPECT_EQ(arena.bytesLive(), expect_live);
 
+    Arena::Cache cache;
     for (const std::vector<Kept> &list : kept)
         for (const Kept &blob : list)
-            arena.freeBlob(blob.ref);
+            arena.freeBlob(blob.ref, cache);
+    arena.flushCache(cache);
     EXPECT_EQ(arena.bytesLive(), 0u);
 }
 

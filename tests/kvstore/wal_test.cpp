@@ -138,6 +138,66 @@ TEST_F(WalTest, SingleKeyWritesSurviveReopen)
     store.closeSession(session);
 }
 
+TEST_F(WalTest, ReopenAfterGrowingPastTwiceTheInitialTable)
+{
+    // One 2^8-slot shard logs 2,000 writes, so replaying them grows
+    // its table several times. Replay writes through the shard's own
+    // write path, whose maintenance ticks drain each grow's migration
+    // while the replay runs; the reopen's initial checkpoint then
+    // finds no migration stuck behind a full table.
+    constexpr std::uint64_t kKeys = 2000;
+    constexpr std::uint64_t kTtl = 3600ull * 1000 * 1000 * 1000; // 1 h
+    KvStoreOptions options = durableStore(1);
+    options.log2SlotsPerShard = 8;
+    const auto wide = [](std::uint64_t key) {
+        return std::string(8 + key % 40, static_cast<char>('a' + key % 26));
+    };
+    {
+        KvStore store(options);
+        auto session = store.openSession();
+        for (std::uint64_t key = 0; key < kKeys; ++key) {
+            switch (key % 3) {
+              case 0:
+                ASSERT_TRUE(store.put(session, key, key * 7));
+                break;
+              case 1: {
+                const std::string value = wide(key);
+                ASSERT_TRUE(store.putBytes(session, key, value.data(),
+                                           value.size()));
+                break;
+              }
+              default:
+                ASSERT_TRUE(store.put(session, key, key * 7, kTtl));
+                break;
+            }
+        }
+        for (std::uint64_t key = 0; key < kKeys; key += 10)
+            ASSERT_TRUE(store.del(session, key));
+        store.closeSession(session);
+    }
+
+    KvStore store(options);
+    EXPECT_FALSE(store.shard(0).migrationActive());
+    EXPECT_GT(store.shard(0).capacity(), std::size_t{1} << 9);
+    auto session = store.openSession();
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+        if (key % 10 == 0) { // deleted
+            EXPECT_FALSE(store.get(session, key)) << key;
+            continue;
+        }
+        if (key % 3 == 1) {
+            std::string out;
+            ASSERT_TRUE(store.getBytes(session, key, &out)) << key;
+            EXPECT_EQ(out, wide(key));
+        } else {
+            std::uint64_t value = 0;
+            ASSERT_TRUE(store.get(session, key, &value)) << key;
+            EXPECT_EQ(value, key * 7);
+        }
+    }
+    store.closeSession(session);
+}
+
 TEST_F(WalTest, BatchAndTwoPhaseWritesSurviveReopen)
 {
     {
