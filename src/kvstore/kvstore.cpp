@@ -367,6 +367,7 @@ KvStore::openSession()
     // context (freeing it would break the never-free invariant).
     for (auto &shard : shards_)
         session.tokens_.push_back(shard->registerWorker());
+    session.walBatchEnds_.assign(wals_.size(), 0);
     return session;
 }
 
@@ -392,28 +393,14 @@ bool
 KvStore::get(Session &session, std::uint64_t key, std::uint64_t *value)
 {
     const std::size_t s = shardOf(key);
-    bool ok = false;
-    shards_[s]->poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
-        ok = shards_[s]->getTx(tx, key, value);
-    });
-    return ok;
+    return shards_[s]->get(session.tokens_[s], key, value);
 }
 
 bool
 KvStore::getBytes(Session &session, std::uint64_t key, std::string *out)
 {
     const std::size_t s = shardOf(key);
-    bool ok = false;
-    shards_[s]->poly().run(session.tokens_[s], [&](polytm::Tx &tx) {
-        // Pin per attempt: the blob copy-out joins this reader-epoch
-        // section instead of opening its own and re-reading the slot,
-        // and a section must never be held across a gate park (the
-        // body runs post-admission).
-        EpochPin pin(shards_[s]->readerEpochs(),
-                     *session.tokens_[s].epochSlot);
-        ok = shards_[s]->snapshotGetBytesTx(tx, key, out, ReadView{});
-    });
-    return ok;
+    return shards_[s]->getBytes(session.tokens_[s], key, out);
 }
 
 KvResult
@@ -479,17 +466,86 @@ KvStore::del(Session &session, std::uint64_t key)
     return found ? KvStatus::kOk : KvStatus::kNotFound;
 }
 
+template <typename Body>
+void
+KvStore::snapshotRounds(Session &session,
+                        std::span<const Session::ShardSlice> slices,
+                        Body &&body)
+{
+    // Snapshot-epoch read: sample every touched shard's sequence,
+    // then the store-wide commit sequence (in that order — the proof
+    // below leans on it), and run each slice's reads as one TM
+    // transaction resolving in-flight intents against the sampled
+    // timestamp. The round is trustworthy iff no touched shard's
+    // sequence advanced inside it:
+    //  - a commit whose per-shard bump the round *straddled* (bump
+    //    before our sample) reserved and published its record
+    //    sequence before that bump, so our snapshot G >= its C — the
+    //    resolver includes it deterministically (waiting out the
+    //    few-store flip window if it races the round);
+    //  - a commit whose bump came after our samples is excluded by
+    //    the resolver (its C is provably > G or unpublished), and if
+    //    it flips mid-round — the only case a torn pre/post mix or a
+    //    raw folded post-image could be observed — the trailing check
+    //    fails and the round repeats.
+    // A single-shard writing multiOp bumps its shard before its
+    // transaction, so a round that saw it without a session's earlier
+    // one fails the same check. Commits touching only other shards
+    // never force a retry, and a write-free workload settles every
+    // round first try. Single-key writers are not serialized against
+    // (contract in kvstore.hpp).
+    const std::uint32_t first = slices.front().shard;
+    for (int round = 0;; ++round) {
+        session.seqSnapshot_.clear();
+        for (const auto &slice : slices) {
+            session.seqSnapshot_.push_back(
+                shardSeqs_[slice.shard].value.load(
+                    std::memory_order_acquire));
+        }
+        const ReadView view{
+            ReadView::Mode::kSnapshot,
+            commitSeq_->load(std::memory_order_acquire)};
+        for (const auto &slice : slices) {
+            shards_[slice.shard]->poly().run(
+                session.tokens_[slice.shard],
+                [&](polytm::Tx &tx) { body(slice, tx, view); });
+        }
+        bool stable = true;
+        for (std::size_t j = 0; stable && j < slices.size(); ++j) {
+            stable = shardSeqs_[slices[j].shard].value.load(
+                         std::memory_order_acquire) ==
+                     session.seqSnapshot_[j];
+        }
+        // Striped by the session's tid on the round's first shard, so
+        // sessions reading the same shards bump different lines.
+        snapRounds_.add(1, counterStripe(session, first));
+        if (stable)
+            return;
+        snapRetries_.add(1, counterStripe(session, first));
+        recorder_.record(obs::TraceKind::kSnapshotRetry,
+                         static_cast<std::int32_t>(first),
+                         commitSequence(),
+                         static_cast<std::uint64_t>(round),
+                         slices.size());
+        snapshotRetryPause(round);
+    }
+}
+
 std::size_t
 KvStore::scan(Session &session, std::uint64_t start_key,
               std::size_t limit,
               std::vector<std::pair<std::uint64_t, std::uint64_t>> *out)
 {
-    const std::size_t s = shardOf(start_key);
+    const Session::ShardSlice slice{
+        static_cast<std::uint32_t>(shardOf(start_key)), 0, 0};
+    Shard &shard = *shards_[slice.shard];
     std::size_t count = 0;
-    runReadSnapshot(
-        session, s, [&](polytm::Tx &tx, const ReadView &view) {
-            count = shards_[s]->scanTx(tx, start_key, limit, out, view);
-        });
+    snapshotRounds(session, {&slice, 1},
+                   [&](const Session::ShardSlice &, polytm::Tx &tx,
+                       const ReadView &view) {
+                       count = shard.scanTx(tx, start_key, limit, out,
+                                            view);
+                   });
     return count;
 }
 
@@ -498,33 +554,24 @@ KvStore::scanEntries(Session &session, std::uint64_t start_key,
                      std::size_t limit,
                      std::vector<Shard::ScanEntry> *out)
 {
-    const std::size_t s = shardOf(start_key);
+    const Session::ShardSlice slice{
+        static_cast<std::uint32_t>(shardOf(start_key)), 0, 0};
+    Shard &shard = *shards_[slice.shard];
     std::size_t count = 0;
-    runReadSnapshot(
-        session, s, [&](polytm::Tx &tx, const ReadView &view) {
-            EpochPin pin(shards_[s]->readerEpochs(),
-                         *session.tokens_[s].epochSlot);
-            count = shards_[s]->scanEntriesTx(tx, start_key, limit,
-                                              out, view);
-        });
+    snapshotRounds(session, {&slice, 1},
+                   [&](const Session::ShardSlice &, polytm::Tx &tx,
+                       const ReadView &view) {
+                       EpochPin pin(shard.readerEpochs(),
+                                    *session.tokens_[slice.shard].epochSlot);
+                       count = shard.scanEntriesTx(tx, start_key, limit,
+                                                   out, view);
+                   });
     return count;
 }
 
 namespace {
 
 using TaggedOp = KvStore::Session::TaggedOp;
-
-/** Net tombstone-count effect of one committed write: a delete of a
- *  value slot mints one, an insert over a tombstone reuses one. */
-std::int64_t
-tombstoneEffect(KvOp::Kind kind, bool applied, const SlotImage &pre)
-{
-    if (kind == KvOp::Kind::kDel)
-        return slotStateIsValue(pre.state) ? 1 : 0;
-    if (applied && pre.state == kTombstone)
-        return -1; // kPut/kPutBytes/kAdd landed on a tombstone
-    return 0;
-}
 
 /** Append `op`'s post-image to `wal_ops` (nullptr → store not
  *  durable). kAdd logs its computed result as a plain put, so replay
@@ -563,40 +610,34 @@ captureWalOp(std::vector<wal::WalOp> *wal_ops, const KvOp &op,
 }
 
 /**
- * Apply one shard's slice of a composite op inside a transaction, in
- * program order and all-or-nothing: a put/putBytes/add that finds no
- * slot throws TableFullError out of the body, so PolyTm::run rolls the
- * whole attempt back and the caller grows the shard and re-runs the
- * slice (single-shard writing multiOps and batch slices alike).
- * `consumed_empty` counts inserts that claimed a previously kEmpty
- * slot (the grow heuristic), `tombstone_delta` the net tombstones
- * minted/reused (the compaction heuristic); `reclaim` collects
- * displaced blob handles — all restart with the attempt.
+ * The transaction body of one shard's slice of a composite (see
+ * KvStore::applySlice): the ops in program order, all-or-nothing — a
+ * put/putBytes/add that finds no slot throws TableFullError out of the
+ * body, so PolyTm::run rolls the whole attempt back. `tally` counts
+ * the slot changes for the grow and compaction heuristics and
+ * `reclaim` collects displaced blob handles; both restart with the
+ * attempt.
  */
 void
-applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
-             const TaggedOp *end, std::size_t &consumed_empty,
-             std::int64_t &tombstone_delta,
-             std::vector<std::uint64_t> &reclaim,
+applyOpsInTx(Shard &shard, polytm::Tx &tx, std::span<const TaggedOp> ops,
+             Shard::WriteTally &tally, std::vector<std::uint64_t> &reclaim,
              std::vector<wal::WalOp> *wal_ops)
 {
-    consumed_empty = 0;
-    tombstone_delta = 0;
+    tally = {};
     reclaim.clear();
     if (wal_ops != nullptr)
         wal_ops->clear();
-    for (const TaggedOp *it = begin; it != end; ++it) {
-        KvOp *op = it->op;
-        SlotImage pre;
+    for (const TaggedOp &tagged : ops) {
+        KvOp *op = tagged.op;
         SlotImage post;
         switch (op->kind) {
           case KvOp::Kind::kGet:
-            // prepareGetTx, not getTx: reads in a writing slice
-            // resolve foreign intents the way the write primitives do
-            // — a non-blocking pre-image could straddle a commit flip
-            // against another read or be contradicted by a fold under
-            // a later write of the same key, and the flip is a plain
-            // store the TM does not track.
+            // prepareGetTx, not a kLatest point read: reads in a
+            // writing slice resolve foreign intents the way the write
+            // primitives do — a non-blocking pre-image could straddle
+            // a commit flip against another read or be contradicted by
+            // a fold under a later write of the same key, and the flip
+            // is a plain store the TM does not track.
             op->ok = shard.prepareGetTx(tx, nullptr, op->key, &op->value);
             continue;
           case KvOp::Kind::kGetBytes:
@@ -604,30 +645,27 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, const TaggedOp *begin,
                 shard.prepareGetBytesTx(tx, nullptr, op->key, &op->bytes);
             continue;
           case KvOp::Kind::kPut:
-            op->ok = shard.putTx(tx, op->key, op->value, it->expiry,
-                                 &pre, &reclaim);
+            op->ok = shard.putTx(tx, op->key, op->value, tagged.expiry,
+                                 &tally, &reclaim);
             break;
           case KvOp::Kind::kPutBytes:
-            // op->value holds the ValueRef staged by the caller.
-            op->ok = shard.putRefTx(tx, op->key, op->value, it->expiry,
-                                    &pre, &reclaim);
+            // op->value holds the ValueRef staged by stageWrites.
+            op->ok = shard.putRefTx(tx, op->key, op->value, tagged.expiry,
+                                    &tally, &reclaim);
             break;
           case KvOp::Kind::kDel:
-            op->ok = shard.delTx(tx, op->key, &pre, &reclaim);
+            op->ok = shard.delTx(tx, op->key, &tally, &reclaim);
             break;
           case KvOp::Kind::kAdd:
             op->ok = shard.addTx(tx, op->key,
                                  static_cast<std::int64_t>(op->value),
-                                 &pre, &reclaim, &post);
+                                 &tally, &reclaim, &post);
             break;
         }
         // A put or add fails only for want of a slot.
         if (!op->ok && op->kind != KvOp::Kind::kDel)
             throw TableFullError{};
-        if (op->ok && pre.state == kEmpty)
-            ++consumed_empty;
-        tombstone_delta += tombstoneEffect(op->kind, op->ok, pre);
-        captureWalOp(wal_ops, *op, it->expiry, post);
+        captureWalOp(wal_ops, *op, tagged.expiry, post);
     }
 }
 
@@ -686,7 +724,7 @@ groupByShard(const KvStore &store, std::uint64_t default_ttl,
 }
 
 /**
- * Pin the session's tokens on every touched shard for a multiOp's
+ * Pin the session's tokens on every touched shard for a 2PC's
  * critical span (the prepare-to-finalize window): a parked thread
  * must not strand a PENDING intent, and pinning bounds gate pauses to
  * in-flight algorithm switches (paper §4.2).
@@ -735,47 +773,62 @@ KvStore::multiOp(Session &session, std::vector<KvOp> &ops)
                  session.scratch_, session.slices_);
     if (session.slices_.empty())
         return KvStatus::kOk;
+
+    if (!writes) {
+        const auto &grouped = session.scratch_;
+        snapshotRounds(
+            session, session.slices_,
+            [&](const Session::ShardSlice &slice, polytm::Tx &tx,
+                const ReadView &view) {
+                Shard &shard = *shards_[slice.shard];
+                EpochPin pin(shard.readerEpochs(),
+                             *session.tokens_[slice.shard].epochSlot);
+                for (std::uint32_t i = slice.begin; i < slice.end; ++i) {
+                    KvOp *op = grouped[i].op;
+                    if (op->kind == KvOp::Kind::kGetBytes) {
+                        op->ok = shard.snapshotGetBytesTx(
+                            tx, op->key, &op->bytes, view);
+                    } else {
+                        op->ok = shard.snapshotGetTx(tx, op->key,
+                                                     &op->value, view);
+                    }
+                }
+            });
+        return KvStatus::kOk;
+    }
+
     session.walStatus_ = KvStatus::kOk;
-
-    if (writes) {
-        if (const KvStatus staged = stageWrites(session);
-            staged != KvStatus::kOk)
-            return staged;
-    }
-
-    OpStatus status = OpStatus::kDone;
-    for (;;) {
-        // Single-shard fast path: one TM transaction is already
-        // atomic.
-        if (session.slices_.size() == 1) {
-            status = multiOpSingleShard(session, writes);
-        } else if (writes) {
+    if (const KvStatus staged = stageWrites(session);
+        staged != KvStatus::kOk)
+        return staged;
+    bool ok = false;
+    if (session.slices_.size() == 1) {
+        // All ops on one shard: the slice's one TM transaction is
+        // already atomic, so the cross-shard protocol is skipped. The
+        // shard sequence is bumped BEFORE the transaction so a
+        // snapshot round can never pair this commit's post-image with
+        // another shard's pre-image and still validate — nor see a
+        // session's later writing multiOp without its earlier one
+        // (bumping after the commit would reopen the straddle window;
+        // a bump for a grown or capped attempt only costs readers a
+        // spurious retry).
+        const Session::ShardSlice &slice = session.slices_[0];
+        shardSeqs_[slice.shard].value.fetch_add(1,
+                                                std::memory_order_acq_rel);
+        ok = applySlice(session, slice);
+        barrierSlices(session);
+    } else {
+        OpStatus status = OpStatus::kDone;
+        do {
             status = multiOpTwoPhaseWrite(session);
-        } else {
-            multiOpTwoPhaseRead(session);
-            status = OpStatus::kDone;
-        }
-        if (status != OpStatus::kRetryAfterGrow)
-            break;
-    }
-
-    const bool ok = status == OpStatus::kDone;
-    if (writes) {
-        releaseStagedBlobs(session, ok);
-        if (ok) {
-            freeReclaimed(session);
-            for (const auto &slice : session.slices_) {
-                shards_[slice.shard]->maintainTick(
-                    session.tokens_[slice.shard]);
-            }
-        } else {
-            session.reclaim_.clear(); // pre-images stayed live
-        }
+        } while (status == OpStatus::kRetryAfterGrow);
+        ok = status == OpStatus::kDone;
+        if (!ok)
+            unstageOps(session, session.scratch_);
     }
     if (!ok) {
-        // A WAL failure aborts the composite before it becomes
-        // visible (kFailed from the 2PC prepare round); otherwise the
-        // failure was capacity.
+        // A WAL failure aborts a 2PC before it becomes visible (the
+        // prepare round); otherwise the failure was capacity.
         return session.walStatus_ != KvStatus::kOk ? session.walStatus_
                                                    : KvStatus::kNoSpace;
     }
@@ -787,222 +840,124 @@ KvStore::multiOp(Session &session, std::vector<KvOp> &ops)
 KvStatus
 KvStore::stageWrites(Session &session)
 {
-    session.newBlobs_.clear();
-    for (const TaggedOp &tagged : session.scratch_) {
-        Shard &shard = *shards_[tagged.shard];
+    const auto &grouped = session.scratch_;
+    for (std::size_t i = 0; i < grouped.size(); ++i) {
+        Shard &shard = *shards_[grouped[i].shard];
         // Any TTL-carrying write (numeric or bytes) must enable the
         // home shard's sweep.
-        if (tagged.expiry != 0)
+        if (grouped[i].expiry != 0)
             shard.noteTtlUsed();
-        KvOp *op = tagged.op;
+        KvOp *op = grouped[i].op;
         if (op->kind != KvOp::Kind::kPutBytes)
             continue;
         try {
-            op->value = shard.stageValue(session.tokens_[tagged.shard],
+            op->value = shard.stageValue(session.tokens_[grouped[i].shard],
                                          op->bytes.data(),
                                          op->bytes.size());
         } catch (const std::bad_alloc &) {
-            // Nothing ran yet; recycle what was staged so far.
-            releaseStagedBlobs(session, false);
+            // Nothing ran yet; give back what was staged so far.
+            unstageOps(session, {grouped.data(), i});
             return KvStatus::kNoMemory;
         }
-        if (valueRefIsBlob(op->value))
-            session.newBlobs_.emplace_back(tagged.shard, op->value);
     }
     return KvStatus::kOk;
 }
 
 void
-KvStore::releaseStagedBlobs(Session &session, bool committed)
+KvStore::unstageOps(Session &session, std::span<const TaggedOp> ops)
 {
-    if (!committed) {
-        // Never reachable through a committed slot word (the record
-        // aborted before anything became visible, and resolvers only
-        // dereference a post-image handle under a COMMITTED verdict):
-        // immediate recycle into the writer's magazine is safe.
-        for (const auto &[shard, ref] : session.newBlobs_)
-            shards_[shard]->unstageValue(session.tokens_[shard], ref);
+    // Never reachable through a committed slot word (the slice rolled
+    // back, or the record aborted before anything became visible, and
+    // resolvers only dereference a post-image handle under a COMMITTED
+    // verdict): immediate recycle into the writer's magazine is safe.
+    for (const TaggedOp &tagged : ops) {
+        if (tagged.op->kind == KvOp::Kind::kPutBytes)
+            shards_[tagged.shard]->unstageValue(
+                session.tokens_[tagged.shard], tagged.op->value);
     }
-    session.newBlobs_.clear();
 }
 
-void
-KvStore::freeReclaimed(Session &session)
+bool
+KvStore::applySlice(Session &session, const Session::ShardSlice &slice)
 {
-    // Displaced pre-images WERE committed-visible: a pinned reader
-    // may still be copying them, so they retire through the reader
-    // epochs instead of recycling immediately.
-    for (const auto &[shard, ref] : session.reclaim_)
-        shards_[shard]->retireValue(session.tokens_[shard], ref);
-    session.reclaim_.clear();
-}
-
-KvStore::OpStatus
-KvStore::multiOpSingleShard(Session &session, bool writes)
-{
-    const auto &grouped = session.scratch_;
-    const auto &slice = session.slices_[0];
     Shard &shard = *shards_[slice.shard];
-    if (writes) {
-        // One TM transaction is atomic to every observer on this
-        // shard — no intents across shards needed. Table-full throws
-        // out of the rolled-back transaction for all-or-nothing,
-        // after which the shard grows and the caller retries the
-        // whole composite. The shard sequence is bumped BEFORE
-        // the transaction so a snapshot round can never pair this
-        // commit's post-image with another shard's pre-image and
-        // still validate (bumping after the commit would reopen the
-        // straddle window; a bump for an aborted attempt only costs
-        // readers a spurious retry). The pin keeps a PENDING-free
-        // transaction from parking mid-composite.
-        PinSpan pin(shards_, session.tokens_, session.slices_);
+    polytm::ThreadToken &token = session.tokens_[slice.shard];
+    const std::span<const TaggedOp> ops(
+        session.scratch_.data() + slice.begin, slice.end - slice.begin);
+    Shard::WriteTally tally;
+    std::uint64_t lsn = 0;
+    for (;;) {
+        // Capacity snapshot BEFORE the attempt, as in Shard::put's
+        // loop: a grow that lands mid-attempt lets the retry run.
         const std::size_t cap = shard.capacity();
-        session.reclaim_.clear();
-        std::vector<std::uint64_t> &reclaim = session.displaced_;
-        std::size_t consumed = 0;
-        std::int64_t tomb_delta = 0;
-        std::uint64_t lsn = 0;
         try {
-            shardSeqs_[slice.shard].value.fetch_add(
-                1, std::memory_order_acq_rel);
-            shard.poly().run(
-                session.tokens_[slice.shard], [&](polytm::Tx &tx) {
-                    applyOpsInTx(shard, tx,
-                                 grouped.data() + slice.begin,
-                                 grouped.data() + slice.end, consumed,
-                                 tomb_delta, reclaim,
-                                 durable() ? &session.walOps_
-                                           : nullptr);
-                    if (durable())
-                        lsn = shard.walTicketTx(tx);
-                });
+            shard.poly().run(token, [&](polytm::Tx &tx) {
+                applyOpsInTx(shard, tx, ops, tally, session.displaced_,
+                             durable() ? &session.walOps_ : nullptr);
+                if (durable())
+                    lsn = shard.walTicketTx(tx);
+            });
+            break;
         } catch (const TableFullError &) {
-            return shard.tryGrow(session.tokens_[slice.shard], cap)
-                       ? OpStatus::kRetryAfterGrow
-                       : OpStatus::kFailed;
-        }
-        if (durable() && !session.walOps_.empty()) {
-            wal::Record rec;
-            rec.type = wal::RecordType::kBatch;
-            rec.lsn = lsn;
-            rec.ops = std::move(session.walOps_);
-            const wal::AppendResult res =
-                wals_[slice.shard]->appendAndBarrier(rec);
-            session.walOps_.clear();
-            // Memory already committed (single TM transaction): the
-            // op completes un-acked; the ladder decides store health.
-            if (res.err != wal::WalError::kOk)
-                session.walStatus_ =
-                    committedBatchWalError(slice.shard, rec, res);
-        }
-        if (consumed > 0)
-            shard.noteConsumed(consumed);
-        if (tomb_delta != 0)
-            shard.noteTombstones(tomb_delta);
-        for (const std::uint64_t ref : reclaim)
-            session.reclaim_.emplace_back(slice.shard, ref);
-        return OpStatus::kDone;
-    }
-    // Read-only: one snapshot-epoch round. The TM transaction is
-    // per-shard consistent on its own; the sampled read timestamp
-    // resolves in-flight cross-shard intents deterministically and
-    // the trailing sequence check repeats the round only when a
-    // commit actually flipped on this shard inside it.
-    runReadSnapshot(
-        session, slice.shard,
-        [&](polytm::Tx &tx, const ReadView &view) {
-            EpochPin epoch_pin(shard.readerEpochs(),
-                               *session.tokens_[slice.shard].epochSlot);
-            for (std::uint32_t i = slice.begin; i < slice.end; ++i) {
-                KvOp *op = grouped[i].op;
-                if (op->kind == KvOp::Kind::kGetBytes) {
-                    op->ok = shard.snapshotGetBytesTx(
-                        tx, op->key, &op->bytes, view);
-                } else {
-                    op->ok = shard.snapshotGetTx(tx, op->key,
-                                                 &op->value, view);
-                }
+            if (!shard.tryGrow(token, cap)) {
+                // Growth is capped: the slice had no effect, but the
+                // rolled-back attempt may have set ok on the ops
+                // before the full one, and no slot word names their
+                // staged values.
+                for (const TaggedOp &tagged : ops)
+                    tagged.op->ok = false;
+                unstageOps(session, ops);
+                shard.maintainTick(token);
+                return false;
             }
-        });
-    return OpStatus::kDone;
+        }
+    }
+    if (durable() && !session.walOps_.empty()) {
+        wal::Record rec;
+        rec.type = wal::RecordType::kBatch;
+        rec.lsn = lsn;
+        rec.ops = std::move(session.walOps_);
+        const wal::AppendResult res = wals_[slice.shard]->append(rec);
+        session.walBatchEnds_[slice.shard] = res.end;
+        session.walOps_.clear();
+        // Memory already committed: the op completes un-acked; the
+        // ladder decides store health.
+        if (res.err != wal::WalError::kOk) {
+            const KvStatus wal_status =
+                committedBatchWalError(slice.shard, rec, res);
+            if (session.walStatus_ == KvStatus::kOk)
+                session.walStatus_ = wal_status;
+        }
+    }
+    // The slice committed: its displaced values retire (a pinned
+    // reader may still be copying them), its tally feeds the grow and
+    // compaction heuristics, and the shard ticks — composites double
+    // as the maintenance driver.
+    for (const std::uint64_t ref : session.displaced_)
+        shard.retireValue(token, ref);
+    shard.noteWrites(token, tally);
+    shard.maintainTick(token);
+    return true;
 }
 
 void
-KvStore::multiOpTwoPhaseRead(Session &session)
+KvStore::barrierSlices(Session &session)
 {
-    const auto &grouped = session.scratch_;
-    const auto &slices = session.slices_;
-    // Snapshot-epoch read: sample every touched shard's sequence,
-    // then the store-wide commit sequence (in that order — the proof
-    // below leans on it), and run each shard's reads as one TM
-    // transaction resolving in-flight intents against the sampled
-    // timestamp. The round is trustworthy iff no touched shard's
-    // sequence advanced inside it:
-    //  - a commit whose per-shard bump the round *straddled* (bump
-    //    before our sample) reserved and published its record
-    //    sequence before that bump, so our snapshot G >= its C — the
-    //    resolver includes it deterministically (waiting out the
-    //    few-store flip window if it races the round);
-    //  - a commit whose bump came after our samples is excluded by
-    //    the resolver (its C is provably > G or unpublished), and if
-    //    it flips mid-round — the only case a torn pre/post mix or a
-    //    raw folded post-image could be observed — the trailing check
-    //    fails and the round repeats.
-    // Commits touching only other shards never force a retry, and a
-    // write-free workload settles every round first try. Single-key
-    // writers are not serialized against (contract in kvstore.hpp).
-    const auto run_round = [&]() -> bool {
-        session.seqSnapshot_.clear();
-        for (const auto &slice : slices) {
-            session.seqSnapshot_.push_back(
-                shardSeqs_[slice.shard].value.load(
-                    std::memory_order_acquire));
-        }
-        const ReadView view{
-            ReadView::Mode::kSnapshot,
-            commitSeq_->load(std::memory_order_acquire)};
-        for (const auto &slice : slices) {
-            Shard &shard = *shards_[slice.shard];
-            shard.poly().run(
-                session.tokens_[slice.shard], [&](polytm::Tx &tx) {
-                    EpochPin pin(
-                        shard.readerEpochs(),
-                        *session.tokens_[slice.shard].epochSlot);
-                    for (std::uint32_t i = slice.begin; i < slice.end;
-                         ++i) {
-                        KvOp *op = grouped[i].op;
-                        if (op->kind == KvOp::Kind::kGetBytes) {
-                            op->ok = shard.snapshotGetBytesTx(
-                                tx, op->key, &op->bytes, view);
-                        } else {
-                            op->ok = shard.snapshotGetTx(
-                                tx, op->key, &op->value, view);
-                        }
-                    }
-                });
-        }
-        bool stable = true;
-        for (std::size_t j = 0; stable && j < slices.size(); ++j) {
-            stable = shardSeqs_[slices[j].shard].value.load(
-                         std::memory_order_acquire) ==
-                     session.seqSnapshot_[j];
-        }
-        // Striped by the session's tid on the round's first shard, so
-        // sessions reading the same shards bump different lines.
-        snapRounds_.add(1, counterStripe(session, slices[0].shard));
-        return stable;
-    };
-
-    for (int round = 0;; ++round) {
-        if (run_round())
-            return;
-        snapRetries_.add(1, counterStripe(session, slices[0].shard));
-        recorder_.record(obs::TraceKind::kSnapshotRetry,
-                         static_cast<std::int32_t>(slices[0].shard),
-                         commitSequence(),
-                         static_cast<std::uint64_t>(round),
-                         slices.size());
-        snapshotRetryPause(round);
+    if (!durable())
+        return;
+    // Group commit: every slice appended first, then ONE barrier per
+    // touched shard (groupByShard emits one slice per shard — the
+    // wal_test fsync-coalescing case pins the count), so no shard's
+    // log writes wait behind another shard's fsync stall. Runs
+    // whether or not every slice applied: the others stay applied.
+    for (const auto &slice : session.slices_) {
+        std::uint64_t &end = session.walBatchEnds_[slice.shard];
+        if (end == 0)
+            continue;
+        const wal::WalError e = wals_[slice.shard]->barrier(end);
+        end = 0;
+        if (e != wal::WalError::kOk && session.walStatus_ == KvStatus::kOk)
+            session.walStatus_ = onWalError(slice.shard, e);
     }
 }
 
@@ -1373,8 +1328,9 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             }
         } // the PENDING window is over
 
+        // On either failure the pre-images stayed live: reclaim_ is
+        // dropped, never retired.
         if (full) {
-            session.reclaim_.clear(); // pre-images stayed live
             Shard &shard = *shards_[full_shard];
             return shard.tryGrow(session.tokens_[full_shard],
                                  full_capacity)
@@ -1385,7 +1341,6 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             // Aborted before visibility; the caller reports the
             // session's walStatus_ (never retried — the log, not the
             // table, refused).
-            session.reclaim_.clear(); // pre-images stayed live
             return OpStatus::kFailed;
         }
 
@@ -1394,30 +1349,26 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
         // so each fold is conditional on the intent still standing.
         for (std::size_t j = 0; j < slices.size(); ++j) {
             Shard &shard = *shards_[slices[j].shard];
+            polytm::ThreadToken &token = session.tokens_[slices[j].shard];
             const auto range = session.intentRanges_[j];
-            std::size_t consumed = 0;
-            std::int64_t tomb_delta = 0;
-            shard.poly().run(
-                session.tokens_[slices[j].shard], [&](polytm::Tx &tx) {
-                    consumed = 0; // retried attempts restart
-                    tomb_delta = 0;
-                    for (std::uint32_t k = range.first;
-                         k < range.second; ++k) {
-                        consumed += shard.finalizeIntentTx(
-                                        tx, session.intents_[k],
-                                        &tomb_delta)
-                                        ? 1
-                                        : 0;
-                    }
-                });
-            if (consumed > 0)
-                shard.noteConsumed(consumed);
-            if (tomb_delta != 0)
-                shard.noteTombstones(tomb_delta);
+            Shard::WriteTally tally;
+            shard.poly().run(token, [&](polytm::Tx &tx) {
+                tally = {}; // retried attempts restart
+                for (std::uint32_t k = range.first; k < range.second; ++k)
+                    shard.finalizeIntentTx(tx, session.intents_[k], tally);
+            });
+            shard.noteWrites(token, tally);
         }
         twoPhaseCommits_.add(1, counterStripe(session, slices[0].shard));
         recorder_.record(obs::TraceKind::kTwoPhaseFinalize, -1,
                          reserved_seq, session.intents_.size());
+        // Displaced pre-images WERE committed-visible: a pinned reader
+        // may still be copying them, so they retire through the reader
+        // epochs instead of recycling immediately.
+        for (const auto &[shard, ref] : session.reclaim_)
+            shards_[shard]->retireValue(session.tokens_[shard], ref);
+        for (const auto &slice : slices)
+            shards_[slice.shard]->maintainTick(session.tokens_[slice.shard]);
         return OpStatus::kDone;
     } catch (...) {
         // Foreign exception (e.g. bad_alloc) mid-protocol. Make the
@@ -1430,8 +1381,8 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             expected,
             (armed & ~std::uint64_t{3}) | CommitRecord::kAborted,
             std::memory_order_acq_rel);
-        // Staged blobs are freed only if the commit point was never
-        // reached (they are live table values otherwise).
+        // Staged values are unstaged only if the commit point was
+        // never reached (they are live table values otherwise).
         const bool committed =
             CommitRecord::stateOf(ctx.record.status.load(
                 std::memory_order_acquire)) == CommitRecord::kCommitted;
@@ -1451,8 +1402,8 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             } catch (...) {
             }
         }
-        releaseStagedBlobs(session, committed);
-        session.reclaim_.clear();
+        if (!committed)
+            unstageOps(session, grouped);
         {
             // Intrusive push: must not allocate — this very path
             // handles bad_alloc.
@@ -1474,115 +1425,16 @@ KvStore::applyBatch(Session &session, Batch &batch)
     if (const KvStatus staged = stageWrites(session);
         staged != KvStatus::kOk)
         return staged;
-    const auto &grouped = session.scratch_;
     session.walStatus_ = KvStatus::kOk;
-
     bool ok = true;
-    std::vector<std::uint64_t> &reclaim = session.displaced_;
-    if (durable())
-        session.walBatchEnds_.assign(shards_.size(), 0);
     for (const auto &slice : session.slices_) {
-        Shard &shard = *shards_[slice.shard];
-        const TaggedOp *begin = grouped.data() + slice.begin;
-        const TaggedOp *end = grouped.data() + slice.end;
-        std::size_t consumed = 0;
-        std::int64_t tomb_delta = 0;
-        std::uint64_t lsn = 0;
-        // One all-or-nothing transaction per slice, in program order:
-        // a put that finds the shard full rolls the whole slice back,
-        // the shard grows, and the slice re-runs from its first op.
-        bool applied = false;
-        for (;;) {
-            const std::size_t cap = shard.capacity();
-            try {
-                shard.poly().run(
-                    session.tokens_[slice.shard], [&](polytm::Tx &tx) {
-                        applyOpsInTx(shard, tx, begin, end, consumed,
-                                     tomb_delta, reclaim,
-                                     durable() ? &session.walOps_
-                                               : nullptr);
-                        if (durable())
-                            lsn = shard.walTicketTx(tx);
-                    });
-                applied = true;
-                break;
-            } catch (const TableFullError &) {
-                if (!shard.tryGrow(session.tokens_[slice.shard], cap))
-                    break;
-            }
-        }
-        if (!applied) {
-            // Growth is capped: the slice had no effect, but the
-            // rolled-back attempt may have set ok on the ops before
-            // the full one.
-            for (const TaggedOp *it = begin; it != end; ++it)
-                it->op->ok = false;
-            ok = false;
-        } else {
-            // Group commit: append the slice's one record now, ride
-            // ONE barrier per touched shard after every slice has
-            // appended, so no shard's log writes interleave with
-            // another shard's fsync stall.
-            if (durable() && !session.walOps_.empty()) {
-                wal::Record rec;
-                rec.type = wal::RecordType::kBatch;
-                rec.lsn = lsn;
-                rec.ops = std::move(session.walOps_);
-                const wal::AppendResult res =
-                    wals_[slice.shard]->append(rec);
-                session.walBatchEnds_[slice.shard] = res.end;
-                session.walOps_.clear();
-                if (res.err != wal::WalError::kOk) {
-                    const KvStatus wal_status =
-                        committedBatchWalError(slice.shard, rec, res);
-                    if (session.walStatus_ == KvStatus::kOk)
-                        session.walStatus_ = wal_status;
-                }
-            }
-            // This slice committed; retire its displacements.
-            for (const std::uint64_t ref : reclaim)
-                shard.retireValue(session.tokens_[slice.shard], ref);
-            if (consumed > 0)
-                shard.noteConsumed(consumed);
-            if (tomb_delta != 0)
-                shard.noteTombstones(tomb_delta);
-        }
-        // The batching loop doubles as the maintenance driver.
-        shard.maintainTick(session.tokens_[slice.shard]);
+        if (!applySlice(session, slice))
+            ok = false; // the other shards' slices stay applied
     }
-    if (durable()) {
-        // Group commit across the whole batch: one barrier(maxEnd)
-        // per touched shard (groupByShard emits one slice per shard,
-        // so this pass is a single fsync each — the wal_test
-        // fsync-coalescing case pins the count). Runs regardless of
-        // `ok`: the other shards' slices stay applied and appended.
-        for (const auto &slice : session.slices_) {
-            const std::uint64_t end =
-                session.walBatchEnds_[slice.shard];
-            if (end != 0) {
-                const wal::WalError e =
-                    wals_[slice.shard]->barrier(end);
-                if (e != wal::WalError::kOk &&
-                    session.walStatus_ == KvStatus::kOk)
-                    session.walStatus_ = onWalError(slice.shard, e);
-            }
-        }
-    }
-    if (!ok) {
-        // A slice that failed for space published none of its staged
-        // blobs (its ops all report ok false); without this sweep
-        // each capped-store failure would strand their arena
-        // capacity forever.
-        for (const TaggedOp &tagged : grouped) {
-            if (tagged.op->kind == KvOp::Kind::kPutBytes && !tagged.op->ok)
-                shards_[tagged.shard]->unstageValue(
-                    session.tokens_[tagged.shard], tagged.op->value);
-        }
-        return KvStatus::kNoSpace;
-    }
-    // The batch applied in memory; a WAL failure along the way means
-    // it is NOT acknowledged durable.
-    return session.walStatus_;
+    barrierSlices(session);
+    // The applied slices are in memory; a WAL failure along the way
+    // means the batch is NOT acknowledged durable.
+    return ok ? session.walStatus_ : KvStatus::kNoSpace;
 }
 
 KvStatus

@@ -24,7 +24,9 @@
  * while PENDING, post-image once COMMITTED), and a writer folds
  * finished intents itself, waiting only out the short PENDING window
  * of its exact slot. A multiOp whose ops all land on one shard skips
- * the protocol: one TM transaction is already atomic.
+ * the protocol: it bumps that shard's sequence and runs as one slice,
+ * the same all-or-nothing transaction a batch runs per shard (see
+ * Batching).
  *
  * Read-only multiOps and scans take a *snapshot-epoch* read: they
  * sample the touched shards' sequences and then the store-wide commit
@@ -52,19 +54,23 @@
  * 2PC vs the ThreadGate: the per-shard tuner may disable a worker
  * thread (parallelism degree), which parks it inside PolyTm::run. A
  * parked thread must never strand a PENDING intent other operations
- * wait on, so a writing multiOp pins its tokens for the
+ * wait on, so a cross-shard writing multiOp pins its tokens for the
  * prepare-to-finalize span (the paper's §4.2 escape hatch), making
  * any gate pause bounded by an in-flight algorithm switch. Single-key
- * ops hold nothing across a park, so they run unpinned.
+ * ops and slices are one transaction each and hold nothing across a
+ * park, so they run unpinned.
  *
  * Batching. A Batch stages operations and flushes them grouped by
  * shard, one TM transaction per shard slice — amortizing begin/commit
- * costs. Each slice runs in program order and is all-or-nothing: a
- * put that finds its shard full rolls the slice back, the shard
- * grows, and the whole slice re-runs. Batches are atomic per shard,
- * not across shards: when growth is capped, the full shard's slice
- * has no effect and its ops report ok false, while the other shards'
- * slices stay applied.
+ * costs. One function applies a slice, for batches and single-shard
+ * writing multiOps alike: it runs the ops in program order and
+ * all-or-nothing (a put that finds its shard full rolls the slice
+ * back, the shard grows, and the whole slice re-runs), appends the
+ * slice's WAL record, retires the displaced values and ticks the
+ * shard's maintenance. Batches are atomic per shard, not across
+ * shards: when growth is capped, the full shard's slice has no effect
+ * and its ops report ok false, while the other shards' slices stay
+ * applied.
  */
 
 #ifndef PROTEUS_KVSTORE_KVSTORE_HPP
@@ -74,6 +80,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -131,10 +138,10 @@ enum class KvStatus : std::uint8_t
 const char *kvStatusName(KvStatus s);
 
 /**
- * Result of a write operation. Converts to bool exactly like the old
- * `bool` returns did (true == acknowledged success), so existing call
- * sites keep compiling; callers that care *why* a write failed read
- * `status`.
+ * Result of a write operation: `status` says whether it was
+ * acknowledged (kOk) and, if not, why. `if (result)` tests for kOk;
+ * the conversion is explicit, so a result never silently turns into
+ * a bool.
  */
 struct KvResult
 {
@@ -142,7 +149,7 @@ struct KvResult
 
     KvResult() = default;
     KvResult(KvStatus s) : status(s) {}
-    operator bool() const { return status == KvStatus::kOk; }
+    explicit operator bool() const { return status == KvStatus::kOk; }
 };
 
 struct KvStoreOptions
@@ -254,7 +261,6 @@ class KvStore
                 seqSnapshot_ = std::move(other.seqSnapshot_);
                 reclaim_ = std::move(other.reclaim_);
                 displaced_ = std::move(other.displaced_);
-                newBlobs_ = std::move(other.newBlobs_);
                 walOps_ = std::move(other.walOps_);
                 walOpRanges_ = std::move(other.walOpRanges_);
                 walLsns_ = std::move(other.walLsns_);
@@ -278,7 +284,8 @@ class KvStore
         polytm::ThreadToken &token(std::size_t i) { return tokens_[i]; }
 
         /** One contiguous run of grouped ops on one shard
-         *  (implementation detail of multiOp/applyBatch). */
+         *  (implementation detail of multiOp/applyBatch; a scan reads
+         *  as one empty slice). */
         struct ShardSlice
         {
             std::uint32_t shard;
@@ -315,24 +322,22 @@ class KvStore
         std::vector<WriteIntent *> intents_;
         std::vector<std::pair<std::uint32_t, std::uint32_t>>
             intentRanges_;
-        /** Per-round shard-sequence snapshot (2PC read validation). */
+        /** Per-round shard-sequence samples (snapshotRounds' trailing
+         *  check). */
         std::vector<std::uint64_t> seqSnapshot_;
         /**
-         * Displaced blob handles of the current multiOp, tagged with
-         * their home shard; freed into the shard arenas only once the
-         * composite committed (a failed attempt's pre-images stay
+         * Displaced blob handles of the current 2PC, tagged with
+         * their home shard; retired into the shard arenas only once
+         * the composite committed (a failed attempt's pre-images stay
          * live). Appended per slice only after that slice's
          * transaction ran, so retried attempts never double-capture.
          */
         std::vector<std::pair<std::uint32_t, std::uint64_t>> reclaim_;
         /** Displaced blob handles of one shard's composite write
-         *  transaction (a multiOp slice, a batch slice), captured by
-         *  the shard's write primitives. Reused across calls, so
+         *  transaction (a slice, a 2PC prepare), captured by the
+         *  shard's write primitives. Reused across calls, so
          *  overwriting a blob value allocates nothing. */
         std::vector<std::uint64_t> displaced_;
-        /** Blobs staged up-front for kPutBytes ops; freed only when
-         *  the whole multiOp ultimately fails (never published). */
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> newBlobs_;
         /** WAL capture scratch (durable stores only): post-image ops
          *  recorded inside the current transaction bodies, their
          *  per-slice [begin, end) ranges, and each slice's LSN. */
@@ -340,11 +345,12 @@ class KvStore
         std::vector<std::pair<std::uint32_t, std::uint32_t>>
             walOpRanges_;
         std::vector<std::uint64_t> walLsns_;
-        /** applyBatch scratch: per-shard highest WAL append end of
-         *  the current batch — the batch rides ONE barrier per
-         *  touched shard instead of one per slice. */
+        /** Per-shard WAL append end of the current composite's
+         *  slices, not yet waited on (0 = none): the composite rides
+         *  ONE barrier per touched shard (barrierSlices) instead of
+         *  one per slice. Sized at openSession. */
         std::vector<std::uint64_t> walBatchEnds_;
-        /** First WAL failure observed by the current multiOp (reset
+        /** First WAL failure observed by the current composite (reset
          *  per op; reported as the op's KvResult). */
         KvStatus walStatus_ = KvStatus::kOk;
     };
@@ -388,13 +394,13 @@ class KvStore
      * Multi-key transaction. Results land in each op's ok/value/bytes
      * fields. A put/add that runs out of table space aborts the
      * composite with **no effect** — all-or-nothing (2PC aborts the
-     * commit record before anything is visible; the single-shard
-     * path's transaction rolls back, as it does on every TM
-     * backend) — after which the store grows the full shard online
-     * and retries the whole composite transparently. Returns false
-     * only when growth is capped (maxLog2SlotsPerShard) and the
-     * insert still cannot fit; the ops' result fields are unspecified
-     * after a false return.
+     * commit record before anything is visible; a single-shard
+     * composite runs as one slice, like a batch's, whose transaction
+     * rolls back, as it does on every TM backend) — after which the
+     * store grows the full shard online and retries the composite
+     * transparently. Returns kNoSpace only when growth is capped
+     * (maxLog2SlotsPerShard) and the insert still cannot fit; the
+     * ops' result fields are unspecified after a failure.
      *
      * Atomicity contract. A *writing* multiOp is atomic to every
      * observer: its writes become visible together at the
@@ -404,10 +410,13 @@ class KvStore
      * to writing multiOps (the snapshot-epoch read: in-flight intents
      * resolve against the sampled commit sequence, and the round
      * repeats only if a cross-shard commit flipped on a *touched*
-     * shard inside it). It is not a serializable snapshot against
-     * independent *single-key* writers: another session's two
-     * sequential puts to different shards may be observed out of
-     * program order. Reads mixed into a *writing* multiOp are exact
+     * shard inside it). A single-shard writing multiOp bumps its
+     * shard's sequence before its transaction, so a snapshot never
+     * sees a session's later writing multiOp without its earlier one.
+     * It is not a serializable snapshot against single-key writers or
+     * batches: another session's two sequential puts (or batch
+     * slices) on different shards may be observed out of program
+     * order. Reads mixed into a *writing* multiOp are exact
      * for keys the composite also writes (read-your-writes) and
      * per-shard consistent otherwise, but do not form a global
      * snapshot.
@@ -415,8 +424,9 @@ class KvStore
      * Read-ahead. Before the first transaction, grouping the ops by
      * shard also issues hint-only prefetches for all of them: every
      * op's home slot record, then, for byte reads, the blob each
-     * record names (Shard::prefetchSlot / prefetchValue). The ops' independent cache misses then overlap
-     * instead of queueing one lookup behind the other. The hints
+     * record names (Shard::prefetchSlot / prefetchValue). The ops'
+     * independent cache misses then overlap instead of queueing one
+     * lookup behind the other. The hints
      * decide nothing: the transactions read and validate as before.
      */
     KvResult multiOp(Session &session, std::vector<KvOp> &ops);
@@ -464,17 +474,19 @@ class KvStore
 
     /**
      * Apply a batch: one TM transaction per touched shard's slice, in
-     * program order and all-or-nothing (atomic per shard only).
+     * program order and all-or-nothing (atomic per shard only), run
+     * by the same slice function as a single-shard writing multiOp.
      * Results are readable through `batch.ops()` until the next
      * clear(). A put that finds its shard full rolls the slice back,
      * grows the shard and re-runs the whole slice. Returns kNoSpace
      * only when growth is capped and an insert still cannot fit: the
      * full shard's slice then has no effect and every op of it
      * reports ok false, while the other shards' slices stay applied.
-     * This is also the loop that drives background
-     * maintenance: each flushed shard advances its migration /
-     * TTL-sweep walker afterwards. Grouping issues the same hint-only
-     * read-ahead as multiOp before the first shard's transaction.
+     * Each slice, applied or not, ticks its shard's maintenance
+     * (migration / TTL-sweep walker). Durable batches append one
+     * record per slice and wait on one barrier per touched shard.
+     * Grouping issues the same hint-only read-ahead as multiOp before
+     * the first shard's transaction.
      */
     KvResult applyBatch(Session &session, Batch &batch);
 
@@ -574,9 +586,9 @@ class KvStore
      *  telemetry()). */
     polytm::PolyStats totalStats() const;
 
-    /** Writing-path verdicts: committed; table-full with the shard
-     *  already grown (caller re-runs the whole composite); or a hard
-     *  failure (growth capped). */
+    /** 2PC verdicts: committed; table-full with the shard already
+     *  grown (the caller re-runs the whole composite); or a hard
+     *  failure (growth capped, or the WAL refused the prepare). */
     enum class OpStatus
     {
         kDone,
@@ -597,64 +609,50 @@ class KvStore
         return static_cast<std::size_t>(session.tokens_[s].tid);
     }
 
-    /** Per-round backoff shared by the snapshot read paths. */
+    /** Per-round backoff of snapshotRounds. */
     void snapshotRetryPause(int round);
 
     /**
-     * Run a single-shard snapshot-epoch read: sample the shard's
-     * commit sequence and the store-wide read timestamp, run `body`
-     * (it receives the transaction and the ReadView) validation-free,
-     * and re-check the shard sequence — repeating only when a
-     * cross-shard commit actually flipped on this shard mid-round.
+     * The snapshot-epoch read of every read-only composite (multiOps,
+     * and scans as one slice): sample the slices' shard sequences and
+     * then the store-wide read timestamp, run `body(slice, tx, view)`
+     * as one validation-free transaction per slice, and re-check the
+     * sequences — repeating the round only when a commit bumped a
+     * touched shard inside it.
      */
-    template <typename F>
-    void
-    runReadSnapshot(Session &session, std::size_t s, F &&body)
-    {
-        std::atomic<std::uint64_t> &seq = shardSeqs_[s].value;
-        for (int round = 0;; ++round) {
-            const std::uint64_t s0 =
-                seq.load(std::memory_order_acquire);
-            // The read timestamp is sampled AFTER the shard sequence:
-            // a commit whose bump this round straddles is then
-            // guaranteed to have reserved its (visible) sequence
-            // within our snapshot — see the file comment.
-            const ReadView view{ReadView::Mode::kSnapshot,
-                                commitSeq_->load(
-                                    std::memory_order_acquire)};
-            shards_[s]->poly().run(session.tokens_[s],
-                                   [&](polytm::Tx &tx) { body(tx, view); });
-            snapRounds_.add(1, counterStripe(session, s));
-            if (seq.load(std::memory_order_acquire) == s0)
-                return;
-            snapRetries_.add(1, counterStripe(session, s));
-            recorder_.record(obs::TraceKind::kSnapshotRetry,
-                             static_cast<std::int32_t>(s), view.seq,
-                             static_cast<std::uint64_t>(round));
-            snapshotRetryPause(round);
-        }
-    }
+    template <typename Body>
+    void snapshotRounds(Session &session,
+                        std::span<const Session::ShardSlice> slices,
+                        Body &&body);
 
-    /** All ops on one shard: one TM transaction is already atomic, so
-     *  the cross-shard protocol is skipped entirely. */
-    OpStatus multiOpSingleShard(Session &session, bool writes);
+    /**
+     * Apply one shard's slice of a batch or a single-shard writing
+     * multiOp: the all-or-nothing transaction, grown and re-run on a
+     * full table; the slice's WAL kBatch record appended (its end in
+     * walBatchEnds_ — the caller rides the barrier, barrierSlices);
+     * displaced values retired, the tally fed, one maintenance tick.
+     * False when growth is capped: the slice then had no effect, every
+     * op reports ok false and its staged values are unstaged.
+     */
+    bool applySlice(Session &session, const Session::ShardSlice &slice);
+    /** Wait on each touched shard's WAL append end (durable stores). */
+    void barrierSlices(Session &session);
     OpStatus multiOpTwoPhaseWrite(Session &session);
-    void multiOpTwoPhaseRead(Session &session);
 
     /**
      * Stage the grouped ops' kPutBytes values on their home shards
      * (Shard::stageValue; once per composite, kept across
-     * grow-retries, carried in the op's scratch value field, blobs
-     * listed in newBlobs_) and enable the TTL sweep of every shard a
-     * TTL'd write lands on. On bad_alloc gives back what it staged
-     * and returns kNoMemory: nothing was written.
+     * grow-retries, carried in the op's scratch value field) and
+     * enable the TTL sweep of every shard a TTL'd write lands on. On
+     * bad_alloc unstages what it staged and returns kNoMemory:
+     * nothing was written.
      */
     KvStatus stageWrites(Session &session);
-    /** Free / keep the blobs staged for this multiOp's kPutBytes ops
-     *  (kept on success — they are live table values now). */
-    void releaseStagedBlobs(Session &session, bool committed);
-    /** Retire the displaced pre-image blobs after a committed op. */
-    void freeReclaimed(Session &session);
+    /** Unstage the values staged for the kPutBytes ops among `ops`
+     *  (a failed slice's, an aborted 2PC's): no committed slot word
+     *  ever named them. */
+    void unstageOps(Session &session,
+                    std::span<const Session::TaggedOp> ops);
 
     KvStoreOptions options_;
     /**

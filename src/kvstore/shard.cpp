@@ -68,6 +68,19 @@ blobPinWindow()
         std::this_thread::sleep_for(std::chrono::microseconds(window.arg()));
 }
 
+/** Add an insert into `state`, the probe's insert point (kEmpty, or
+ *  the first tombstone it passed), to `tally`. */
+inline void
+tallyInsert(Shard::WriteTally *tally, std::uint64_t state)
+{
+    if (tally == nullptr)
+        return;
+    if (state == kEmpty)
+        ++tally->newSlots;
+    else if (state == kTombstone)
+        --tally->tombstones;
+}
+
 /** Numeric decode of an inline ValueRef (zero-padded to 8 bytes). */
 inline std::uint64_t
 inlineNumeric(ValueRef ref)
@@ -514,12 +527,6 @@ Shard::lookupLiveTx(polytm::Tx &tx, std::uint64_t key, SlotRef *ref,
 }
 
 bool
-Shard::getTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t *value)
-{
-    return snapshotGetTx(tx, key, value, ReadView{});
-}
-
-bool
 Shard::snapshotGetTx(polytm::Tx &tx, std::uint64_t key,
                      std::uint64_t *value, const ReadView &view)
 {
@@ -568,19 +575,14 @@ Shard::settledValueTx(polytm::Tx &tx, const SlotRef &ref,
 bool
 Shard::putSlotTx(polytm::Tx &tx, std::uint64_t key,
                  std::uint64_t new_state, std::uint64_t value,
-                 std::uint64_t expiry, SlotImage *pre,
+                 std::uint64_t expiry, WriteTally *tally,
                  std::vector<std::uint64_t> *reclaim)
 {
     bool found = false;
     const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    if (ref.slot == ref.table->slots) {
-        if (pre)
-            *pre = SlotImage{};
+    if (ref.slot == ref.table->slots)
         return false; // full
-    }
     const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    if (pre)
-        *pre = image;
     SlotRecord &rec = ref.table->records[ref.slot];
     if (found) {
         if (reclaim && image.state == kFullRef)
@@ -590,6 +592,7 @@ Shard::putSlotTx(polytm::Tx &tx, std::uint64_t key,
         tx.writeWord(&rec.expiry, expiry);
         return true;
     }
+    tallyInsert(tally, image.state);
     tx.writeWord(&rec.state, new_state);
     tx.writeWord(&rec.key, key);
     tx.writeWord(&rec.value, value);
@@ -599,34 +602,32 @@ Shard::putSlotTx(polytm::Tx &tx, std::uint64_t key,
 
 bool
 Shard::putTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t value,
-             std::uint64_t expiry, SlotImage *pre,
+             std::uint64_t expiry, WriteTally *tally,
              std::vector<std::uint64_t> *reclaim)
 {
-    return putSlotTx(tx, key, kFull, value, expiry, pre, reclaim);
+    return putSlotTx(tx, key, kFull, value, expiry, tally, reclaim);
 }
 
 bool
 Shard::putRefTx(polytm::Tx &tx, std::uint64_t key, ValueRef ref_value,
-                std::uint64_t expiry, SlotImage *pre,
+                std::uint64_t expiry, WriteTally *tally,
                 std::vector<std::uint64_t> *reclaim)
 {
-    return putSlotTx(tx, key, kFullRef, ref_value, expiry, pre,
+    return putSlotTx(tx, key, kFullRef, ref_value, expiry, tally,
                      reclaim);
 }
 
 bool
-Shard::delTx(polytm::Tx &tx, std::uint64_t key, SlotImage *pre,
+Shard::delTx(polytm::Tx &tx, std::uint64_t key, WriteTally *tally,
              std::vector<std::uint64_t> *reclaim)
 {
     bool found = false;
     const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    if (pre)
-        *pre = SlotImage{};
     if (!found)
         return false;
     const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    if (pre)
-        *pre = image;
+    if (tally)
+        ++tally->tombstones;
     if (reclaim && image.state == kFullRef)
         reclaim->push_back(image.value);
     tx.writeWord(&ref.table->records[ref.slot].state, kTombstone);
@@ -637,22 +638,17 @@ Shard::delTx(polytm::Tx &tx, std::uint64_t key, SlotImage *pre,
 
 bool
 Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
-             SlotImage *pre, std::vector<std::uint64_t> *reclaim,
+             WriteTally *tally, std::vector<std::uint64_t> *reclaim,
              SlotImage *post)
 {
     // One lookup for the read-modify-write (the transfer hot path),
-    // not a getTx+putTx pair walking the chain twice.
+    // not a read and a putTx walking the chain twice.
     const auto unsigned_delta = static_cast<std::uint64_t>(delta);
     bool found = false;
     const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    if (ref.slot == ref.table->slots) {
-        if (pre)
-            *pre = SlotImage{};
+    if (ref.slot == ref.table->slots)
         return false; // full
-    }
     const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    if (pre)
-        *pre = image;
     SlotRecord &rec = ref.table->records[ref.slot];
     // numericValueTx re-reads a blob's slot, so a deadline that passed
     // in between reads as expired too.
@@ -683,6 +679,7 @@ Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
             *post = SlotImage{kFull, unsigned_delta, 0};
         return true;
     }
+    tallyInsert(tally, image.state);
     tx.writeWord(&rec.state, kFull);
     tx.writeWord(&rec.key, key);
     tx.writeWord(&rec.value, unsigned_delta);
@@ -955,18 +952,17 @@ Shard::prepareGetBytesTx(polytm::Tx &tx, CommitRecord *record,
     return bytesValueTx(tx, *ref.table, ref.slot, live, out);
 }
 
-bool
+void
 Shard::finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
-                        std::int64_t *tombstone_delta)
+                        WriteTally &tally)
 {
     ShardTable &table = *intent->table;
     const std::size_t slot = static_cast<std::size_t>(intent->slot);
     SlotRecord &rec = table.records[slot];
     const std::uint64_t word = tx.readWord(&rec.intent);
     if (intentOf(word) != intent)
-        return false; // a helping writer already folded it
+        return; // a helping writer already folded it
     const std::uint64_t pre_state = tx.readWord(&rec.state);
-    const bool was_pending_insert = pre_state == kPendingInsert;
     const std::uint64_t new_state =
         intent->newState.load(std::memory_order_relaxed);
     tx.writeWord(&rec.state, new_state);
@@ -977,16 +973,12 @@ Shard::finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
                      intent->newExpiry.load(std::memory_order_relaxed));
     }
     tx.writeWord(&rec.intent, 0);
-    if (tombstone_delta) {
-        if (new_state == kTombstone && stateIsValue(pre_state))
-            ++*tombstone_delta; // committed delete of a value slot
-        else if (was_pending_insert && stateIsValue(new_state) &&
-                 intent->claimedTombstone)
-            --*tombstone_delta; // the insert reused a tombstone
-    }
-    // A pending insert that claimed a tombstone consumed no new slot.
-    return was_pending_insert && stateIsValue(new_state) &&
-           !intent->claimedTombstone;
+    if (new_state == kTombstone && stateIsValue(pre_state))
+        ++tally.tombstones; // committed delete of a value slot
+    else if (pre_state == kPendingInsert && stateIsValue(new_state))
+        // The insert point the prepare claimed: a tombstone or EMPTY.
+        tallyInsert(&tally,
+                    intent->claimedTombstone ? kTombstone : kEmpty);
 }
 
 void
@@ -1008,8 +1000,9 @@ Shard::get(polytm::ThreadToken &token, std::uint64_t key,
            std::uint64_t *value)
 {
     bool ok = false;
-    poly_.run(token,
-              [&](polytm::Tx &tx) { ok = getTx(tx, key, value); });
+    poly_.run(token, [&](polytm::Tx &tx) {
+        ok = snapshotGetTx(tx, key, value, ReadView{});
+    });
     return ok;
 }
 
@@ -1053,16 +1046,17 @@ Shard::putLoop(polytm::ThreadToken &token, std::uint64_t key,
         // it instead of failing a capped shard spuriously.
         const std::size_t cap = capacity();
         bool ok = false;
-        SlotImage pre;
+        WriteTally tally;
         poly_.run(token, [&](polytm::Tx &tx) {
             displaced.clear(); // retried attempts restart
-            ok = putSlotTx(tx, key, state, value, expiry, &pre,
+            tally = {};
+            ok = putSlotTx(tx, key, state, value, expiry, &tally,
                            &displaced);
             if (ok && lsn)
                 *lsn = walTicketTx(tx);
         });
         if (ok) {
-            finishWrite(token, pre, false);
+            finishWrite(token, tally);
             return true;
         }
         if (!tryGrow(token, cap))
@@ -1076,14 +1070,20 @@ Shard::del(polytm::ThreadToken &token, std::uint64_t key,
 {
     std::vector<std::uint64_t> &displaced = writerOf(token).displaced;
     bool ok = false;
-    SlotImage pre;
+    WriteTally tally;
     poly_.run(token, [&](polytm::Tx &tx) {
         displaced.clear();
-        ok = delTx(tx, key, &pre, &displaced);
+        tally = {};
+        ok = delTx(tx, key, &tally, &displaced);
         if (lsn)
             *lsn = walTicketTx(tx);
     });
-    finishWrite(token, pre, true);
+    // A del that found no value wrote nothing and ticks nothing. One
+    // that did drives maintenance like every other write: a del-only
+    // phase must still reclaim its retired blobs (and move an
+    // in-flight migration).
+    if (tally.tombstones != 0)
+        finishWrite(token, tally);
     return ok;
 }
 
@@ -1184,35 +1184,30 @@ Shard::scan(polytm::ThreadToken &token, std::uint64_t start_key,
 }
 
 void
-Shard::noteConsumed(std::size_t n)
+Shard::noteWrites(polytm::ThreadToken &token, const WriteTally &tally)
 {
-    TableEpoch *ep = epochMirror_.load(std::memory_order_acquire);
-    ep->live->consumed.fetch_add(n, std::memory_order_relaxed);
-}
-
-void
-Shard::noteTombstones(std::int64_t delta)
-{
-    TableEpoch *ep = epochMirror_.load(std::memory_order_acquire);
-    ep->live->tombstones.fetch_add(delta, std::memory_order_relaxed);
-}
-
-void
-Shard::noteInserted(polytm::ThreadToken &token)
-{
-    WriterRecord &writer = writerOf(token);
+    if (tally.newSlots == 0 && tally.tombstones == 0)
+        return; // overwrites and misses move no count
     ShardTable *live = epochMirror_.load(std::memory_order_acquire)->live;
-    if (writer.table != live) {
-        // A grow or compaction replaced the table the held-back
-        // inserts went to; the migration counts them again where they
-        // land, so they are dropped, not carried over.
-        writer.table = live;
-        writer.pending = 0;
+    if (tally.newSlots != 0) {
+        WriterRecord &writer = writerOf(token);
+        if (writer.table != live) {
+            // A grow or compaction replaced the table the held-back
+            // inserts went to; the migration counts them again where
+            // they land, so they are dropped, not carried over.
+            writer.table = live;
+            writer.pending = 0;
+        }
+        writer.pending += tally.newSlots;
+        if (writer.pending >= consumedStep(live->slots)) {
+            live->consumed.fetch_add(writer.pending,
+                                     std::memory_order_relaxed);
+            writer.pending = 0;
+        }
     }
-    if (++writer.pending >= consumedStep(live->slots)) {
-        live->consumed.fetch_add(writer.pending, std::memory_order_relaxed);
-        writer.pending = 0;
-    }
+    if (tally.tombstones != 0)
+        live->tombstones.fetch_add(tally.tombstones,
+                                   std::memory_order_relaxed);
 }
 
 void
@@ -1229,25 +1224,13 @@ Shard::deregisterWorker(polytm::ThreadToken &token)
 }
 
 void
-Shard::finishWrite(polytm::ThreadToken &token, const SlotImage &pre,
-                   bool deleted)
+Shard::finishWrite(polytm::ThreadToken &token, const WriteTally &tally)
 {
     // The displacing transaction committed: a pinned reader may still
     // be copying the handles, so they retire rather than recycle.
     for (const std::uint64_t ref : writerOf(token).displaced)
         retireValue(token, ref);
-    if (deleted) {
-        if (!stateIsValue(pre.state))
-            return;
-        // Deletes drive maintenance like every other write — a
-        // del-only phase must still reclaim its retired blobs (and
-        // move an in-flight migration).
-        noteTombstones(1);
-    } else if (pre.state == kEmpty) {
-        noteInserted(token);
-    } else if (pre.state == kTombstone) {
-        noteTombstones(-1); // insert reused a tombstone
-    }
+    noteWrites(token, tally);
     maintainTick(token);
 }
 
@@ -1502,7 +1485,9 @@ Shard::migrateChunk(polytm::ThreadToken &token)
     for (const std::uint64_t ref : reclaim)
         retireValue(token, ref); // a doomed scan may still hold them
     if (consumed_live > 0)
-        noteConsumed(consumed_live);
+        epochMirror_.load(std::memory_order_acquire)
+            ->live->consumed.fetch_add(consumed_live,
+                                       std::memory_order_relaxed);
     if (stalled) {
         // Give the chunk back: relocated slots are tombstones now, so
         // re-processing is idempotent, and the rewind target is the

@@ -51,8 +51,10 @@
  * WAL replay call the same write loop; composites (multiOp, batches)
  * run the *Tx primitives themselves but stage, unstage and retire
  * their values through the same records (stageValue, unstageValue,
- * retireValue). deregisterWorker hands a leaving writer's state back
- * to the shard.
+ * retireValue), and every committed write transaction, a composite's
+ * included, feeds its WriteTally to the grow and compaction
+ * heuristics through noteWrites. deregisterWorker hands a leaving
+ * writer's state back to the shard.
  *
  * Values. A slot's value word is state-tagged: kFull means a raw
  * 64-bit value (numeric API, kAdd arithmetic); kFullRef means a
@@ -262,8 +264,9 @@ struct ShardTable
 
     /**
      * Heuristic non-kEmpty slot count (grow trigger; drift is ok).
-     * finishWrite does not add each insert at once: every writer
-     * holds its new slots back in its own record and adds them in
+     * No write adds its inserts at once: Shard::noteWrites holds every
+     * writer's new slots back in its own record (single-key writes,
+     * composite slices and 2PC finalize alike) and adds them in
      * steps of Shard::consumedStep(slots) = clamp(slots >> 13, 1, 64).
      * A table of up to 2^13 slots therefore counts exactly; a larger
      * one can lag by under slots >> 13 per writer, so with every one
@@ -308,7 +311,7 @@ struct TableEpoch
     ShardTable *old = nullptr; //!< non-null while migrating
 };
 
-/** Pre-image of one slot (kEmpty state = key was absent). */
+/** One slot's (state, value, expiry) words (kEmpty state = no key). */
 struct SlotImage
 {
     std::uint64_t state = kEmpty;
@@ -432,26 +435,44 @@ class Shard
     void prefetchValue(std::uint64_t key) const;
 
     /**
+     * What one write transaction did to the slot counts behind the
+     * grow and compaction heuristics: inserts that claimed a kEmpty
+     * slot, and the net tombstones it minted (+1 per delete of a
+     * value slot) or reused (-1 per insert over one). The write
+     * primitives and finalizeIntentTx add into it; a retried attempt
+     * starts from an empty tally, and the committed one goes to
+     * noteWrites.
+     */
+    struct WriteTally
+    {
+        std::size_t newSlots = 0;
+        std::int64_t tombstones = 0;
+    };
+
+    /**
+     * Feed a committed write transaction's tally to the heuristics:
+     * new slots through the writer record's held-back count (see
+     * ShardTable::consumed), tombstones into the live table's count.
+     */
+    void noteWrites(polytm::ThreadToken &token, const WriteTally &tally);
+
+    /**
      * Transactional primitives for composition: run inside a caller-
      * managed transaction (KvStore multi-key commits, batches). All are
      * intent-aware: they resolve any write intent on the touched slot
-     * as described in the file comment. Write primitives optionally
-     * report the displaced pre-image (`pre`, captured after intent
-     * resolution from the same probe walk) for the callers' grow and
-     * compaction heuristics, and push displaced blob handles onto
-     * `reclaim` — the caller frees those only after the transaction
-     * committed.
-     */
-    bool getTx(polytm::Tx &tx, std::uint64_t key,
-               std::uint64_t *value = nullptr);
-    /**
-     * getTx under an explicit ReadView: kSnapshot resolves in-flight
-     * intents against the caller's sampled commit sequence instead of
-     * retry-looping (the caller pairs it with a trailing per-shard
-     * sequence check); kSettle waits intents out to their verdict.
-     * A blob read pins itself; a caller that pins the whole body in
-     * readerEpochs() (as the byte read paths do) saves the re-read
-     * of the slot that a pin opened at the blob costs.
+     * as described in the file comment. Write primitives add what they
+     * did to `tally` (found after intent resolution, from the same
+     * probe walk) and push displaced blob handles onto `reclaim` — the
+     * caller frees those only after the transaction committed.
+     *
+     * Point reads take an explicit ReadView: kLatest is a single-key
+     * get's; kSnapshot resolves in-flight intents against the caller's
+     * sampled commit sequence instead of retry-looping (the caller
+     * pairs it with a trailing per-shard sequence check); kSettle
+     * waits intents out to their verdict. A blob read pins itself; a
+     * caller that pins the whole body in readerEpochs() (as the byte
+     * read paths do) saves the re-read of the slot that a pin opened
+     * at the blob costs.
      */
     bool snapshotGetTx(polytm::Tx &tx, std::uint64_t key,
                        std::uint64_t *value, const ReadView &view);
@@ -459,22 +480,22 @@ class Shard
                             std::string *out, const ReadView &view);
     /** Store a raw 64-bit value (state kFull). False on a full table. */
     bool putTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t value,
-               std::uint64_t expiry = 0, SlotImage *pre = nullptr,
+               std::uint64_t expiry = 0, WriteTally *tally = nullptr,
                std::vector<std::uint64_t> *reclaim = nullptr);
     /** Store a ValueRef (state kFullRef). False on a full table. */
     bool putRefTx(polytm::Tx &tx, std::uint64_t key, ValueRef ref,
-                  std::uint64_t expiry = 0, SlotImage *pre = nullptr,
+                  std::uint64_t expiry = 0, WriteTally *tally = nullptr,
                   std::vector<std::uint64_t> *reclaim = nullptr);
     bool delTx(polytm::Tx &tx, std::uint64_t key,
-               SlotImage *pre = nullptr,
+               WriteTally *tally = nullptr,
                std::vector<std::uint64_t> *reclaim = nullptr);
     /**
      * value += delta (two's-complement), creating the key at delta.
      * A byte value is coerced through its numeric decode (the blob is
-     * displaced onto `reclaim`).
+     * displaced onto `reclaim`). `post` receives the written slot.
      */
     bool addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
-               SlotImage *pre = nullptr,
+               WriteTally *tally = nullptr,
                std::vector<std::uint64_t> *reclaim = nullptr,
                SlotImage *post = nullptr);
     /** Scan under a ReadView (kLatest scans can return a torn mix of
@@ -532,13 +553,14 @@ class Shard
      * Reads inside a writing composite. They first make the slot
      * writable — waiting out / folding any foreign intent exactly like
      * the write primitives do — so the returned value is the one a
-     * later write in the same transaction builds on: a plain getTx may
-     * return the pre-image of a still-PENDING foreign commit that a
-     * following putTx then folds, and the commit flip between the two
-     * is a plain store the TM does not track, so the transaction would
-     * commit both answers. With a `record` (a 2PC prepare) they also
-     * see that commit's own intents (read-your-writes); a single-shard
-     * composite passes nullptr.
+     * later write in the same transaction builds on: a kLatest point
+     * read may return the pre-image of a still-PENDING foreign commit
+     * that a following putTx then folds, and the commit flip between
+     * the two is a plain store the TM does not track, so the
+     * transaction would commit both answers. With a `record` (a 2PC
+     * prepare) they also see that commit's own intents
+     * (read-your-writes); a slice (a batch's, a single-shard
+     * multiOp's) passes nullptr.
      */
     bool prepareGetTx(polytm::Tx &tx, CommitRecord *record,
                       std::uint64_t key, std::uint64_t *value);
@@ -547,17 +569,13 @@ class Shard
 
     /**
      * Fold one of this commit's intents into the live slot words and
-     * clear the intent pointer; a no-op if a helping writer already
-     * folded it. Call with the record kCommitted. Returns true when
-     * the fold turned a pending insert into a value slot on a
-     * previously EMPTY slot (the caller feeds the consumed-slot
-     * heuristic; a tombstone-claiming insert consumed nothing new);
-     * `tombstone_delta` (optional) accumulates the net tombstones the
-     * fold created (+1 committed delete of a value slot, -1 insert
-     * that reused a tombstone).
+     * clear the intent pointer, adding what the fold wrote to `tally`
+     * (a pending insert is a new slot only when it claimed an EMPTY
+     * one); a no-op if a helping writer already folded it. Call with
+     * the record kCommitted.
      */
-    bool finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
-                          std::int64_t *tombstone_delta = nullptr);
+    void finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
+                          WriteTally &tally);
 
     /**
      * Discard one of this commit's intents (pending inserts become
@@ -590,14 +608,6 @@ class Shard
 
     /** Drive the current migration (if any) to completion. */
     void drainMigration(polytm::ThreadToken &token);
-
-    /** Bump the heuristic consumed-slot count (insert bookkeeping). */
-    void noteConsumed(std::size_t n);
-
-    /** Adjust the heuristic tombstone count: +1 per committed delete
-     *  of a value slot, -1 per insert that reused a tombstone. Feeds
-     *  the compaction-vs-grow decision; drift is tolerated. */
-    void noteTombstones(std::int64_t delta);
 
     /** Record that TTL'd values exist (enables the sweep); called by
      *  layers that drive the *Tx primitives directly. */
@@ -752,20 +762,10 @@ class Shard
                  std::uint64_t state, std::uint64_t value,
                  std::uint64_t expiry, std::uint64_t *lsn);
 
-    /**
-     * Post-commit bookkeeping of a single-key write: retire the
-     * writer's displaced handles, feed the heuristics — a put's insert
-     * into an empty slot (noteInserted) or a reused tombstone, a del's
-     * new tombstone — and run a maintenance tick. A del that found no
-     * value wrote nothing and ticks nothing.
-     */
-    void finishWrite(polytm::ThreadToken &token, const SlotImage &pre,
-                     bool deleted);
-
-    /** Insert bookkeeping: counts one new slot in the caller's writer
-     *  record, adding the record's count to the live table's consumed
-     *  once it reaches consumedStep(). */
-    void noteInserted(polytm::ThreadToken &token);
+    /** Post-commit bookkeeping of a single-key write: retire the
+     *  writer's displaced handles, feed the tally (noteWrites) and run
+     *  a maintenance tick. */
+    void finishWrite(polytm::ThreadToken &token, const WriteTally &tally);
 
     /** Resync the live table's heuristic tombstone count from its
      *  state words after a migration retires its source. growMutex_
@@ -883,7 +883,7 @@ class Shard
     /** Shared body of putTx/putRefTx. */
     bool putSlotTx(polytm::Tx &tx, std::uint64_t key,
                    std::uint64_t new_state, std::uint64_t value,
-                   std::uint64_t expiry, SlotImage *pre,
+                   std::uint64_t expiry, WriteTally *tally,
                    std::vector<std::uint64_t> *reclaim);
 
     WriteIntent *installIntent(polytm::Tx &tx, CommitRecord *record,

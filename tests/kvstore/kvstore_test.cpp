@@ -14,18 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "kvstore/kvstore.hpp"
 #include "kvstore/traffic.hpp"
-
-namespace proteus::polytm {
-// gtest prints each parameter into the test's listed name.
-void
-PrintTo(const TmConfig &config, std::ostream *os)
-{
-    *os << config.label();
-}
-} // namespace proteus::polytm
 
 namespace proteus::kvstore {
 namespace {
@@ -141,20 +133,102 @@ everyBackendAndHtmFallback()
     return configs;
 }
 
+/** Where a shard's slice comes from: a batch, or a writing multiOp
+ *  whose ops all land on one shard. Both run KvStore's one slice
+ *  function. */
+enum class SliceEntry
+{
+    kBatch,
+    kMultiOp,
+};
+
+struct SliceCase
+{
+    polytm::TmConfig config;
+    SliceEntry entry;
+};
+
+// gtest prints each parameter into the test's listed name.
+void
+PrintTo(const SliceCase &slice_case, std::ostream *os)
+{
+    *os << slice_case.config.label();
+    if (slice_case.entry == SliceEntry::kMultiOp)
+        *os << " multiOp";
+}
+
+/** Every backend and the HTM fallback, through both entry points. */
+std::vector<SliceCase>
+everySliceCase()
+{
+    std::vector<SliceCase> cases;
+    for (const SliceEntry entry : {SliceEntry::kBatch, SliceEntry::kMultiOp}) {
+        for (const polytm::TmConfig &config : everyBackendAndHtmFallback())
+            cases.push_back({config, entry});
+    }
+    return cases;
+}
+
 /**
- * The batch contract on every backend: each shard's slice runs as one
- * transaction in program order and is all-or-nothing, across a grow
- * and when growth is capped; other shards' slices are independent.
+ * The slice contract on every backend, for batches and single-shard
+ * writing multiOps alike: each shard's slice runs as one transaction
+ * in program order and is all-or-nothing, across a grow and when
+ * growth is capped; other shards' slices are independent.
  */
-class BatchContractTest
-    : public ::testing::TestWithParam<polytm::TmConfig>
+class BatchContractTest : public ::testing::TestWithParam<SliceCase>
 {
   protected:
     KvStoreOptions
     withBackend(KvStoreOptions options) const
     {
-        options.initial = GetParam();
+        options.initial = GetParam().config;
         return options;
+    }
+
+    bool
+    throughBatch() const
+    {
+        return GetParam().entry == SliceEntry::kBatch;
+    }
+
+    /**
+     * Apply `batch`'s ops through the entry point under test: the
+     * batch itself, or one single-shard writing multiOp per touched
+     * shard, in shard order. Returns the first failure (else kOk);
+     * `results` receives the ops with their outcomes, in batch order.
+     */
+    KvStatus
+    apply(KvStore &store, KvStore::Session &session, KvStore::Batch &batch,
+          std::vector<KvOp> *results) const
+    {
+        if (throughBatch()) {
+            const KvStatus status = store.applyBatch(session, batch).status;
+            *results = batch.ops();
+            return status;
+        }
+        *results = batch.ops();
+        KvStatus first_failure = KvStatus::kOk;
+        for (int s = 0; s < store.numShards(); ++s) {
+            const auto on_shard = [&](const KvOp &op) {
+                return store.shardOf(op.key) == static_cast<std::size_t>(s);
+            };
+            std::vector<KvOp> slice;
+            for (const KvOp &op : *results) {
+                if (on_shard(op))
+                    slice.push_back(op);
+            }
+            if (slice.empty())
+                continue;
+            const KvStatus status = store.multiOp(session, slice).status;
+            if (first_failure == KvStatus::kOk)
+                first_failure = status;
+            auto next = slice.begin();
+            for (KvOp &op : *results) {
+                if (on_shard(op))
+                    op = *next++;
+            }
+        }
+        return first_failure;
     }
 };
 
@@ -170,10 +244,11 @@ TEST_P(BatchContractTest, GrowKeepsProgramOrder)
         batch.put(key, key * 10);
     batch.get(24);
     batch.del(24);
-    EXPECT_EQ(store.applyBatch(session, batch).status, KvStatus::kOk);
-    EXPECT_TRUE(batch.ops()[24].ok) << "get(24) must see put(24)";
-    EXPECT_EQ(batch.ops()[24].value, 240u);
-    EXPECT_TRUE(batch.ops()[25].ok) << "del(24) must find put(24)";
+    std::vector<KvOp> results;
+    EXPECT_EQ(apply(store, session, batch, &results), KvStatus::kOk);
+    EXPECT_TRUE(results[24].ok) << "get(24) must see put(24)";
+    EXPECT_EQ(results[24].value, 240u);
+    EXPECT_TRUE(results[25].ok) << "del(24) must find put(24)";
 
     EXPECT_FALSE(store.get(session, 24));
     std::uint64_t value = 0;
@@ -198,11 +273,14 @@ TEST_P(BatchContractTest, CappedSliceHasNoEffect)
     batch.del(1);
     for (std::uint64_t key = 101; key <= 120; ++key)
         batch.putBytes(key, std::string(100, static_cast<char>(key)));
-    EXPECT_EQ(store.applyBatch(session, batch).status,
-              KvStatus::kNoSpace);
+    std::vector<KvOp> results;
+    EXPECT_EQ(apply(store, session, batch, &results), KvStatus::kNoSpace);
 
-    for (const KvOp &op : batch.ops())
-        EXPECT_FALSE(op.ok) << "op on key " << op.key;
+    // A failed multiOp leaves its ops' fields unspecified.
+    if (throughBatch()) {
+        for (const KvOp &op : results)
+            EXPECT_FALSE(op.ok) << "op on key " << op.key;
+    }
     EXPECT_TRUE(store.get(session, 1)) << "the delete must not apply";
     std::string out;
     for (std::uint64_t key = 101; key <= 120; ++key)
@@ -235,12 +313,17 @@ TEST_P(BatchContractTest, CappedShardLeavesOtherSlicesApplied)
         overflowing.push_back(next_on_shard(1));
         batch.put(overflowing.back(), 8);
     }
-    EXPECT_EQ(store.applyBatch(session, batch).status,
-              KvStatus::kNoSpace);
+    std::vector<KvOp> results;
+    EXPECT_EQ(apply(store, session, batch, &results), KvStatus::kNoSpace);
 
-    // Atomic per shard, not across shards.
-    for (const KvOp &op : batch.ops())
-        EXPECT_EQ(op.ok, store.shardOf(op.key) == 0) << "key " << op.key;
+    // Atomic per shard, not across shards. The failed multiOp (shard
+    // 1's) leaves its ops' fields unspecified.
+    for (const KvOp &op : results) {
+        const bool applied = store.shardOf(op.key) == 0;
+        if (throughBatch() || applied) {
+            EXPECT_EQ(op.ok, applied) << "key " << op.key;
+        }
+    }
     for (const std::uint64_t k : fitting)
         EXPECT_TRUE(store.get(session, k)) << "key " << k;
     for (const std::uint64_t k : overflowing)
@@ -249,16 +332,45 @@ TEST_P(BatchContractTest, CappedShardLeavesOtherSlicesApplied)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EveryBackend, BatchContractTest,
-    ::testing::ValuesIn(everyBackendAndHtmFallback()),
-    [](const ::testing::TestParamInfo<polytm::TmConfig> &info) {
-        std::string name = info.param.label();
+    EveryBackend, BatchContractTest, ::testing::ValuesIn(everySliceCase()),
+    [](const ::testing::TestParamInfo<SliceCase> &info) {
+        std::string name = info.param.config.label();
         for (char &c : name) {
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';
         }
+        if (info.param.entry == SliceEntry::kMultiOp)
+            name += "_multiOp";
         return name;
     });
+
+TEST(KvStoreTest, BatchesGrowALargeTableWithinTwoSteps)
+{
+    // 2^16 slots: a batch slice holds its new slots back in the
+    // writer's record like a single-key put does (up to a step of 8),
+    // so batches of 3 puts grow the table at most two steps past the
+    // 70% mark, never before it.
+    constexpr std::uint64_t kSlots = std::uint64_t{1} << 16;
+    KvStore store(smallStore(1, 16));
+    const std::uint64_t step = Shard::consumedStep(kSlots);
+    ASSERT_EQ(step, 8u);
+    const std::uint64_t mark = (kSlots * 70 + 99) / 100;
+    auto session = store.openSession();
+
+    std::uint64_t inserted = 0;
+    KvStore::Batch batch;
+    while (store.shard(0).growCount() == 0 && inserted < kSlots) {
+        batch.clear();
+        for (int i = 0; i < 3; ++i) {
+            ++inserted;
+            batch.put(inserted, inserted);
+        }
+        ASSERT_EQ(store.applyBatch(session, batch).status, KvStatus::kOk);
+    }
+    EXPECT_GE(inserted, mark);
+    EXPECT_LE(inserted, mark + 2 * step);
+    store.closeSession(session);
+}
 
 TEST(KvStoreTest, OpenSessionFailureLeaksNoRegistrations)
 {
@@ -742,7 +854,10 @@ TEST(KvStoreTest, WideValuesSurviveAbortOnHtmFallback)
     ops.push_back(
         {KvOp::Kind::kPutBytes, witness, 0, false, replacement});
     ops.push_back({KvOp::Kind::kPut, overflow, 42, false});
+    const std::size_t live_before = store.shard(0).arena().bytesLive();
     EXPECT_FALSE(store.multiOp(session, ops)) << "insert cannot fit";
+    EXPECT_EQ(store.shard(0).arena().bytesLive(), live_before)
+        << "the aborted 2PC must unstage the replacement's blob";
 
     std::string out;
     ASSERT_TRUE(store.getBytes(session, witness, &out));
@@ -753,6 +868,34 @@ TEST(KvStoreTest, WideValuesSurviveAbortOnHtmFallback)
                                replacement.size()));
     ASSERT_TRUE(store.getBytes(session, witness, &out));
     EXPECT_EQ(out, replacement);
+    store.closeSession(session);
+}
+
+TEST(KvStoreTest, MultiOpOutOfArenaGivesBackWhatItStaged)
+{
+    // The third wide value's blob cannot be carved: the multiOp
+    // reports kNoMemory with nothing written, and the two values it
+    // had already staged go back to the arena.
+    KvStore store(smallStore(1, 8));
+    auto session = store.openSession();
+    const std::size_t live_before = store.shard(0).arena().bytesLive();
+    std::vector<KvOp> ops;
+    for (std::uint64_t key = 1; key <= 3; ++key) {
+        ops.push_back({KvOp::Kind::kPutBytes, key, 0, false,
+                       std::string(100, static_cast<char>('a' + key))});
+    }
+    fault::FaultSpec third_carve;
+    third_carve.trigger = fault::FaultSpec::Trigger::kNth;
+    third_carve.nth = 3;
+    fault::arm("arena.carve", third_carve);
+    EXPECT_EQ(store.multiOp(session, ops).status, KvStatus::kNoMemory);
+    fault::disarmAll();
+
+    EXPECT_EQ(store.shard(0).arena().bytesLive(), live_before)
+        << "the two staged blobs must be given back";
+    std::string out;
+    for (std::uint64_t key = 1; key <= 3; ++key)
+        EXPECT_FALSE(store.getBytes(session, key, &out)) << "key " << key;
     store.closeSession(session);
 }
 

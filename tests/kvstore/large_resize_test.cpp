@@ -122,10 +122,12 @@ TEST(LargeResizeTest, GrowthTo2To17SlotsKeepsContents)
                 if ((key & 7) == 0) {
                     std::string bytes = widePayload(key, version);
                     ok = store.putBytes(session, key, bytes.data(),
-                                        bytes.size());
+                                        bytes.size())
+                             .status == KvStatus::kOk;
                     ref[key] = std::move(bytes);
                 } else {
-                    ok = store.put(session, key, wordValue(key, version));
+                    ok = store.put(session, key, wordValue(key, version))
+                             .status == KvStatus::kOk;
                     ref[key] = wordBytes(wordValue(key, version));
                 }
                 if (!ok)

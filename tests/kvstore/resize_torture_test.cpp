@@ -82,10 +82,12 @@ TEST(ResizeTortureTest, GrowthUnderTransfersAndScansLosesNothing)
                 if ((key & 7) == 0) {
                     const std::string bytes = widePayload(key);
                     ok = store.putBytes(session, key, bytes.data(),
-                                        bytes.size());
+                                        bytes.size())
+                             .status == KvStatus::kOk;
                 } else {
                     ok = store.put(session, key,
-                                   key * 2654435761ull + 1);
+                                   key * 2654435761ull + 1)
+                             .status == KvStatus::kOk;
                 }
                 if (!ok)
                     put_failed.store(true);

@@ -14,6 +14,10 @@
  *    backwards on the same key — a resolver preferring a stale
  *    pre-image after the post-image was visible would.
  *
+ * The program-order case pins the shard-sequence bump of single-shard
+ * writing multiOps: a snapshot must never see one session's later
+ * single-shard multiOp without its earlier one on another shard.
+ *
  * The read-ahead hunter races the multiOp read-ahead (hint-only
  * prefetches and relaxed peeks of slot records, issued outside any
  * transaction and before gate admission) against every way a record
@@ -28,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -194,6 +199,92 @@ TEST(TornReadTest, NoObserverSeesHalfCommittedComposite)
         EXPECT_EQ(value, encode(p, kItersPerWriter));
     }
     store.closeSession(session);
+}
+
+TEST(TornReadTest, SnapshotSeesSingleShardMultiOpsInProgramOrder)
+{
+    // A writer writes each version v as two single-op writing
+    // multiOps, key A on shard 0 and then key B on shard 1, so B never
+    // runs ahead of A. A read-only multiOp reads A, then kFillers keys
+    // on shard 0, then B: the fillers hold its shard-0 transaction
+    // open while the writer's next pair commits (one pair per read, so
+    // every read can settle). A round that read A before the pair and
+    // B after it must fail its trailing sequence check — which it
+    // does only because a single-shard writing multiOp bumps its
+    // shard's sequence before its transaction.
+    constexpr int kFillers = 200;
+    constexpr int kReads = 2000;
+    KvStoreOptions options;
+    options.numShards = 2;
+    options.log2SlotsPerShard = 10;
+    options.initial = {tm::BackendKind::kTl2, 16, {}};
+    KvStore store(options);
+
+    std::vector<std::uint64_t> on_shard[2];
+    for (std::uint64_t key = 1; on_shard[0].size() < kFillers + 1 ||
+                                on_shard[1].empty();
+         ++key)
+        on_shard[store.shardOf(key)].push_back(key);
+    const std::uint64_t a = on_shard[0][0];
+    const std::uint64_t b = on_shard[1][0];
+    auto session = store.openSession();
+    for (const std::uint64_t key : on_shard[0])
+        ASSERT_TRUE(store.put(session, key, 0));
+    ASSERT_TRUE(store.put(session, b, 0));
+
+    std::atomic<int> reads_done{0};
+    std::thread writer([&] {
+        using Clock = std::chrono::steady_clock;
+        auto writer_session = store.openSession();
+        std::vector<KvOp> ops(1);
+        Rng rng(7);
+        int seen = 0;
+        Clock::time_point last = Clock::now();
+        for (std::uint64_t v = 1;; ++v) {
+            while (reads_done.load() == seen)
+                std::this_thread::yield();
+            // Aim the pair at a random point of the next read, which
+            // should last about as long as the one that just ended.
+            const Clock::time_point now = Clock::now();
+            const Clock::time_point at =
+                now + std::chrono::duration_cast<Clock::duration>(
+                          (now - last) * rng.nextDouble());
+            last = now;
+            seen = reads_done.load();
+            if (seen >= kReads)
+                break;
+            while (Clock::now() < at)
+                std::this_thread::yield();
+            ops[0] = {KvOp::Kind::kPut, a, v, false};
+            store.multiOp(writer_session, ops);
+            ops[0] = {KvOp::Kind::kPut, b, v, false};
+            store.multiOp(writer_session, ops);
+        }
+        store.closeSession(writer_session);
+    });
+
+    int missing = 0;
+    int out_of_order = 0;
+    std::vector<KvOp> snap;
+    for (int r = 0; r < kReads; ++r) {
+        snap.clear();
+        snap.push_back({KvOp::Kind::kGet, a, 0, false});
+        for (int i = 1; i <= kFillers; ++i)
+            snap.push_back({KvOp::Kind::kGet, on_shard[0][i], 0, false});
+        snap.push_back({KvOp::Kind::kGet, b, 0, false});
+        store.multiOp(session, snap);
+        if (!snap.front().ok || !snap.back().ok)
+            ++missing;
+        else if (snap.back().value > snap.front().value)
+            ++out_of_order;
+        reads_done.fetch_add(1);
+    }
+    writer.join();
+    store.closeSession(session);
+
+    EXPECT_EQ(missing, 0);
+    EXPECT_EQ(out_of_order, 0)
+        << "a snapshot saw B's write without A's earlier one";
 }
 
 constexpr std::uint64_t kAccounts = 16;
