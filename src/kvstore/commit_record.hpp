@@ -5,19 +5,22 @@
  * A writing multiOp cannot get cross-shard atomicity from TM alone
  * (shards are separate PolyTM universes), so it commits in two phases:
  *
- *  1. *prepare* — one TM transaction per touched shard validates the
- *     reads and publishes a per-slot WriteIntent (the slot's intent
- *     word becomes a pointer to the intent, installed transactionally,
- *     so it appears atomically with the rest of the shard's prepare);
+ *  1. *prepare* — one TM transaction per touched shard runs the
+ *     shard's ops through the same write bodies a single-shard slice
+ *     runs, with this commit's context, so each post-image lands as a
+ *     per-slot WriteIntent (the slot's intent word becomes a pointer
+ *     to the intent, installed transactionally, so it appears
+ *     atomically with the rest of the shard's prepare);
  *  2. *commit point* — one atomic store flips the shared CommitRecord
  *     from kPending to kCommitted (or kAborted on validation/capacity
  *     failure);
- *  3. *finalize* — one TM transaction per shard folds each intent into
- *     the real slot words and clears the intent pointer.
+ *  3. *finalize* — one TM transaction per shard folds each intent's
+ *     verdict into the real slot words and clears the intent pointer.
  *
  * Any other operation that encounters an intent resolves it by reading
  * the commit record — use the pre-image while kPending, the intent's
- * post-image once kCommitted, discard on kAborted — so single-key
+ * post-image once kCommitted, discard on kAborted — and a writer folds
+ * a finished one through the same fold the owner runs, so single-key
  * traffic keeps flowing through a multi-key commit instead of parking
  * behind a whole-shard latch.
  *
@@ -159,9 +162,11 @@ intentEpochTag(std::uint64_t word)
 }
 
 /**
- * Bump allocator of WriteIntents with stable addresses. rewindTo()
- * lets a retried prepare transaction reuse the entries of its aborted
- * attempt; memory is only released on destruction.
+ * Bump allocator of WriteIntents with stable addresses, which doubles
+ * as the commit's intent list: entry i is the i-th intent its
+ * prepares published, in order. rewindTo() lets a retried prepare
+ * transaction reuse the entries of its aborted attempt; memory is only
+ * released on destruction.
  */
 class IntentArena
 {
@@ -171,6 +176,12 @@ class IntentArena
     std::size_t mark() const { return used_; }
     void rewindTo(std::size_t mark) { used_ = mark; }
     void reset() { used_ = 0; }
+    /** Entry `i` (< mark()). */
+    WriteIntent &
+    operator[](std::size_t i)
+    {
+        return chunks_[i / kChunk][i % kChunk];
+    }
 
   private:
     static constexpr std::size_t kChunk = 64;
@@ -179,10 +190,11 @@ class IntentArena
 };
 
 /**
- * Per-session 2PC state: one commit record (recycled across the
- * session's multiOps — legal because every intent of the previous
- * multiOp is cleared before the record's status is re-armed) plus the
- * intent arena. Retired to the store's pool/graveyard on session
+ * Per-session 2PC state, and the prepare context a composite write
+ * body lands its post-image in (see Shard's write bodies): one commit
+ * record (recycled across the session's multiOps — legal because
+ * every intent of the previous multiOp is cleared before the record's
+ * status is re-armed) plus the intent arena. Retired to the store's pool/graveyard on session
  * close; `next` chains retired contexts intrusively so parking one is
  * a noexcept pointer swap — the retirement paths run under memory
  * pressure (bad_alloc handling) and must not themselves allocate.

@@ -609,56 +609,70 @@ captureWalOp(std::vector<wal::WalOp> *wal_ops, const KvOp &op,
     }
 }
 
+/** Where one shard's composite transaction began appending to the
+ *  session's WAL capture and to the commit's intents (IntentArena
+ *  entries); every attempt rewinds them there. */
+struct AppendMarks
+{
+    std::size_t walOps = 0;
+    std::size_t intents = 0;
+};
+
 /**
- * The transaction body of one shard's slice of a composite (see
- * KvStore::applySlice): the ops in program order, all-or-nothing — a
+ * The transaction body of one shard's part of a composite: a slice
+ * (KvStore::applySlice, `prep` null: the writes land in the slot
+ * words) or a 2PC prepare (`prep` the commit's context: they land as
+ * its intents). The ops run in program order, all-or-nothing — a
  * put/putBytes/add that finds no slot throws TableFullError out of the
- * body, so PolyTm::run rolls the whole attempt back. `tally` counts
- * the slot changes for the grow and compaction heuristics and
+ * body, so PolyTm::run rolls the whole attempt back. `tally` counts a
+ * slice's slot changes for the grow and compaction heuristics and
  * `reclaim` collects displaced blob handles; both restart with the
- * attempt.
+ * attempt, and the WAL post-images and intents it appends restart
+ * from `from`.
  */
 void
 applyOpsInTx(Shard &shard, polytm::Tx &tx, std::span<const TaggedOp> ops,
+             CommitContext *prep, const AppendMarks &from,
              Shard::WriteTally &tally, std::vector<std::uint64_t> &reclaim,
              std::vector<wal::WalOp> *wal_ops)
 {
     tally = {};
     reclaim.clear();
     if (wal_ops != nullptr)
-        wal_ops->clear();
+        wal_ops->resize(from.walOps);
+    if (prep != nullptr)
+        prep->arena.rewindTo(from.intents);
     for (const TaggedOp &tagged : ops) {
         KvOp *op = tagged.op;
         SlotImage post;
         switch (op->kind) {
           case KvOp::Kind::kGet:
             // prepareGetTx, not a kLatest point read: reads in a
-            // writing slice resolve foreign intents the way the write
-            // primitives do — a non-blocking pre-image could straddle
+            // writing composite resolve foreign intents the way the
+            // write bodies do — a non-blocking pre-image could straddle
             // a commit flip against another read or be contradicted by
             // a fold under a later write of the same key, and the flip
             // is a plain store the TM does not track.
-            op->ok = shard.prepareGetTx(tx, nullptr, op->key, &op->value);
+            op->ok = shard.prepareGetTx(tx, prep, op->key, &op->value);
             continue;
           case KvOp::Kind::kGetBytes:
-            op->ok =
-                shard.prepareGetBytesTx(tx, nullptr, op->key, &op->bytes);
+            op->ok = shard.prepareGetBytesTx(tx, prep, op->key, &op->bytes);
             continue;
           case KvOp::Kind::kPut:
-            op->ok = shard.putTx(tx, op->key, op->value, tagged.expiry,
-                                 &tally, &reclaim);
+            op->ok = shard.putTx(tx, op->key, kFull, op->value,
+                                 tagged.expiry, prep, &tally, &reclaim);
             break;
           case KvOp::Kind::kPutBytes:
             // op->value holds the ValueRef staged by stageWrites.
-            op->ok = shard.putRefTx(tx, op->key, op->value, tagged.expiry,
-                                    &tally, &reclaim);
+            op->ok = shard.putTx(tx, op->key, kFullRef, op->value,
+                                 tagged.expiry, prep, &tally, &reclaim);
             break;
           case KvOp::Kind::kDel:
-            op->ok = shard.delTx(tx, op->key, &tally, &reclaim);
+            op->ok = shard.delTx(tx, op->key, prep, &tally, &reclaim);
             break;
           case KvOp::Kind::kAdd:
             op->ok = shard.addTx(tx, op->key,
-                                 static_cast<std::int64_t>(op->value),
+                                 static_cast<std::int64_t>(op->value), prep,
                                  &tally, &reclaim, &post);
             break;
         }
@@ -667,6 +681,19 @@ applyOpsInTx(Shard &shard, polytm::Tx &tx, std::span<const TaggedOp> ops,
             throw TableFullError{};
         captureWalOp(wal_ops, *op, tagged.expiry, post);
     }
+}
+
+/** A 2PC's outcome record: `txid` committed at `commit_seq`, or
+ *  aborted. Every outcome the protocol logs comes from here. */
+wal::Record
+txnOutcome(std::uint64_t txid, bool committed, std::uint64_t commit_seq = 0)
+{
+    wal::Record outcome;
+    outcome.type = wal::RecordType::kTxnOutcome;
+    outcome.txid = txid;
+    outcome.commitSeq = commit_seq;
+    outcome.committed = committed;
+    return outcome;
 }
 
 /**
@@ -850,14 +877,18 @@ KvStore::stageWrites(Session &session)
         KvOp *op = grouped[i].op;
         if (op->kind != KvOp::Kind::kPutBytes)
             continue;
+        // Nothing ran yet: on any failure, give back what was staged
+        // so far.
         try {
             op->value = shard.stageValue(session.tokens_[grouped[i].shard],
                                          op->bytes.data(),
                                          op->bytes.size());
         } catch (const std::bad_alloc &) {
-            // Nothing ran yet; give back what was staged so far.
             unstageOps(session, {grouped.data(), i});
             return KvStatus::kNoMemory;
+        } catch (...) {
+            unstageOps(session, {grouped.data(), i});
+            throw; // std::length_error: a value above kMaxBlobBytes
         }
     }
     return KvStatus::kOk;
@@ -892,7 +923,8 @@ KvStore::applySlice(Session &session, const Session::ShardSlice &slice)
         const std::size_t cap = shard.capacity();
         try {
             shard.poly().run(token, [&](polytm::Tx &tx) {
-                applyOpsInTx(shard, tx, ops, tally, session.displaced_,
+                applyOpsInTx(shard, tx, ops, nullptr, {}, tally,
+                             session.displaced_,
                              durable() ? &session.walOps_ : nullptr);
                 if (durable())
                     lsn = shard.walTicketTx(tx);
@@ -1009,13 +1041,31 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
         CommitRecord::kPending;
     ctx.record.status.store(armed, std::memory_order_release);
     ctx.arena.reset();
-    session.intents_.clear();
     session.intentRanges_.clear();
     session.reclaim_.clear();
     session.walOps_.clear();
     session.walOpRanges_.clear();
     session.walLsns_.clear();
     std::uint64_t wal_txid = 0;
+
+    // Settle every prepared shard's intents under the record's verdict
+    // (phase 3 on commit; on abort the pre-images stay live and
+    // pending inserts turn tombstones), then feed the folds' tallies.
+    const auto settle = [&](std::size_t prepared, bool committed) {
+        for (std::size_t j = 0; j < prepared; ++j) {
+            Shard &shard = *shards_[slices[j].shard];
+            polytm::ThreadToken &token = session.tokens_[slices[j].shard];
+            const auto range = session.intentRanges_[j];
+            Shard::WriteTally tally;
+            shard.poly().run(token, [&](polytm::Tx &tx) {
+                tally = {}; // retried attempts restart
+                for (std::uint32_t k = range.first; k < range.second; ++k)
+                    shard.settleIntentTx(tx, &ctx.arena[k], committed,
+                                         tally);
+            });
+            shard.noteWrites(token, tally);
+        }
+    };
 
     try {
         bool full = false;
@@ -1025,87 +1075,31 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
         std::size_t prepared = 0;
         std::uint64_t reserved_seq = 0;
         {
-            // Phase 1: prepare, in ascending shard order. A
-            // conflicting preparer only ever waits on lower-numbered
-            // shards' pending intents it meets while preparing a
-            // higher one — wait chains strictly ascend, so they
-            // cannot cycle. Snapshot readers order themselves against
-            // this window through the record's commit sequence alone.
-            std::vector<std::uint64_t> &slice_reclaim = session.displaced_;
+            // Phase 1: prepare, in ascending shard order — each shard's
+            // slice runs the slice's op loop with the commit's context,
+            // so every post-image lands as an intent. A conflicting
+            // preparer only ever waits on lower-numbered shards'
+            // pending intents it meets while preparing a higher one —
+            // wait chains strictly ascend, so they cannot cycle.
+            // Snapshot readers order themselves against this window
+            // through the record's commit sequence alone.
             for (const auto &slice : slices) {
                 Shard &shard = *shards_[slice.shard];
                 const std::size_t cap = shard.capacity();
-                const std::size_t arena_mark = ctx.arena.mark();
-                const auto intents_mark = static_cast<std::uint32_t>(
-                    session.intents_.size());
-                const auto wal_mark = static_cast<std::uint32_t>(
-                    session.walOps_.size());
+                const AppendMarks from{session.walOps_.size(),
+                                       ctx.arena.mark()};
+                const std::span<const TaggedOp> ops(
+                    grouped.data() + slice.begin, slice.end - slice.begin);
+                Shard::WriteTally tally; // intents: the settle tallies
                 std::uint64_t slice_lsn = 0;
                 try {
                     shard.poly().run(
                         session.tokens_[slice.shard],
                         [&](polytm::Tx &tx) {
-                            // Retried attempts restart this shard's
-                            // intent allocation and reclaim captures.
-                            ctx.arena.rewindTo(arena_mark);
-                            session.intents_.resize(intents_mark);
-                            session.walOps_.resize(wal_mark);
-                            slice_reclaim.clear();
-                            std::vector<wal::WalOp> *wal_ops =
-                                durable() ? &session.walOps_ : nullptr;
-                            for (std::uint32_t i = slice.begin;
-                                 i < slice.end; ++i) {
-                                KvOp *op = grouped[i].op;
-                                SlotImage post;
-                                switch (op->kind) {
-                                  case KvOp::Kind::kGet:
-                                    op->ok = shard.prepareGetTx(
-                                        tx, &ctx.record, op->key,
-                                        &op->value);
-                                    break;
-                                  case KvOp::Kind::kGetBytes:
-                                    op->ok = shard.prepareGetBytesTx(
-                                        tx, &ctx.record, op->key,
-                                        &op->bytes);
-                                    break;
-                                  case KvOp::Kind::kPut:
-                                    if (!shard.preparePutTx(
-                                            tx, &ctx.record, ctx.arena,
-                                            session.intents_, op->key,
-                                            kFull, op->value,
-                                            grouped[i].expiry, &op->ok,
-                                            &slice_reclaim))
-                                        throw TableFullError{};
-                                    break;
-                                  case KvOp::Kind::kPutBytes:
-                                    if (!shard.preparePutTx(
-                                            tx, &ctx.record, ctx.arena,
-                                            session.intents_, op->key,
-                                            kFullRef, op->value,
-                                            grouped[i].expiry, &op->ok,
-                                            &slice_reclaim))
-                                        throw TableFullError{};
-                                    break;
-                                  case KvOp::Kind::kDel:
-                                    shard.prepareDelTx(
-                                        tx, &ctx.record, ctx.arena,
-                                        session.intents_, op->key,
-                                        &op->ok, &slice_reclaim);
-                                    break;
-                                  case KvOp::Kind::kAdd:
-                                    if (!shard.prepareAddTx(
-                                            tx, &ctx.record, ctx.arena,
-                                            session.intents_, op->key,
-                                            static_cast<std::int64_t>(
-                                                op->value),
-                                            &op->ok, &slice_reclaim,
-                                            &post))
-                                        throw TableFullError{};
-                                    break;
-                                }
-                                captureWalOp(wal_ops, *op,
-                                             grouped[i].expiry, post);
-                            }
+                            applyOpsInTx(shard, tx, ops, &ctx, from, tally,
+                                         session.displaced_,
+                                         durable() ? &session.walOps_
+                                                   : nullptr);
                             if (durable())
                                 slice_lsn = shard.walTicketTx(tx);
                         });
@@ -1113,17 +1107,16 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                     full = true;
                     full_shard = slice.shard;
                     full_capacity = cap;
-                }
-                if (full)
                     break;
+                }
                 session.intentRanges_.emplace_back(
-                    intents_mark, static_cast<std::uint32_t>(
-                                      session.intents_.size()));
+                    static_cast<std::uint32_t>(from.intents),
+                    static_cast<std::uint32_t>(ctx.arena.mark()));
                 session.walOpRanges_.emplace_back(
-                    wal_mark, static_cast<std::uint32_t>(
-                                  session.walOps_.size()));
+                    static_cast<std::uint32_t>(from.walOps),
+                    static_cast<std::uint32_t>(session.walOps_.size()));
                 session.walLsns_.push_back(slice_lsn);
-                for (const std::uint64_t ref : slice_reclaim)
+                for (const std::uint64_t ref : session.displaced_)
                     session.reclaim_.emplace_back(slice.shard, ref);
                 ++prepared;
             }
@@ -1145,7 +1138,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                 wal_txid = walTxnId_.fetch_add(
                                1, std::memory_order_relaxed) +
                            1;
-                std::vector<std::uint64_t> prep_ends(slices.size());
+                session.walEnds_.resize(slices.size());
                 for (std::size_t j = 0; j < slices.size(); ++j) {
                     wal::Record prep;
                     prep.type = wal::RecordType::kTxnPrepare;
@@ -1157,7 +1150,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                         session.walOps_.begin() + range.second);
                     const wal::AppendResult res =
                         wals_[slices[j].shard]->append(prep);
-                    prep_ends[j] = res.end;
+                    session.walEnds_[j] = res.end;
                     if (res.err != wal::WalError::kOk) {
                         werr = res.err;
                         werr_shard = slices[j].shard;
@@ -1168,7 +1161,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                      werr == wal::WalError::kOk && j < slices.size();
                      ++j) {
                     const wal::WalError e =
-                        wals_[slices[j].shard]->barrier(prep_ends[j]);
+                        wals_[slices[j].shard]->barrier(session.walEnds_[j]);
                     if (e != wal::WalError::kOk) {
                         werr = e;
                         werr_shard = slices[j].shard;
@@ -1192,18 +1185,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                                  static_cast<std::int32_t>(abort_shard),
                                  commitSequence(), full_capacity,
                                  prepared);
-                for (std::size_t j = 0; j < prepared; ++j) {
-                    Shard &shard = *shards_[slices[j].shard];
-                    const auto range = session.intentRanges_[j];
-                    shard.poly().run(
-                        session.tokens_[slices[j].shard],
-                        [&](polytm::Tx &tx) {
-                            for (std::uint32_t k = range.first;
-                                 k < range.second; ++k)
-                                shard.abortIntentTx(
-                                    tx, session.intents_[k]);
-                        });
-                }
+                settle(prepared, false);
                 if (wal_abort) {
                     // Best-effort abort outcome on every participant
                     // (recovery would abort the in-doubt prepares
@@ -1212,12 +1194,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                     // resolved, so the rescue rotation can never
                     // deadlock against a checkpoint walking over this
                     // transaction's intents.
-                    wal::Record outcome;
-                    outcome.type = wal::RecordType::kTxnOutcome;
-                    outcome.txid = wal_txid;
-                    outcome.committed = false;
-                    for (const auto &slice : slices)
-                        wals_[slice.shard]->appendAndBarrier(outcome);
+                    logAbortOutcome(session, wal_txid);
                     session.walStatus_ = onWalError(werr_shard, werr);
                 }
             } else {
@@ -1239,8 +1216,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                 //      having seen C fails its trailing check.
                 recorder_.record(
                     obs::TraceKind::kTwoPhasePrepare, -1,
-                    commitSequence(), slices.size(),
-                    session.intents_.size());
+                    commitSequence(), slices.size(), ctx.arena.mark());
                 // Durable-before-visible, round (b): the commit
                 // outcome reaches EVERY participant's log and its
                 // barrier before the record is stamped or flipped, so
@@ -1260,27 +1236,23 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                     1;
                 recorder_.record(obs::TraceKind::kTwoPhaseReserve, -1,
                                  commit_seq, slices.size());
+                const wal::Record outcome =
+                    txnOutcome(wal_txid, true, commit_seq);
                 if (durable()) {
-                    wal::Record outcome;
-                    outcome.type = wal::RecordType::kTxnOutcome;
-                    outcome.txid = wal_txid;
-                    outcome.commitSeq = commit_seq;
-                    outcome.committed = true;
-                    session.walLsns_.clear(); // reuse as end offsets
-                    for (const auto &slice : slices) {
+                    for (std::size_t j = 0; j < slices.size(); ++j) {
                         const wal::AppendResult res =
-                            wals_[slice.shard]->append(outcome);
-                        session.walLsns_.push_back(res.end);
+                            wals_[slices[j].shard]->append(outcome);
+                        session.walEnds_[j] = res.end;
                         if (res.err != wal::WalError::kOk &&
                             werr == wal::WalError::kOk) {
                             werr = res.err;
-                            werr_shard = slice.shard;
+                            werr_shard = slices[j].shard;
                         }
                     }
                     for (std::size_t j = 0; j < slices.size(); ++j) {
                         const wal::WalError e =
                             wals_[slices[j].shard]->barrier(
-                                session.walLsns_[j]);
+                                session.walEnds_[j]);
                         if (e != wal::WalError::kOk &&
                             werr == wal::WalError::kOk) {
                             werr = e;
@@ -1300,7 +1272,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                                         std::memory_order_release);
                 recorder_.record(obs::TraceKind::kTwoPhaseFlip, -1,
                                  commit_seq, slices.size(),
-                                 session.intents_.size());
+                                 ctx.arena.mark());
                 // Ladder only after the flip: the record is resolved,
                 // so a rescue rotation cannot deadlock against a
                 // checkpoint waiting on this transaction's intents.
@@ -1314,11 +1286,6 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
                     // resolves outcomes by txid) so losing the
                     // poisoned bytes cannot orphan a sibling shard's
                     // durable prepare into an in-doubt abort.
-                    wal::Record outcome;
-                    outcome.type = wal::RecordType::kTxnOutcome;
-                    outcome.txid = wal_txid;
-                    outcome.commitSeq = commit_seq;
-                    outcome.committed = true;
                     for (const auto &slice : slices)
                         if (wals_[slice.shard]->status() ==
                             wal::WalError::kOk)
@@ -1347,21 +1314,10 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
         // Phase 3: finalize — fold intents into the slot words so the
         // record can be re-armed. Observers that get there first help,
         // so each fold is conditional on the intent still standing.
-        for (std::size_t j = 0; j < slices.size(); ++j) {
-            Shard &shard = *shards_[slices[j].shard];
-            polytm::ThreadToken &token = session.tokens_[slices[j].shard];
-            const auto range = session.intentRanges_[j];
-            Shard::WriteTally tally;
-            shard.poly().run(token, [&](polytm::Tx &tx) {
-                tally = {}; // retried attempts restart
-                for (std::uint32_t k = range.first; k < range.second; ++k)
-                    shard.finalizeIntentTx(tx, session.intents_[k], tally);
-            });
-            shard.noteWrites(token, tally);
-        }
+        settle(slices.size(), true);
         twoPhaseCommits_.add(1, counterStripe(session, slices[0].shard));
         recorder_.record(obs::TraceKind::kTwoPhaseFinalize, -1,
-                         reserved_seq, session.intents_.size());
+                         reserved_seq, ctx.arena.mark());
         // Displaced pre-images WERE committed-visible: a pinned reader
         // may still be copying them, so they retire through the reader
         // epochs instead of recycling immediately.
@@ -1393,12 +1349,7 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
             // later crash cannot resurrect this transaction.
             // Best-effort: this path already handles bad_alloc.
             try {
-                wal::Record outcome;
-                outcome.type = wal::RecordType::kTxnOutcome;
-                outcome.txid = wal_txid;
-                outcome.committed = false;
-                for (const auto &slice : slices)
-                    wals_[slice.shard]->appendAndBarrier(outcome);
+                logAbortOutcome(session, wal_txid);
             } catch (...) {
             }
         }
@@ -1413,6 +1364,14 @@ KvStore::multiOpTwoPhaseWrite(Session &session)
         }
         throw;
     }
+}
+
+void
+KvStore::logAbortOutcome(Session &session, std::uint64_t txid)
+{
+    const wal::Record outcome = txnOutcome(txid, false);
+    for (const auto &slice : session.slices_)
+        wals_[slice.shard]->appendAndBarrier(outcome);
 }
 
 KvResult

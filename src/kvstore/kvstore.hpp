@@ -18,7 +18,10 @@
  * sequence and stamps it into the record, (2) bumps every touched
  * shard's sequence in the padded epoch vector, and (3) flips the
  * record PENDING → COMMITTED with one atomic store; *finalize*
- * transactions fold the intents into the live slot words. Single-key
+ * transactions fold the intents into the live slot words. A prepare
+ * runs the same op loop a slice runs (see Batching), with the
+ * commit's context: each write body lands its post-image as an intent
+ * instead of in the slot words. Single-key
  * traffic keeps flowing the whole time: a reader that hits an intent
  * resolves it against the commit record without blocking (pre-image
  * while PENDING, post-image once COMMITTED), and a writer folds
@@ -47,9 +50,11 @@
  * unless commits land inside *every* round indefinitely. No lock is
  * held anywhere on this path, so the per-shard tuners see real TM
  * aborts — the contention signal the recommender needs — instead of
- * lock convoys. Reads mixed into a *writing* multiOp keep the
- * wait-out-the-intent fallback (prepareGetTx) — they must observe the
- * values their own commit builds on.
+ * lock convoys. Reads mixed into a *writing* multiOp decode the
+ * pre-image the writes resolve (Shard::prepareGetTx: the composite's
+ * own intent, else the slot after any foreign intent was folded or
+ * waited out) — they must observe the values their own commit builds
+ * on.
  *
  * 2PC vs the ThreadGate: the per-shard tuner may disable a worker
  * thread (parallelism degree), which parks it inside PolyTm::run. A
@@ -256,7 +261,6 @@ class KvStore
                 tagged_ = std::move(other.tagged_);
                 scratch_ = std::move(other.scratch_);
                 slices_ = std::move(other.slices_);
-                intents_ = std::move(other.intents_);
                 intentRanges_ = std::move(other.intentRanges_);
                 seqSnapshot_ = std::move(other.seqSnapshot_);
                 reclaim_ = std::move(other.reclaim_);
@@ -264,6 +268,7 @@ class KvStore
                 walOps_ = std::move(other.walOps_);
                 walOpRanges_ = std::move(other.walOpRanges_);
                 walLsns_ = std::move(other.walLsns_);
+                walEnds_ = std::move(other.walEnds_);
                 walBatchEnds_ = std::move(other.walBatchEnds_);
                 walStatus_ = other.walStatus_;
             }
@@ -280,7 +285,7 @@ class KvStore
         ~Session();
 
         /** This session's registered token on shard `i` — for callers
-         *  driving Shard maintenance or *Tx primitives directly. */
+         *  driving Shard maintenance or write bodies directly. */
         polytm::ThreadToken &token(std::size_t i) { return tokens_[i]; }
 
         /** One contiguous run of grouped ops on one shard
@@ -316,10 +321,9 @@ class KvStore
         std::vector<ShardSlice> slices_;
         /** 2PC state: commit record + intent arena (lazily created,
          *  retired — not freed — on close; see commit_record.hpp),
-         *  the intents prepared by the current multiOp, and their
-         *  per-slice [begin, end) ranges. */
+         *  and each slice's [begin, end) range of the arena's intents
+         *  in the current multiOp. */
         std::unique_ptr<CommitContext> ctx_;
-        std::vector<WriteIntent *> intents_;
         std::vector<std::pair<std::uint32_t, std::uint32_t>>
             intentRanges_;
         /** Per-round shard-sequence samples (snapshotRounds' trailing
@@ -335,16 +339,19 @@ class KvStore
         std::vector<std::pair<std::uint32_t, std::uint64_t>> reclaim_;
         /** Displaced blob handles of one shard's composite write
          *  transaction (a slice, a 2PC prepare), captured by the
-         *  shard's write primitives. Reused across calls, so
+         *  shard's write bodies. Reused across calls, so
          *  overwriting a blob value allocates nothing. */
         std::vector<std::uint64_t> displaced_;
         /** WAL capture scratch (durable stores only): post-image ops
          *  recorded inside the current transaction bodies, their
-         *  per-slice [begin, end) ranges, and each slice's LSN. */
+         *  per-slice [begin, end) ranges, each slice's LSN, and the
+         *  append end of each slice's current 2PC record (prepare,
+         *  then outcome) that its barrier waits on. */
         std::vector<wal::WalOp> walOps_;
         std::vector<std::pair<std::uint32_t, std::uint32_t>>
             walOpRanges_;
         std::vector<std::uint64_t> walLsns_;
+        std::vector<std::uint64_t> walEnds_;
         /** Per-shard WAL append end of the current composite's
          *  slices, not yet waited on (0 = none): the composite rides
          *  ONE barrier per touched shard (barrierSlices) instead of
@@ -376,7 +383,10 @@ class KvStore
      *  the old bool contract). */
     KvResult del(Session &session, std::uint64_t key);
     /** Wide values: arbitrary byte strings (inline up to 7 bytes,
-     *  blob-backed beyond; see value_arena.hpp for the contract). */
+     *  blob-backed beyond; see value_arena.hpp for the contract).
+     *  kNoMemory when the value arena cannot grow; throws
+     *  std::length_error for a value above ValueArena::kMaxBlobBytes.
+     *  Either way nothing was written. */
     KvResult putBytes(Session &session, std::uint64_t key,
                       const void *data, std::size_t len,
                       std::uint64_t ttl_nanos = 0);
@@ -400,7 +410,11 @@ class KvStore
      * store grows the full shard online and retries the composite
      * transparently. Returns kNoSpace only when growth is capped
      * (maxLog2SlotsPerShard) and the insert still cannot fit; the
-     * ops' result fields are unspecified after a failure.
+     * ops' result fields are unspecified after a failure. Like
+     * putBytes, returns kNoMemory when the value arena cannot stage a
+     * kPutBytes value and throws std::length_error for one above
+     * ValueArena::kMaxBlobBytes, in both cases before any op ran and
+     * with every value staged so far given back.
      *
      * Atomicity contract. A *writing* multiOp is atomic to every
      * observer: its writes become visible together at the
@@ -486,7 +500,9 @@ class KvStore
      * (migration / TTL-sweep walker). Durable batches append one
      * record per slice and wait on one barrier per touched shard.
      * Grouping issues the same hint-only read-ahead as multiOp before
-     * the first shard's transaction.
+     * the first shard's transaction. A kPutBytes value the arena cannot
+     * stage fails the whole batch before any slice ran, as in multiOp:
+     * kNoMemory, or std::length_error above ValueArena::kMaxBlobBytes.
      */
     KvResult applyBatch(Session &session, Batch &batch);
 
@@ -638,14 +654,19 @@ class KvStore
     /** Wait on each touched shard's WAL append end (durable stores). */
     void barrierSlices(Session &session);
     OpStatus multiOpTwoPhaseWrite(Session &session);
+    /** Append an abort outcome for 2PC `txid` to every touched shard's
+     *  log and wait on it (best effort: errors are left to the
+     *  caller's ladder). */
+    void logAbortOutcome(Session &session, std::uint64_t txid);
 
     /**
      * Stage the grouped ops' kPutBytes values on their home shards
      * (Shard::stageValue; once per composite, kept across
      * grow-retries, carried in the op's scratch value field) and
      * enable the TTL sweep of every shard a TTL'd write lands on. On
-     * bad_alloc unstages what it staged and returns kNoMemory:
-     * nothing was written.
+     * any exception it unstages what it staged, then returns kNoMemory
+     * for bad_alloc and rethrows anything else (std::length_error
+     * above ValueArena::kMaxBlobBytes): nothing was written.
      */
     KvStatus stageWrites(Session &session);
     /** Unstage the values staged for the kPutBytes ops among `ops`

@@ -68,17 +68,38 @@ blobPinWindow()
         std::this_thread::sleep_for(std::chrono::microseconds(window.arg()));
 }
 
-/** Add an insert into `state`, the probe's insert point (kEmpty, or
- *  the first tombstone it passed), to `tally`. */
+/** Add a slot's transition from `pre` (kEmpty, kTombstone or a value
+ *  state) to `post` (a value state or kTombstone) to `tally`. */
 inline void
-tallyInsert(Shard::WriteTally *tally, std::uint64_t state)
+tallyTransition(Shard::WriteTally *tally, std::uint64_t pre,
+                std::uint64_t post)
 {
     if (tally == nullptr)
         return;
-    if (state == kEmpty)
+    if (pre == kEmpty)
         ++tally->newSlots;
-    else if (state == kTombstone)
-        --tally->tombstones;
+    tally->tombstones += static_cast<std::int64_t>(post == kTombstone) -
+                         static_cast<std::int64_t>(pre == kTombstone);
+}
+
+/** A pre-image holds a value whose deadline has not passed. */
+inline bool
+liveImage(const SlotImage &image)
+{
+    return stateIsValue(image.state) &&
+           (image.expiry == 0 || image.expiry > nowNanos());
+}
+
+/** Write `image` into `rec`: its state, and its value and deadline
+ *  when it holds a value (a tombstone leaves the stale words). */
+inline void
+writeImageTx(polytm::Tx &tx, SlotRecord &rec, const SlotImage &image)
+{
+    tx.writeWord(&rec.state, image.state);
+    if (stateIsValue(image.state)) {
+        tx.writeWord(&rec.value, image.value);
+        tx.writeWord(&rec.expiry, image.expiry);
+    }
 }
 
 /** Numeric decode of an inline ValueRef (zero-padded to 8 bytes). */
@@ -341,18 +362,16 @@ Shard::resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
     WriteIntent *intent = intentOf(word);
     CommitRecord *record =
         intent->record.load(std::memory_order_acquire);
-    std::uint64_t new_state = 0;
-    std::uint64_t new_value = 0;
-    std::uint64_t new_expiry = 0;
+    SlotImage post;
     std::uint64_t status = 0;
     if (record) {
         // Fields before status, with acquire loads, as in
         // resolveSlotLiveTx: a matching (epoch, kCommitted) status read
         // afterwards proves the fields belonged to that frozen
         // generation.
-        new_state = intent->newState.load(std::memory_order_acquire);
-        new_value = intent->newValue.load(std::memory_order_acquire);
-        new_expiry = intent->newExpiry.load(std::memory_order_acquire);
+        post.state = intent->newState.load(std::memory_order_acquire);
+        post.value = intent->newValue.load(std::memory_order_acquire);
+        post.expiry = intent->newExpiry.load(std::memory_order_acquire);
         status = record->status.load(std::memory_order_acquire);
     }
     const bool same_epoch =
@@ -365,26 +384,51 @@ Shard::resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
         // flip we are waiting for is a plain store.
         tx.retry();
     }
-    SlotRecord &rec = table.records[slot];
-    if (same_epoch &&
-        CommitRecord::stateOf(status) == CommitRecord::kCommitted) {
-        tx.writeWord(&rec.state, new_state);
-        if (stateIsValue(new_state)) {
-            tx.writeWord(&rec.value, new_value);
-            tx.writeWord(&rec.expiry, new_expiry);
-        }
-    } else if (tx.readWord(&rec.state) == kPendingInsert) {
-        // Aborted (or recycled-underneath-us — then this transaction
-        // fails validation on the changed intent word and the writes
-        // roll back): tombstone, never back to empty — concurrent
-        // probe chains may already run past this slot.
+    // Aborted, or recycled underneath us: then this transaction fails
+    // validation on the changed intent word and the fold rolls back.
+    foldIntentTx(tx, table.records[slot],
+                 same_epoch && CommitRecord::stateOf(status) ==
+                                   CommitRecord::kCommitted,
+                 post, kEmpty, nullptr);
+}
+
+void
+Shard::foldIntentTx(polytm::Tx &tx, SlotRecord &rec, bool committed,
+                    const SlotImage &post, std::uint64_t claimed,
+                    WriteTally *tally)
+{
+    const std::uint64_t state = tx.readWord(&rec.state);
+    const bool pending = state == kPendingInsert;
+    std::uint64_t folded = state;
+    if (committed) {
+        folded = post.state;
+        writeImageTx(tx, rec, post);
+    } else if (pending) {
+        // Tombstone, never back to empty: concurrent probe chains may
+        // already run past this slot.
+        folded = kTombstone;
         tx.writeWord(&rec.state, kTombstone);
     }
     tx.writeWord(&rec.intent, 0);
+    tallyTransition(tally, pending ? claimed : state, folded);
+}
+
+void
+Shard::settleIntentTx(polytm::Tx &tx, WriteIntent *intent, bool committed,
+                      WriteTally &tally)
+{
+    SlotRecord &rec = intent->table->records[intent->slot];
+    if (intentOf(tx.readWord(&rec.intent)) != intent)
+        return; // a helping writer already folded it
+    const SlotImage post{intent->newState.load(std::memory_order_relaxed),
+                         intent->newValue.load(std::memory_order_relaxed),
+                         intent->newExpiry.load(std::memory_order_relaxed)};
+    foldIntentTx(tx, rec, committed, post,
+                 intent->claimedTombstone ? kTombstone : kEmpty, &tally);
 }
 
 Shard::SlotRef
-Shard::writeLookup(polytm::Tx &tx, CommitRecord *record,
+Shard::writeLookup(polytm::Tx &tx, const CommitRecord *record,
                    std::uint64_t key, bool *found, WriteIntent **own)
 {
     if (own)
@@ -561,438 +605,169 @@ Shard::slotImageTx(polytm::Tx &tx, ShardTable &table, std::size_t slot)
     return image;
 }
 
-bool
-Shard::settledValueTx(polytm::Tx &tx, const SlotRef &ref,
-                      LiveValue *out)
+Shard::WriteSite
+Shard::writeSiteTx(polytm::Tx &tx, const CommitContext *prep,
+                   std::uint64_t key)
 {
-    const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    if (image.expiry != 0 && image.expiry <= nowNanos())
-        return false;
-    *out = {image.state, image.value, image.expiry};
-    return true;
+    WriteSite site;
+    site.ref = writeLookup(tx, prep ? &prep->record : nullptr, key,
+                           &site.found, &site.own);
+    if (site.own) {
+        // Read-your-writes: the composite's own post-image so far.
+        site.pre = {site.own->newState.load(std::memory_order_relaxed),
+                    site.own->newValue.load(std::memory_order_relaxed),
+                    site.own->newExpiry.load(std::memory_order_relaxed)};
+    } else if (site.ref.slot != site.ref.table->slots) {
+        site.pre = slotImageTx(tx, *site.ref.table, site.ref.slot);
+    }
+    return site;
 }
 
-bool
-Shard::putSlotTx(polytm::Tx &tx, std::uint64_t key,
-                 std::uint64_t new_state, std::uint64_t value,
-                 std::uint64_t expiry, WriteTally *tally,
-                 std::vector<std::uint64_t> *reclaim)
+void
+Shard::landTx(polytm::Tx &tx, const WriteSite &site, std::uint64_t key,
+              const SlotImage &post, CommitContext *prep, WriteTally *tally,
+              std::vector<std::uint64_t> *reclaim)
 {
-    bool found = false;
-    const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    if (ref.slot == ref.table->slots)
-        return false; // full
-    const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    SlotRecord &rec = ref.table->records[ref.slot];
-    if (found) {
-        if (reclaim && image.state == kFullRef)
-            reclaim->push_back(image.value);
-        tx.writeWord(&rec.state, new_state);
-        tx.writeWord(&rec.value, value);
-        tx.writeWord(&rec.expiry, expiry);
+    // The pre-image's blob is garbage once this write commits (an own
+    // intent's staged one included; on an abort the caller unstages
+    // its staged values and drops the reclaim list instead).
+    if (reclaim && site.pre.state == kFullRef)
+        reclaim->push_back(site.pre.value);
+    if (site.own) {
+        // Release: see resolveSlotLiveTx (a resolver holding a stale
+        // word of a recycled intent must see the re-arm).
+        site.own->newState.store(post.state, std::memory_order_release);
+        site.own->newValue.store(post.value, std::memory_order_release);
+        site.own->newExpiry.store(post.expiry, std::memory_order_release);
+        return;
+    }
+    ShardTable &table = *site.ref.table;
+    SlotRecord &rec = table.records[site.ref.slot];
+    if (prep) {
+        // An insert claims the live table's insert point, invisible
+        // until the record commits; the fold tallies the claim.
+        if (!site.found) {
+            tx.writeWord(&rec.state, kPendingInsert);
+            tx.writeWord(&rec.key, key);
+        }
+        installIntent(tx, *prep, table, site.ref.slot, post,
+                      !site.found && site.pre.state == kTombstone);
+        return;
+    }
+    writeImageTx(tx, rec, post);
+    if (!site.found)
+        tx.writeWord(&rec.key, key);
+    tallyTransition(tally, site.pre.state, post.state);
+}
+
+template <typename Decode>
+bool
+Shard::decodeSiteTx(polytm::Tx &tx, const WriteSite &site, Decode &&decode)
+{
+    if (!liveImage(site.pre))
+        return false;
+    const LiveValue live{site.pre.state, site.pre.value, site.pre.expiry};
+    if (site.own) {
+        decode(live);
         return true;
     }
-    tallyInsert(tally, image.state);
-    tx.writeWord(&rec.state, new_state);
-    tx.writeWord(&rec.key, key);
-    tx.writeWord(&rec.value, value);
-    tx.writeWord(&rec.expiry, expiry);
+    return decodeValueTx(tx, *site.ref.table, site.ref.slot, live,
+                         ReadView{}, decode);
+}
+
+bool
+Shard::putTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t state,
+             std::uint64_t value, std::uint64_t expiry, CommitContext *prep,
+             WriteTally *tally, std::vector<std::uint64_t> *reclaim)
+{
+    const WriteSite site = writeSiteTx(tx, prep, key);
+    if (!site.found && site.ref.slot == site.ref.table->slots)
+        return false; // full
+    landTx(tx, site, key, {state, value, expiry}, prep, tally, reclaim);
     return true;
 }
 
 bool
-Shard::putTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t value,
-             std::uint64_t expiry, WriteTally *tally,
-             std::vector<std::uint64_t> *reclaim)
+Shard::delTx(polytm::Tx &tx, std::uint64_t key, CommitContext *prep,
+             WriteTally *tally, std::vector<std::uint64_t> *reclaim)
 {
-    return putSlotTx(tx, key, kFull, value, expiry, tally, reclaim);
-}
-
-bool
-Shard::putRefTx(polytm::Tx &tx, std::uint64_t key, ValueRef ref_value,
-                std::uint64_t expiry, WriteTally *tally,
-                std::vector<std::uint64_t> *reclaim)
-{
-    return putSlotTx(tx, key, kFullRef, ref_value, expiry, tally,
-                     reclaim);
-}
-
-bool
-Shard::delTx(polytm::Tx &tx, std::uint64_t key, WriteTally *tally,
-             std::vector<std::uint64_t> *reclaim)
-{
-    bool found = false;
-    const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    if (!found)
+    const WriteSite site = writeSiteTx(tx, prep, key);
+    if (!site.found)
         return false;
-    const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    if (tally)
-        ++tally->tombstones;
-    if (reclaim && image.state == kFullRef)
-        reclaim->push_back(image.value);
-    tx.writeWord(&ref.table->records[ref.slot].state, kTombstone);
-    // Expired entries are already logically absent: reclaim the slot
+    // An expired value is already logically absent: reclaim the slot
     // but report the delete as a miss.
-    return image.expiry == 0 || image.expiry > nowNanos();
+    landTx(tx, site, key, {kTombstone, 0, 0}, prep, tally, reclaim);
+    return liveImage(site.pre);
 }
 
 bool
 Shard::addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
-             WriteTally *tally, std::vector<std::uint64_t> *reclaim,
-             SlotImage *post)
+             CommitContext *prep, WriteTally *tally,
+             std::vector<std::uint64_t> *reclaim, SlotImage *post)
 {
     // One lookup for the read-modify-write (the transfer hot path),
-    // not a read and a putTx walking the chain twice.
-    const auto unsigned_delta = static_cast<std::uint64_t>(delta);
-    bool found = false;
-    const SlotRef ref = writeLookup(tx, nullptr, key, &found, nullptr);
-    if (ref.slot == ref.table->slots)
+    // not a read and a put walking the chain twice.
+    const WriteSite site = writeSiteTx(tx, prep, key);
+    if (!site.found && site.ref.slot == site.ref.table->slots)
         return false; // full
-    const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    SlotRecord &rec = ref.table->records[ref.slot];
-    // numericValueTx re-reads a blob's slot, so a deadline that passed
+    // decodeValueTx re-reads a blob's slot, so a deadline that passed
     // in between reads as expired too.
     std::uint64_t current = 0;
-    const bool live_value =
-        found && (image.expiry == 0 || image.expiry > nowNanos()) &&
-        numericValueTx(tx, *ref.table, ref.slot,
-                       {image.state, image.value, image.expiry}, &current);
-    if (live_value) {
-        if (reclaim && image.state == kFullRef)
-            reclaim->push_back(image.value); // coerced to numeric
-        tx.writeWord(&rec.state, kFull);
-        tx.writeWord(&rec.value, current + unsigned_delta);
-        tx.writeWord(&rec.expiry, image.expiry);
-        if (post)
-            *post = SlotImage{kFull, current + unsigned_delta,
-                              image.expiry};
-        return true;
-    }
-    if (found) {
-        // Expired slot: recreate in place at delta with no TTL.
-        if (reclaim && image.state == kFullRef)
-            reclaim->push_back(image.value);
-        tx.writeWord(&rec.state, kFull);
-        tx.writeWord(&rec.value, unsigned_delta);
-        tx.writeWord(&rec.expiry, 0);
-        if (post)
-            *post = SlotImage{kFull, unsigned_delta, 0};
-        return true;
-    }
-    tallyInsert(tally, image.state);
-    tx.writeWord(&rec.state, kFull);
-    tx.writeWord(&rec.key, key);
-    tx.writeWord(&rec.value, unsigned_delta);
-    tx.writeWord(&rec.expiry, 0);
+    const bool live = decodeSiteTx(tx, site, [&](const LiveValue &v) {
+        current = numericOf(v.state, v.value);
+    });
+    const SlotImage image{kFull, current + static_cast<std::uint64_t>(delta),
+                          live ? site.pre.expiry : 0};
+    landTx(tx, site, key, image, prep, tally, reclaim);
     if (post)
-        *post = SlotImage{kFull, unsigned_delta, 0};
+        *post = image;
     return true;
 }
 
-WriteIntent *
-Shard::installIntent(polytm::Tx &tx, CommitRecord *record,
-                     IntentArena &arena, std::vector<WriteIntent *> &out,
-                     ShardTable &table, std::size_t slot,
-                     std::uint64_t new_state, std::uint64_t new_value,
-                     std::uint64_t new_expiry)
+void
+Shard::installIntent(polytm::Tx &tx, CommitContext &prep, ShardTable &table,
+                     std::size_t slot, const SlotImage &post,
+                     bool claimed_tombstone)
 {
-    WriteIntent *intent = arena.alloc();
-    intent->record.store(record, std::memory_order_relaxed);
+    WriteIntent *intent = prep.arena.alloc();
+    intent->record.store(&prep.record, std::memory_order_relaxed);
     // Release: see resolveSlotLiveTx (a resolver holding a stale word
     // of this recycled intent must see the re-arm with the new fields).
-    intent->newState.store(new_state, std::memory_order_release);
-    intent->newValue.store(new_value, std::memory_order_release);
-    intent->newExpiry.store(new_expiry, std::memory_order_release);
+    intent->newState.store(post.state, std::memory_order_release);
+    intent->newValue.store(post.value, std::memory_order_release);
+    intent->newExpiry.store(post.expiry, std::memory_order_release);
     intent->table = &table;
     intent->slot = slot;
-    intent->claimedTombstone = false;
+    intent->claimedTombstone = claimed_tombstone;
     // The transactional store publishes the intent atomically with the
     // rest of this shard's prepare at commit time (release), so the
     // field stores above are visible to any resolver that acquires the
     // pointer. The published word carries the record's current epoch
     // so resolvers can reject recycled generations.
     const std::uint64_t epoch = CommitRecord::epochOf(
-        record->status.load(std::memory_order_relaxed));
+        prep.record.status.load(std::memory_order_relaxed));
     tx.writeWord(&table.records[slot].intent,
                  packIntentWord(intent, epoch & 0xffff));
-    out.push_back(intent);
-    return intent;
 }
 
 bool
-Shard::preparePutTx(polytm::Tx &tx, CommitRecord *record,
-                    IntentArena &arena, std::vector<WriteIntent *> &out,
-                    std::uint64_t key, std::uint64_t new_state,
-                    std::uint64_t value, std::uint64_t expiry,
-                    bool *applied, std::vector<std::uint64_t> *reclaim)
-{
-    bool found = false;
-    WriteIntent *own = nullptr;
-    const SlotRef ref = writeLookup(tx, record, key, &found, &own);
-    if (own) {
-        // Re-writing a slot this composite already prepared: the
-        // previous own post-image's staged blob (if any) becomes
-        // garbage once the record commits — reclaim it, exactly like
-        // prepareAddTx's coercion path (on abort it is freed through
-        // the owner's staged-blob list instead, and the reclaim list
-        // is discarded).
-        if (reclaim && own->newState.load(std::memory_order_relaxed) ==
-                           kFullRef) {
-            const ValueRef own_ref =
-                own->newValue.load(std::memory_order_relaxed);
-            if (valueRefIsBlob(own_ref))
-                reclaim->push_back(own_ref);
-        }
-        own->newState.store(new_state, std::memory_order_release);
-        own->newValue.store(value, std::memory_order_release);
-        own->newExpiry.store(expiry, std::memory_order_release);
-        *applied = true;
-        return true;
-    }
-    if (found) {
-        if (reclaim) {
-            const SlotImage image =
-                slotImageTx(tx, *ref.table, ref.slot);
-            if (image.state == kFullRef)
-                reclaim->push_back(image.value);
-        }
-        installIntent(tx, record, arena, out, *ref.table, ref.slot,
-                      new_state, value, expiry);
-        *applied = true;
-        return true;
-    }
-    if (ref.slot == ref.table->slots) {
-        *applied = false;
-        return false; // full: caller grows (or aborts when capped)
-    }
-    SlotRecord &rec = ref.table->records[ref.slot];
-    const bool reused_tombstone = tx.readWord(&rec.state) == kTombstone;
-    tx.writeWord(&rec.state, kPendingInsert);
-    tx.writeWord(&rec.key, key);
-    installIntent(tx, record, arena, out, *ref.table, ref.slot,
-                  new_state, value, expiry)
-        ->claimedTombstone = reused_tombstone;
-    *applied = true;
-    return true;
-}
-
-void
-Shard::prepareDelTx(polytm::Tx &tx, CommitRecord *record,
-                    IntentArena &arena, std::vector<WriteIntent *> &out,
-                    std::uint64_t key, bool *applied,
-                    std::vector<std::uint64_t> *reclaim)
-{
-    bool found = false;
-    WriteIntent *own = nullptr;
-    const SlotRef ref = writeLookup(tx, record, key, &found, &own);
-    if (own) {
-        const std::uint64_t own_state =
-            own->newState.load(std::memory_order_relaxed);
-        *applied = stateIsValue(own_state);
-        // Deleting this composite's own staged byte value: its blob
-        // is garbage from the commit on (see preparePutTx).
-        if (reclaim && own_state == kFullRef) {
-            const ValueRef own_ref =
-                own->newValue.load(std::memory_order_relaxed);
-            if (valueRefIsBlob(own_ref))
-                reclaim->push_back(own_ref);
-        }
-        own->newState.store(kTombstone, std::memory_order_release);
-        return;
-    }
-    if (!found) {
-        *applied = false; // absent (or full table with no match)
-        return;
-    }
-    const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-    if (image.expiry != 0 && image.expiry <= nowNanos()) {
-        // Logically absent; install the tombstone anyway so the slot
-        // is reclaimed with the commit.
-        *applied = false;
-    } else {
-        *applied = true;
-    }
-    if (reclaim && image.state == kFullRef)
-        reclaim->push_back(image.value);
-    installIntent(tx, record, arena, out, *ref.table, ref.slot,
-                  kTombstone, 0, 0);
-}
-
-bool
-Shard::prepareAddTx(polytm::Tx &tx, CommitRecord *record,
-                    IntentArena &arena, std::vector<WriteIntent *> &out,
-                    std::uint64_t key, std::int64_t delta, bool *applied,
-                    std::vector<std::uint64_t> *reclaim,
-                    SlotImage *post)
-{
-    const auto unsigned_delta = static_cast<std::uint64_t>(delta);
-    bool found = false;
-    WriteIntent *own = nullptr;
-    const SlotRef ref = writeLookup(tx, record, key, &found, &own);
-    if (own) {
-        const std::uint64_t own_state =
-            own->newState.load(std::memory_order_relaxed);
-        if (stateIsValue(own_state)) {
-            // Own blob: stable (never recycled while pending).
-            const std::uint64_t own_value =
-                own->newValue.load(std::memory_order_relaxed);
-            if (own_state == kFullRef) {
-                // Coerce this composite's own byte value to numeric;
-                // its blob becomes garbage once the record commits.
-                if (reclaim && valueRefIsBlob(own_value))
-                    reclaim->push_back(own_value);
-                own->newState.store(kFull, std::memory_order_release);
-            }
-            own->newValue.store(numericOf(own_state, own_value) +
-                                    unsigned_delta,
-                                std::memory_order_release);
-        } else { // deleted earlier in this multiOp: recreate at delta
-            own->newState.store(kFull, std::memory_order_release);
-            own->newValue.store(unsigned_delta,
-                                std::memory_order_release);
-            own->newExpiry.store(0, std::memory_order_release);
-        }
-        if (post)
-            *post = SlotImage{
-                kFull, own->newValue.load(std::memory_order_relaxed),
-                own->newExpiry.load(std::memory_order_relaxed)};
-        *applied = true;
-        return true;
-    }
-    if (found) {
-        const SlotImage image = slotImageTx(tx, *ref.table, ref.slot);
-        // As in addTx: a deadline passing before numericValueTx's
-        // re-read of a blob's slot reads as expired.
-        std::uint64_t current = 0;
-        const bool live_value =
-            (image.expiry == 0 || image.expiry > nowNanos()) &&
-            numericValueTx(tx, *ref.table, ref.slot,
-                           {image.state, image.value, image.expiry},
-                           &current);
-        if (reclaim && image.state == kFullRef)
-            reclaim->push_back(image.value);
-        installIntent(tx, record, arena, out, *ref.table, ref.slot,
-                      kFull, current + unsigned_delta,
-                      live_value ? image.expiry : 0);
-        if (post)
-            *post = SlotImage{kFull, current + unsigned_delta,
-                              live_value ? image.expiry : 0};
-        *applied = true;
-        return true;
-    }
-    if (ref.slot == ref.table->slots) {
-        *applied = false;
-        return false; // full: caller grows (or aborts when capped)
-    }
-    SlotRecord &rec = ref.table->records[ref.slot];
-    const bool reused_tombstone = tx.readWord(&rec.state) == kTombstone;
-    tx.writeWord(&rec.state, kPendingInsert);
-    tx.writeWord(&rec.key, key);
-    installIntent(tx, record, arena, out, *ref.table, ref.slot, kFull,
-                  unsigned_delta, 0)
-        ->claimedTombstone = reused_tombstone;
-    if (post)
-        *post = SlotImage{kFull, unsigned_delta, 0};
-    *applied = true;
-    return true;
-}
-
-bool
-Shard::prepareGetTx(polytm::Tx &tx, CommitRecord *record,
+Shard::prepareGetTx(polytm::Tx &tx, const CommitContext *prep,
                     std::uint64_t key, std::uint64_t *value)
 {
-    // Reads inside a *writing* composite resolve foreign intents the
-    // way the write primitives do — waiting out PENDING ones — rather
-    // than taking the non-blocking pre-image. Otherwise this read
-    // could report a pre-image and a later write of the same key in
-    // the same transaction fold the foreign post-image: the commit
-    // flip between them is a plain store the TM does not track, so no
-    // validation re-runs the read, and the composite's own outputs
-    // would be unserializable.
-    bool found = false;
-    WriteIntent *own = nullptr;
-    const SlotRef ref = writeLookup(tx, record, key, &found, &own);
-    if (own) {
-        // Read-your-writes within the composite; its own blob is
-        // stable (never recycled while the record is pending).
-        const std::uint64_t own_state =
-            own->newState.load(std::memory_order_relaxed);
-        if (!stateIsValue(own_state))
-            return false;
-        if (value)
-            *value = numericOf(
-                own_state, own->newValue.load(std::memory_order_relaxed));
-        return true;
-    }
-    LiveValue live;
-    if (!found || !settledValueTx(tx, ref, &live))
-        return false;
-    return numericValueTx(tx, *ref.table, ref.slot, live, value);
+    return decodeSiteTx(tx, writeSiteTx(tx, prep, key),
+                        [&](const LiveValue &v) {
+                            if (value)
+                                *value = numericOf(v.state, v.value);
+                        });
 }
 
 bool
-Shard::prepareGetBytesTx(polytm::Tx &tx, CommitRecord *record,
+Shard::prepareGetBytesTx(polytm::Tx &tx, const CommitContext *prep,
                          std::uint64_t key, std::string *out)
 {
-    bool found = false;
-    WriteIntent *own = nullptr;
-    const SlotRef ref = writeLookup(tx, record, key, &found, &own);
-    if (own) {
-        const std::uint64_t own_state =
-            own->newState.load(std::memory_order_relaxed);
-        if (!stateIsValue(own_state))
-            return false;
-        bytesOf(own_state, own->newValue.load(std::memory_order_relaxed),
-                out);
-        return true;
-    }
-    LiveValue live;
-    if (!found || !settledValueTx(tx, ref, &live))
-        return false;
-    return bytesValueTx(tx, *ref.table, ref.slot, live, out);
-}
-
-void
-Shard::finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
-                        WriteTally &tally)
-{
-    ShardTable &table = *intent->table;
-    const std::size_t slot = static_cast<std::size_t>(intent->slot);
-    SlotRecord &rec = table.records[slot];
-    const std::uint64_t word = tx.readWord(&rec.intent);
-    if (intentOf(word) != intent)
-        return; // a helping writer already folded it
-    const std::uint64_t pre_state = tx.readWord(&rec.state);
-    const std::uint64_t new_state =
-        intent->newState.load(std::memory_order_relaxed);
-    tx.writeWord(&rec.state, new_state);
-    if (stateIsValue(new_state)) {
-        tx.writeWord(&rec.value,
-                     intent->newValue.load(std::memory_order_relaxed));
-        tx.writeWord(&rec.expiry,
-                     intent->newExpiry.load(std::memory_order_relaxed));
-    }
-    tx.writeWord(&rec.intent, 0);
-    if (new_state == kTombstone && stateIsValue(pre_state))
-        ++tally.tombstones; // committed delete of a value slot
-    else if (pre_state == kPendingInsert && stateIsValue(new_state))
-        // The insert point the prepare claimed: a tombstone or EMPTY.
-        tallyInsert(&tally,
-                    intent->claimedTombstone ? kTombstone : kEmpty);
-}
-
-void
-Shard::abortIntentTx(polytm::Tx &tx, WriteIntent *intent)
-{
-    ShardTable &table = *intent->table;
-    const std::size_t slot = static_cast<std::size_t>(intent->slot);
-    SlotRecord &rec = table.records[slot];
-    const std::uint64_t word = tx.readWord(&rec.intent);
-    if (intentOf(word) != intent)
-        return; // a helping writer already discarded it
-    if (tx.readWord(&rec.state) == kPendingInsert)
-        tx.writeWord(&rec.state, kTombstone);
-    tx.writeWord(&rec.intent, 0);
+    return decodeSiteTx(
+        tx, writeSiteTx(tx, prep, key),
+        [&](const LiveValue &v) { bytesOf(v.state, v.value, out); });
 }
 
 bool
@@ -1050,8 +825,8 @@ Shard::putLoop(polytm::ThreadToken &token, std::uint64_t key,
         poly_.run(token, [&](polytm::Tx &tx) {
             displaced.clear(); // retried attempts restart
             tally = {};
-            ok = putSlotTx(tx, key, state, value, expiry, &tally,
-                           &displaced);
+            ok = putTx(tx, key, state, value, expiry, nullptr, &tally,
+                       &displaced);
             if (ok && lsn)
                 *lsn = walTicketTx(tx);
         });
@@ -1074,7 +849,7 @@ Shard::del(polytm::ThreadToken &token, std::uint64_t key,
     poly_.run(token, [&](polytm::Tx &tx) {
         displaced.clear();
         tally = {};
-        ok = delTx(tx, key, &tally, &displaced);
+        ok = delTx(tx, key, nullptr, &tally, &displaced);
         if (lsn)
             *lsn = walTicketTx(tx);
     });

@@ -41,20 +41,25 @@
  * failure once growth is capped (ShardOptions::maxLog2Slots) AND the
  * table is full; otherwise callers grow-and-retry via tryGrow().
  *
- * Writers. The shard owns the single-key write path (put, putBytes,
- * putRef, del) and each writer's private state: a line-aligned record
- * per tid holding the writer's maintenance tick, its held-back
- * new-slot count, its displaced-handle scratch list and its
- * ValueArena::Cache (magazines, slab and limbo). Only the thread
- * holding the tid touches the record, so a write touches no shared
- * bookkeeping line in steady state. KvStore's single-key writes and
- * WAL replay call the same write loop; composites (multiOp, batches)
- * run the *Tx primitives themselves but stage, unstage and retire
+ * Writers. Each write op (put/putRef, del, add) has one transaction
+ * body (putTx, delTx, addTx). It resolves the key's pre-image once —
+ * a 2PC's own intent, else the settled slot — computes the post-image
+ * and lands it in the slot words or, when a cross-shard commit passes
+ * its prepare context, as that commit's intent (see Write intents).
+ * The shard owns the single-key write loop (put, putBytes, putRef,
+ * del) and each writer's private state: a line-aligned record per tid
+ * holding the writer's maintenance tick, its held-back new-slot
+ * count, its displaced-handle scratch list and its ValueArena::Cache
+ * (magazines, slab and limbo). Only the thread holding the tid touches
+ * the record, so a write touches no shared bookkeeping line in steady
+ * state. KvStore's single-key writes and WAL replay call the write
+ * loop; composites (multiOp slices, batches, 2PC prepares) call the
+ * bodies inside their own transactions but stage, unstage and retire
  * their values through the same records (stageValue, unstageValue,
- * retireValue), and every committed write transaction, a composite's
- * included, feeds its WriteTally to the grow and compaction
- * heuristics through noteWrites. deregisterWorker hands a leaving
- * writer's state back to the shard.
+ * retireValue), and every committed write transaction and intent fold
+ * feeds its WriteTally to the grow and compaction heuristics through
+ * noteWrites. deregisterWorker hands a leaving writer's state back to
+ * the shard.
  *
  * Values. A slot's value word is state-tagged: kFull means a raw
  * 64-bit value (numeric API, kAdd arithmetic); kFullRef means a
@@ -77,30 +82,37 @@
  *
  * Write intents (2PC commit mode). A slot's intent word is either 0 or
  * a pointer to a WriteIntent belonging to an in-flight cross-shard
- * commit (see commit_record.hpp). Slot states then read as:
+ * commit (see commit_record.hpp). A prepare runs the same write
+ * bodies as a slice, with the commit's context: a write to a settled
+ * slot publishes its post-image as a new intent, an insert claims its
+ * slot kPendingInsert under one, and a later write of the same key in
+ * the same composite updates that own intent in place. Slot states
+ * then read as:
  *  - kFull/kFullRef + intent: the pre-image is live until the intent's
  *    record commits, after which the intent's post-image wins;
  *  - kPendingInsert (+ intent, always): the key is invisible until the
  *    record commits; the slot is consumed so concurrent inserts probe
- *    past it. Finalize turns it kFull/kFullRef, abort turns it
- *    kTombstone (never back to kEmpty — probe chains may already run
- *    past it).
+ *    past it. A commit turns it kFull/kFullRef (or kTombstone when the
+ *    composite deleted it again), an abort turns it kTombstone (never
+ *    back to kEmpty — probe chains may already run past it).
  * Readers resolve intents without blocking: point reads take the
  * committed image (ReadView::kLatest), and snapshot reads compare the
  * record's commit sequence against their sampled read timestamp
  * (ReadView::kSnapshot) so an in-flight commit is included or
  * excluded deterministically instead of forcing a retry round — the
  * only wait left is the few-store window between a commit's sequence
- * reservation and its status flip. Writers fold a finished
- * (committed/aborted) intent in their own transaction and proceed; a
- * still-pending intent makes a writer wait out the short prepare→
- * commit window by retrying with backoff. The commit flip it waits
- * for is a plain atomic store that the TM does not track, so no
- * validation could order the writer after it; the retry drops the
- * attempt (every backend's rollback restores its writes) and holds no
- * TM resources while the owner flips. Intents record the table they
- * were installed in, so a 2PC that straddles a grow finalizes against
- * the right slots.
+ * reservation and its status flip. One fold settles an intent's
+ * verdict in the slot words (foldIntentTx): the owner runs it after
+ * its flip (settleIntentTx), and a writer, a writing composite's read
+ * or migration that meets a finished foreign intent runs it in its
+ * own transaction and proceeds; a still-pending intent makes them wait
+ * out the short prepare→commit window by retrying with backoff. The
+ * commit flip they wait for is a plain atomic store that the TM does
+ * not track, so no validation could order the writer after it; the
+ * retry drops the attempt (every backend's rollback restores its
+ * writes) and holds no TM resources while the owner flips. Intents
+ * record the table they were installed in, so a 2PC that straddles a
+ * grow settles against the right slots.
  *
  * Read-ahead. prefetchSlot/prefetchValue let a multi-key caller start
  * every op's cache misses before its transactions run. They reach the
@@ -266,7 +278,7 @@ struct ShardTable
      * Heuristic non-kEmpty slot count (grow trigger; drift is ok).
      * No write adds its inserts at once: Shard::noteWrites holds every
      * writer's new slots back in its own record (single-key writes,
-     * composite slices and 2PC finalize alike) and adds them in
+     * composite slices and the owner's 2PC folds alike) and adds them in
      * steps of Shard::consumedStep(slots) = clamp(slots >> 13, 1, 64).
      * A table of up to 2^13 slots therefore counts exactly; a larger
      * one can lag by under slots >> 13 per writer, so with every one
@@ -278,8 +290,10 @@ struct ShardTable
     /**
      * Heuristic tombstone count (compaction trigger). Signed so racy
      * decrements can momentarily undershoot without wrapping. Known
-     * drift: helper-folded deletes and aborted pending inserts mint
-     * tombstones uncounted (low drift), and raced double-accounting
+     * drift: intents a helper folded before their owner (deletes,
+     * aborted pending inserts) mint tombstones uncounted, since only
+     * the owner knows what slot a pending insert claimed (low drift),
+     * and raced double-accounting
      * can overshoot (high drift) — both are bounded to one table
      * generation, because every migration (grow OR compact) rebuilds
      * the new table's counters from the relocated truth.
@@ -437,11 +451,11 @@ class Shard
     /**
      * What one write transaction did to the slot counts behind the
      * grow and compaction heuristics: inserts that claimed a kEmpty
-     * slot, and the net tombstones it minted (+1 per delete of a
-     * value slot) or reused (-1 per insert over one). The write
-     * primitives and finalizeIntentTx add into it; a retried attempt
-     * starts from an empty tally, and the committed one goes to
-     * noteWrites.
+     * slot, and the net tombstones it minted (+1 per value or claimed
+     * slot turned tombstone) or reused (-1 per insert over one). Slot
+     * landings and the owner's intent fold add into it; a retried
+     * attempt starts from an empty tally, and the committed one goes
+     * to noteWrites.
      */
     struct WriteTally
     {
@@ -457,15 +471,61 @@ class Shard
     void noteWrites(polytm::ThreadToken &token, const WriteTally &tally);
 
     /**
-     * Transactional primitives for composition: run inside a caller-
-     * managed transaction (KvStore multi-key commits, batches). All are
-     * intent-aware: they resolve any write intent on the touched slot
-     * as described in the file comment. Write primitives add what they
-     * did to `tally` (found after intent resolution, from the same
-     * probe walk) and push displaced blob handles onto `reclaim` — the
-     * caller frees those only after the transaction committed.
+     * Composite transaction bodies: run inside a caller-managed
+     * transaction (single-key writes, KvStore slices and 2PC prepares,
+     * WAL replay through the single-key writes). Every write op has
+     * one body. It resolves the key's pre-image once — this commit's
+     * own intent, else the settled slot after any foreign intent on it
+     * was folded or waited out (see the file comment) — computes the
+     * post-image, and lands it:
+     *  - `prep` null: in the slot words, adding what it wrote to
+     *    `tally`;
+     *  - `prep` a 2PC's context: as that commit's intent. An insert
+     *    claims its slot kPendingInsert under a new intent, an own
+     *    intent is updated in place (nothing is visible until the
+     *    record commits), and `tally` is left to the fold.
+     * A pre-image is live only while its state is a value and its
+     * deadline has not passed. A displaced kFullRef pre-image (a slot
+     * value, or this commit's own staged value) goes onto `reclaim`;
+     * the caller retires it only once the write committed.
      *
-     * Point reads take an explicit ReadView: kLatest is a single-key
+     * putTx stores `value` as `state`: kFull (a raw word) or kFullRef
+     * (a ValueRef staged by stageValue). It and addTx return false only
+     * when the table has no slot (the caller grows and retries, or
+     * fails once growth is capped). delTx reports whether it deleted a
+     * live value; a miss on an expired value still reclaims its slot.
+     * addTx adds `delta` (two's complement) to a live value — a byte
+     * value is coerced through its numeric decode — and re-creates any
+     * other key at `delta` with no TTL; `post` receives the post-image.
+     */
+    bool putTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t state,
+               std::uint64_t value, std::uint64_t expiry,
+               CommitContext *prep = nullptr, WriteTally *tally = nullptr,
+               std::vector<std::uint64_t> *reclaim = nullptr);
+    bool delTx(polytm::Tx &tx, std::uint64_t key,
+               CommitContext *prep = nullptr, WriteTally *tally = nullptr,
+               std::vector<std::uint64_t> *reclaim = nullptr);
+    bool addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
+               CommitContext *prep = nullptr, WriteTally *tally = nullptr,
+               std::vector<std::uint64_t> *reclaim = nullptr,
+               SlotImage *post = nullptr);
+    /**
+     * Reads inside a writing composite: they decode the same live
+     * pre-image the write bodies resolve, so the value returned is the
+     * one a later write in the same transaction builds on — a kLatest
+     * point read may return the pre-image of a still-PENDING foreign
+     * commit that a following write then folds, and the commit flip
+     * between the two is a plain store the TM does not track, so the
+     * transaction would commit both answers. With a `prep` they also
+     * see that commit's own intents (read-your-writes).
+     */
+    bool prepareGetTx(polytm::Tx &tx, const CommitContext *prep,
+                      std::uint64_t key, std::uint64_t *value);
+    bool prepareGetBytesTx(polytm::Tx &tx, const CommitContext *prep,
+                           std::uint64_t key, std::string *out);
+
+    /**
+     * Point reads under an explicit ReadView: kLatest is a single-key
      * get's; kSnapshot resolves in-flight intents against the caller's
      * sampled commit sequence instead of retry-looping (the caller
      * pairs it with a trailing per-shard sequence check); kSettle
@@ -478,26 +538,6 @@ class Shard
                        std::uint64_t *value, const ReadView &view);
     bool snapshotGetBytesTx(polytm::Tx &tx, std::uint64_t key,
                             std::string *out, const ReadView &view);
-    /** Store a raw 64-bit value (state kFull). False on a full table. */
-    bool putTx(polytm::Tx &tx, std::uint64_t key, std::uint64_t value,
-               std::uint64_t expiry = 0, WriteTally *tally = nullptr,
-               std::vector<std::uint64_t> *reclaim = nullptr);
-    /** Store a ValueRef (state kFullRef). False on a full table. */
-    bool putRefTx(polytm::Tx &tx, std::uint64_t key, ValueRef ref,
-                  std::uint64_t expiry = 0, WriteTally *tally = nullptr,
-                  std::vector<std::uint64_t> *reclaim = nullptr);
-    bool delTx(polytm::Tx &tx, std::uint64_t key,
-               WriteTally *tally = nullptr,
-               std::vector<std::uint64_t> *reclaim = nullptr);
-    /**
-     * value += delta (two's-complement), creating the key at delta.
-     * A byte value is coerced through its numeric decode (the blob is
-     * displaced onto `reclaim`). `post` receives the written slot.
-     */
-    bool addTx(polytm::Tx &tx, std::uint64_t key, std::int64_t delta,
-               WriteTally *tally = nullptr,
-               std::vector<std::uint64_t> *reclaim = nullptr,
-               SlotImage *post = nullptr);
     /** Scan under a ReadView (kLatest scans can return a torn mix of
      *  one composite's pre-/post-images; use kSnapshot + the trailing
      *  sequence check, or kSettle, for consistent scans). */
@@ -519,71 +559,18 @@ class Shard
                               const ReadView &view = {});
 
     /**
-     * 2PC prepare primitives: validate the operation and publish a
-     * WriteIntent pointing at `record` instead of mutating the live
-     * words. Newly allocated intents are appended to `out` (merged
-     * re-writes of a slot this multiOp already prepared mutate the
-     * existing intent in place — legal because nothing is visible
-     * until the enclosing transaction commits). `*applied` receives
-     * the op's logical outcome exactly as the direct primitives
-     * report it. preparePutTx/prepareAddTx return false only when the
-     * table has no slot (the caller must then grow-and-retry, or
-     * abort the whole commit when growth is capped). `new_state` is
-     * kFull or kFullRef; displaced kFullRef pre-images land on
-     * `reclaim` (freed by the owner only after the record committed).
+     * The owner's fold of one of its commit's intents under the
+     * record's verdict (call after the flip): committed, the intent's
+     * post-image replaces the slot words; aborted, the pre-image
+     * stays, and a pending insert becomes a tombstone (never kEmpty —
+     * probe chains may already run past it). Either way the intent
+     * word is cleared and the transition goes to `tally` (a pending
+     * insert counts from the slot it claimed). A no-op if a helping
+     * writer already folded the intent. The verdict is not re-read
+     * here: the flip is a plain store the TM does not track anyway.
      */
-    bool preparePutTx(polytm::Tx &tx, CommitRecord *record,
-                      IntentArena &arena,
-                      std::vector<WriteIntent *> &out, std::uint64_t key,
-                      std::uint64_t new_state, std::uint64_t value,
-                      std::uint64_t expiry, bool *applied,
-                      std::vector<std::uint64_t> *reclaim = nullptr);
-    void prepareDelTx(polytm::Tx &tx, CommitRecord *record,
-                      IntentArena &arena,
-                      std::vector<WriteIntent *> &out, std::uint64_t key,
-                      bool *applied,
-                      std::vector<std::uint64_t> *reclaim = nullptr);
-    bool prepareAddTx(polytm::Tx &tx, CommitRecord *record,
-                      IntentArena &arena,
-                      std::vector<WriteIntent *> &out, std::uint64_t key,
-                      std::int64_t delta, bool *applied,
-                      std::vector<std::uint64_t> *reclaim = nullptr,
-                      SlotImage *post = nullptr);
-    /**
-     * Reads inside a writing composite. They first make the slot
-     * writable — waiting out / folding any foreign intent exactly like
-     * the write primitives do — so the returned value is the one a
-     * later write in the same transaction builds on: a kLatest point
-     * read may return the pre-image of a still-PENDING foreign commit
-     * that a following putTx then folds, and the commit flip between
-     * the two is a plain store the TM does not track, so the
-     * transaction would commit both answers. With a `record` (a 2PC
-     * prepare) they also see that commit's own intents
-     * (read-your-writes); a slice (a batch's, a single-shard
-     * multiOp's) passes nullptr.
-     */
-    bool prepareGetTx(polytm::Tx &tx, CommitRecord *record,
-                      std::uint64_t key, std::uint64_t *value);
-    bool prepareGetBytesTx(polytm::Tx &tx, CommitRecord *record,
-                           std::uint64_t key, std::string *out);
-
-    /**
-     * Fold one of this commit's intents into the live slot words and
-     * clear the intent pointer, adding what the fold wrote to `tally`
-     * (a pending insert is a new slot only when it claimed an EMPTY
-     * one); a no-op if a helping writer already folded it. Call with
-     * the record kCommitted.
-     */
-    void finalizeIntentTx(polytm::Tx &tx, WriteIntent *intent,
-                          WriteTally &tally);
-
-    /**
-     * Discard one of this commit's intents (pending inserts become
-     * tombstones); a no-op if already helped. Only the owner calls
-     * it, after its abort flip; the verdict is not re-read here (the
-     * flip is a plain store the TM does not track anyway).
-     */
-    void abortIntentTx(polytm::Tx &tx, WriteIntent *intent);
+    void settleIntentTx(polytm::Tx &tx, WriteIntent *intent,
+                        bool committed, WriteTally &tally);
 
     /**
      * Maintenance step, called by writers after their op commits (and
@@ -610,7 +597,7 @@ class Shard
     void drainMigration(polytm::ThreadToken &token);
 
     /** Record that TTL'd values exist (enables the sweep); called by
-     *  layers that drive the *Tx primitives directly. */
+     *  layers that drive the write bodies directly. */
     void noteTtlUsed() { ttlSeen_.store(true, std::memory_order_relaxed); }
 
     polytm::PolyTm &poly() { return poly_; }
@@ -830,14 +817,29 @@ class Shard
                            const ReadView &view = {});
 
     /**
-     * Wait out / fold / discard the foreign intent published as
-     * `word` at `slot` so the caller can write the slot. A pending
-     * commit aborts the transaction (tx.retry()): its flip is a plain
-     * store the TM does not track, so retrying with backoff is the
-     * wait.
+     * Wait out or fold the foreign intent published as `word` at
+     * `slot` so the caller can write the slot. It loads the intent's
+     * post-image before the record's status, with acquire loads (see
+     * resolveSlotLiveTx), and folds a finished verdict through
+     * foldIntentTx. A pending commit aborts the transaction
+     * (tx.retry()): its flip is a plain store the TM does not track,
+     * so retrying with backoff is the wait.
      */
     void resolveForeignIntentTx(polytm::Tx &tx, ShardTable &table,
                                 std::size_t slot, std::uint64_t word);
+
+    /**
+     * The one fold of an intent's verdict into `rec`, for the owner's
+     * settle, a writer or reader helping a foreign intent, and
+     * migration (see settleIntentTx). `post` is the post-image the
+     * caller loaded. The transition goes to `tally` when one is given;
+     * only the owner knows `claimed`, the state a pending insert
+     * claimed its slot from (kEmpty or kTombstone), so helpers pass
+     * none.
+     */
+    void foldIntentTx(polytm::Tx &tx, SlotRecord &rec, bool committed,
+                      const SlotImage &post, std::uint64_t claimed,
+                      WriteTally *tally);
 
     /**
      * Probe live-then-old + make the matched slot writable. On return
@@ -847,9 +849,35 @@ class Shard
      * absent; the returned ref is the live-table insert point
      * (slot == live->slots when the live table has no room).
      */
-    SlotRef writeLookup(polytm::Tx &tx, CommitRecord *record,
+    SlotRef writeLookup(polytm::Tx &tx, const CommitRecord *record,
                         std::uint64_t key, bool *found,
                         WriteIntent **own);
+
+    /** A composite op's pre-image, resolved once by writeSiteTx. */
+    struct WriteSite
+    {
+        /** The key's slot, or the live table's insert point. */
+        SlotRef ref;
+        /** The key has a slot: this commit's own intent, or a settled
+         *  value (live or expired). */
+        bool found = false;
+        WriteIntent *own = nullptr;
+        /** The own intent's post-image, the settled slot's words, or
+         *  the insert point's state (kEmpty or kTombstone). */
+        SlotImage pre;
+    };
+    WriteSite writeSiteTx(polytm::Tx &tx, const CommitContext *prep,
+                          std::uint64_t key);
+    /** Land `post` for `key` at `site` (see the write bodies). */
+    void landTx(polytm::Tx &tx, const WriteSite &site, std::uint64_t key,
+                const SlotImage &post, CommitContext *prep,
+                WriteTally *tally, std::vector<std::uint64_t> *reclaim);
+    /** Run `decode` on a site's pre-image if it is live: an own
+     *  intent's directly (its staged blob stays put while the record
+     *  is pending), a settled slot's through decodeValueTx. */
+    template <typename Decode>
+    bool decodeSiteTx(polytm::Tx &tx, const WriteSite &site,
+                      Decode &&decode);
 
     /**
      * Run `decode` on the value `live` that `slot` resolved to. A blob
@@ -880,28 +908,14 @@ class Shard
                       std::size_t slot, LiveValue live,
                       std::string *out, const ReadView &view = {});
 
-    /** Shared body of putTx/putRefTx. */
-    bool putSlotTx(polytm::Tx &tx, std::uint64_t key,
-                   std::uint64_t new_state, std::uint64_t value,
-                   std::uint64_t expiry, WriteTally *tally,
-                   std::vector<std::uint64_t> *reclaim);
+    /** Publish `post` at `slot` as a new intent of `prep`'s commit. */
+    void installIntent(polytm::Tx &tx, CommitContext &prep,
+                       ShardTable &table, std::size_t slot,
+                       const SlotImage &post, bool claimed_tombstone);
 
-    WriteIntent *installIntent(polytm::Tx &tx, CommitRecord *record,
-                               IntentArena &arena,
-                               std::vector<WriteIntent *> &out,
-                               ShardTable &table, std::size_t slot,
-                               std::uint64_t new_state,
-                               std::uint64_t new_value,
-                               std::uint64_t new_expiry);
-
-    /** Capture a slot's pre-image (after intent resolution). */
+    /** Capture a slot's words (after intent resolution). */
     SlotImage slotImageTx(polytm::Tx &tx, ShardTable &table,
                           std::size_t slot);
-
-    /** Literal committed view of a writeLookup match (the slot holds
-     *  no foreign intent any more), applying lazy expiry. */
-    bool settledValueTx(polytm::Tx &tx, const SlotRef &ref,
-                        LiveValue *out);
 
     /** Relocate one claimed old-table chunk; true while migrating. */
     bool migrateChunk(polytm::ThreadToken &token);

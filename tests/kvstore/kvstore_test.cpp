@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cctype>
+#include <chrono>
+#include <filesystem>
+#include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +24,17 @@
 #include "common/rng.hpp"
 #include "kvstore/kvstore.hpp"
 #include "kvstore/traffic.hpp"
+
+namespace proteus::polytm {
+
+// gtest prints each parameter into the test's listed name.
+void
+PrintTo(const TmConfig &config, std::ostream *os)
+{
+    *os << config.label();
+}
+
+} // namespace proteus::polytm
 
 namespace proteus::kvstore {
 namespace {
@@ -899,6 +916,56 @@ TEST(KvStoreTest, MultiOpOutOfArenaGivesBackWhatItStaged)
     store.closeSession(session);
 }
 
+TEST(KvStoreTest, OversizedValueThrowsAndGivesBackWhatItStaged)
+{
+    // A kPutBytes value above ValueArena::kMaxBlobBytes fails staging
+    // with std::length_error. Through every entry point, the 100-byte
+    // value staged before it must go back to its arena and nothing may
+    // be written.
+    KvStore store(smallStore(2, 8));
+    auto session = store.openSession();
+    std::uint64_t key = 1000;
+    const auto next_on_shard = [&](std::size_t shard) {
+        while (store.shardOf(key) != shard)
+            ++key;
+        return key++;
+    };
+    const std::uint64_t first = next_on_shard(0);
+    const std::uint64_t oversized = next_on_shard(0);
+    const std::uint64_t other = next_on_shard(1);
+    const std::string small(100, 's');
+    const std::string huge(ValueArena::kMaxBlobBytes + 1, 'h');
+    const auto bytes_live = [&] {
+        return store.shard(0).arena().bytesLive() +
+               store.shard(1).arena().bytesLive();
+    };
+    const std::size_t live_before = bytes_live();
+
+    std::vector<KvOp> ops;
+    ops.push_back({KvOp::Kind::kPutBytes, first, 0, false, small});
+    ops.push_back({KvOp::Kind::kPutBytes, oversized, 0, false, huge});
+    EXPECT_THROW(store.multiOp(session, ops), std::length_error)
+        << "single-shard multiOp";
+    EXPECT_EQ(bytes_live(), live_before) << "single-shard multiOp";
+
+    ops.push_back({KvOp::Kind::kPut, other, 1, false});
+    EXPECT_THROW(store.multiOp(session, ops), std::length_error)
+        << "cross-shard multiOp";
+    EXPECT_EQ(bytes_live(), live_before) << "cross-shard multiOp";
+
+    KvStore::Batch batch;
+    batch.putBytes(first, small);
+    batch.putBytes(oversized, huge);
+    EXPECT_THROW(store.applyBatch(session, batch), std::length_error)
+        << "batch";
+    EXPECT_EQ(bytes_live(), live_before) << "batch";
+
+    std::string out;
+    EXPECT_FALSE(store.getBytes(session, first, &out));
+    EXPECT_FALSE(store.get(session, other));
+    store.closeSession(session);
+}
+
 TEST(KvStoreTest, TtlExpiresLazilyAndSweeps)
 {
     KvStore store(smallStore(2, 8));
@@ -1070,6 +1137,277 @@ TEST(KvStoreTest, SnapshotReadsUnderWriteStormStayConsistent)
     EXPECT_FALSE(violation.load())
         << "an escalated snapshot read observed a torn transfer";
 }
+
+/**
+ * Landing parity: an op list on one shard runs once as a single-shard
+ * multiOp, whose writes land in the slot words, and once beside a put
+ * on another shard, a 2PC whose writes land as intents. Both runs
+ * must report the same ok flags and reads, leave the same values and
+ * the same arena bytes behind, and log post-images that replay to
+ * those values — on every backend and the HTM fallback.
+ */
+class LandingParityTest : public ::testing::TestWithParam<polytm::TmConfig>
+{
+  protected:
+    /** How a row's key starts out. */
+    enum class Seed
+    {
+        kAbsent,
+        kNumeric,
+        kInline,
+        kBlob,
+        kExpired,
+    };
+
+    /** One op of a row, on the row's key. */
+    enum class Op
+    {
+        kPut,
+        kPutTtl, //!< 1 ns TTL: expired by the composite's next op
+        kPutInline,
+        kPutBlob,
+        kPutBlobTtl,
+        kDel,
+        kAdd,
+        kGet,
+        kGetBytes,
+    };
+
+    struct Row
+    {
+        Seed seed;
+        std::vector<Op> ops;
+    };
+
+    /** What a key reads as, numeric and bytes. */
+    struct Value
+    {
+        bool found = false;
+        std::uint64_t word = 0;
+        bool foundBytes = false;
+        std::string bytes;
+
+        bool
+        operator==(const Value &other) const
+        {
+            return found == other.found &&
+                   (!found || word == other.word) &&
+                   foundBytes == other.foundBytes &&
+                   (!foundBytes || bytes == other.bytes);
+        }
+    };
+
+    void
+    SetUp() override
+    {
+        std::string name = ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name();
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        base_ = std::filesystem::temp_directory_path() /
+                ("proteus_parity_" + name + "_" +
+                 std::to_string(::getpid()));
+        std::filesystem::remove_all(base_);
+    }
+    void TearDown() override { std::filesystem::remove_all(base_); }
+
+    KvStoreOptions
+    durableStore(const char *dir) const
+    {
+        KvStoreOptions options = smallStore(2, 10);
+        options.initial = GetParam();
+        options.durability = Durability::kBuffered;
+        options.walDir = (base_ / dir).string();
+        return options;
+    }
+
+    static KvOp
+    makeOp(Op op, std::uint64_t key)
+    {
+        switch (op) {
+          case Op::kPut:
+            return {KvOp::Kind::kPut, key, 4242, false};
+          case Op::kPutTtl:
+            return {KvOp::Kind::kPut, key, 4343, false, {}, 1};
+          case Op::kPutInline:
+            return {KvOp::Kind::kPutBytes, key, 0, false, "abc"};
+          case Op::kPutBlob:
+            return {KvOp::Kind::kPutBytes, key, 0, false,
+                    std::string(40, 'b')};
+          case Op::kPutBlobTtl:
+            return {KvOp::Kind::kPutBytes, key, 0, false,
+                    std::string(48, 't'), 1};
+          case Op::kDel:
+            return {KvOp::Kind::kDel, key, 0, false};
+          case Op::kAdd:
+            return {KvOp::Kind::kAdd, key, 5, false};
+          case Op::kGet:
+            return {KvOp::Kind::kGet, key, 0, false};
+          case Op::kGetBytes:
+            break;
+        }
+        return {KvOp::Kind::kGetBytes, key, 0, false};
+    }
+
+    static void
+    seed(KvStore &store, KvStore::Session &session, Seed seed,
+         std::uint64_t key)
+    {
+        switch (seed) {
+          case Seed::kAbsent:
+            break;
+          case Seed::kNumeric:
+            ASSERT_TRUE(store.put(session, key, 1000 + key));
+            break;
+          case Seed::kInline:
+            ASSERT_TRUE(store.putBytes(session, key, "inl", 3));
+            break;
+          case Seed::kBlob: {
+            const std::string blob(40, static_cast<char>('A' + key % 26));
+            ASSERT_TRUE(
+                store.putBytes(session, key, blob.data(), blob.size()));
+            break;
+          }
+          case Seed::kExpired:
+            ASSERT_TRUE(store.put(session, key, 77, 1));
+            break;
+        }
+    }
+
+    static Value
+    read(KvStore &store, KvStore::Session &session, std::uint64_t key)
+    {
+        Value value;
+        value.found = store.get(session, key, &value.word);
+        value.foundBytes = store.getBytes(session, key, &value.bytes);
+        return value;
+    }
+
+    /** Every seed under every single op, then every write op as the
+     *  earlier write of a two-op row, on an absent and a blob key. */
+    static std::vector<Row>
+    rows()
+    {
+        const Seed seeds[] = {Seed::kAbsent, Seed::kNumeric, Seed::kInline,
+                              Seed::kBlob, Seed::kExpired};
+        const Op singles[] = {Op::kPut, Op::kPutInline, Op::kPutBlob,
+                              Op::kDel, Op::kAdd, Op::kGet, Op::kGetBytes};
+        const Op earlier[] = {Op::kPut, Op::kPutTtl, Op::kPutInline,
+                              Op::kPutBlob, Op::kPutBlobTtl, Op::kDel,
+                              Op::kAdd};
+        const Op later[] = {Op::kPut, Op::kPutBlob, Op::kDel,
+                            Op::kAdd, Op::kGet, Op::kGetBytes};
+        std::vector<Row> out;
+        for (const Seed s : seeds) {
+            for (const Op op : singles)
+                out.push_back({s, {op}});
+        }
+        for (const Seed s : {Seed::kAbsent, Seed::kBlob}) {
+            for (const Op first : earlier) {
+                for (const Op second : later)
+                    out.push_back({s, {first, second}});
+            }
+        }
+        return out;
+    }
+
+    std::filesystem::path base_;
+};
+
+TEST_P(LandingParityTest, SlotAndIntentLandingsAgree)
+{
+    const std::vector<Row> table = rows();
+    auto slots = std::make_unique<KvStore>(durableStore("slots"));
+    auto intents = std::make_unique<KvStore>(durableStore("intents"));
+    auto slot_session = slots->openSession();
+    auto intent_session = intents->openSession();
+
+    std::uint64_t next = 1;
+    const auto next_on_shard = [&](std::size_t shard) {
+        while (slots->shardOf(next) != shard)
+            ++next;
+        return next++;
+    };
+    std::vector<std::uint64_t> keys;
+    for (const Row &row : table) {
+        keys.push_back(next_on_shard(0));
+        seed(*slots, slot_session, row.seed, keys.back());
+        seed(*intents, intent_session, row.seed, keys.back());
+    }
+    const std::uint64_t companion = next_on_shard(1);
+    // Every 1 ns deadline seeded above has passed.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    std::vector<Value> values;
+    for (std::size_t r = 0; r < table.size(); ++r) {
+        const Row &row = table[r];
+        std::string trace = "row " + std::to_string(r) + ": seed " +
+                            std::to_string(static_cast<int>(row.seed)) +
+                            ", ops";
+        std::vector<KvOp> slot_ops;
+        for (const Op op : row.ops) {
+            slot_ops.push_back(makeOp(op, keys[r]));
+            trace += " " + std::to_string(static_cast<int>(op));
+        }
+        SCOPED_TRACE(trace);
+        std::vector<KvOp> intent_ops = slot_ops;
+        intent_ops.push_back({KvOp::Kind::kPut, companion, r, false});
+        ASSERT_EQ(slots->multiOp(slot_session, slot_ops).status,
+                  KvStatus::kOk);
+        ASSERT_EQ(intents->multiOp(intent_session, intent_ops).status,
+                  KvStatus::kOk);
+
+        for (std::size_t i = 0; i < slot_ops.size(); ++i) {
+            const KvOp &want = slot_ops[i];
+            const KvOp &got = intent_ops[i];
+            EXPECT_EQ(got.ok, want.ok) << "op " << i;
+            if (want.ok && want.kind == KvOp::Kind::kGet)
+                EXPECT_EQ(got.value, want.value) << "op " << i;
+            if (want.ok && want.kind == KvOp::Kind::kGetBytes)
+                EXPECT_EQ(got.bytes, want.bytes) << "op " << i;
+        }
+        values.push_back(read(*slots, slot_session, keys[r]));
+        EXPECT_TRUE(read(*intents, intent_session, keys[r]) ==
+                    values.back())
+            << "value afterwards";
+        EXPECT_EQ(intents->shard(0).arena().bytesLive(),
+                  slots->shard(0).arena().bytesLive());
+    }
+    slots->closeSession(slot_session);
+    intents->closeSession(intent_session);
+
+    // Reopen both: replay rebuilds each key from the logged
+    // post-images alone.
+    slots.reset();
+    intents.reset();
+    slots = std::make_unique<KvStore>(durableStore("slots"));
+    intents = std::make_unique<KvStore>(durableStore("intents"));
+    slot_session = slots->openSession();
+    intent_session = intents->openSession();
+    for (std::size_t r = 0; r < table.size(); ++r) {
+        EXPECT_TRUE(read(*slots, slot_session, keys[r]) == values[r])
+            << "replayed slot landing, row " << r;
+        EXPECT_TRUE(read(*intents, intent_session, keys[r]) == values[r])
+            << "replayed intent landing, row " << r;
+    }
+    slots->closeSession(slot_session);
+    intents->closeSession(intent_session);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBackend, LandingParityTest,
+    ::testing::ValuesIn(everyBackendAndHtmFallback()),
+    [](const ::testing::TestParamInfo<polytm::TmConfig> &info) {
+        std::string name = info.param.label();
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
 
 } // namespace
 } // namespace proteus::kvstore

@@ -1,9 +1,10 @@
 /**
  * Shard unit tests: open-addressing semantics (overwrite, tombstone
  * reuse, full-table behaviour), scans, transactional composition
- * through the *Tx primitives, the grow trigger's consumed count,
- * which each writer batches in its own record, and blob reclamation
- * through the writers' own caches and limbos.
+ * through the write bodies, hand-built 2PC intents and their folds,
+ * the grow trigger's consumed count, which each writer batches in its
+ * own record, and blob reclamation through the writers' own caches
+ * and limbos.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/timing.hpp"
 #include "kvstore/shard.hpp"
@@ -296,9 +298,10 @@ TEST(ShardTest, AddTxComposesReadModifyWrite)
     Shard shard(tinyShard(8));
     auto token = shard.registerWorker();
 
+    // The add body landing in the slot words (no prepare context).
     shard.poly().run(token, [&](polytm::Tx &tx) {
-        EXPECT_TRUE(shard.addTx(tx, 7, 10));
-        EXPECT_TRUE(shard.addTx(tx, 7, -4));
+        EXPECT_TRUE(shard.addTx(tx, 7, 10, nullptr));
+        EXPECT_TRUE(shard.addTx(tx, 7, -4, nullptr));
     });
     std::uint64_t value = 0;
     EXPECT_TRUE(shard.get(token, 7, &value));
@@ -506,6 +509,272 @@ TEST(ShardTest, WritersChurnBlobsWhileAReaderChecksEveryPayload)
     const ValueArena::Stats stats = shard.arena().stats();
     EXPECT_GT(stats.retired, 0u);
     EXPECT_EQ(stats.recycled, stats.retired);
+}
+
+/**
+ * A hand-built 2PC over a standalone shard: its context (commit
+ * record and intent arena, whose entries are the intents its
+ * prepares published) passed to the shard's write bodies.
+ */
+class HandBuilt2pc
+{
+  public:
+    bool
+    put(Shard &shard, polytm::Tx &tx, std::uint64_t key, std::uint64_t value)
+    {
+        return shard.putTx(tx, key, kFull, value, 0, &ctx_, nullptr,
+                           &reclaim_);
+    }
+    bool
+    del(Shard &shard, polytm::Tx &tx, std::uint64_t key)
+    {
+        return shard.delTx(tx, key, &ctx_, nullptr, &reclaim_);
+    }
+    bool
+    add(Shard &shard, polytm::Tx &tx, std::uint64_t key, std::int64_t delta)
+    {
+        return shard.addTx(tx, key, delta, &ctx_, nullptr, &reclaim_);
+    }
+    bool
+    get(Shard &shard, polytm::Tx &tx, std::uint64_t key, std::uint64_t *value)
+    {
+        return shard.prepareGetTx(tx, &ctx_, key, value);
+    }
+    std::size_t intentCount() const { return ctx_.arena.mark(); }
+    WriteIntent *intent(std::size_t i) { return &ctx_.arena[i]; }
+    /** The commit point, as a plain store of the verdict. */
+    void
+    flip(bool committed)
+    {
+        ctx_.record.status.store(committed ? CommitRecord::kCommitted
+                                           : CommitRecord::kAborted);
+    }
+    void
+    settle(Shard &shard, polytm::Tx &tx, WriteIntent *intent, bool committed,
+           Shard::WriteTally &tally)
+    {
+        shard.settleIntentTx(tx, intent, committed, tally);
+    }
+
+  private:
+    CommitContext ctx_;
+    std::vector<std::uint64_t> reclaim_;
+};
+
+/** A direct (slot-landing) put, as a slice or single-key write runs. */
+bool
+directPut(Shard &shard, polytm::Tx &tx, std::uint64_t key, std::uint64_t value)
+{
+    return shard.putTx(tx, key, kFull, value, 0);
+}
+
+constexpr std::uint64_t kIntentKey = 7;
+
+/** Standalone shard for the hand-built 2PCs below. */
+ShardOptions
+intentShard()
+{
+    ShardOptions options = tinyShard(8);
+    options.log2Orecs = 10;
+    return options;
+}
+
+/** Who folds the intent first after the flip: its owner, or a direct
+ *  read or write on the slot (the owner's fold then finds nothing). */
+enum class Folder
+{
+    kOwner,
+    kDirectRead,
+    kDirectWrite,
+};
+
+/** One prepare scenario on kIntentKey and the slot words each verdict
+ *  folds to (value and expiry only checked for value states). */
+struct IntentCase
+{
+    const char *name;
+    void (*seed)(Shard &, polytm::ThreadToken &);
+    void (*prepare)(HandBuilt2pc &, Shard &, polytm::Tx &);
+    std::uint64_t pendingState;
+    bool claimedTombstone;
+    SlotImage committed;
+    Shard::WriteTally committedTally;
+    SlotImage aborted;
+    Shard::WriteTally abortedTally;
+};
+
+void
+seedNothing(Shard &, polytm::ThreadToken &)
+{
+}
+
+void
+seedOne(Shard &shard, polytm::ThreadToken &token)
+{
+    ASSERT_TRUE(shard.put(token, kIntentKey, 1));
+}
+
+void
+seedTen(Shard &shard, polytm::ThreadToken &token)
+{
+    ASSERT_TRUE(shard.put(token, kIntentKey, 10));
+}
+
+void
+seedTombstone(Shard &shard, polytm::ThreadToken &token)
+{
+    ASSERT_TRUE(shard.put(token, kIntentKey, 1));
+    ASSERT_TRUE(shard.del(token, kIntentKey));
+}
+
+const IntentCase kIntentCases[] = {
+    {"insert into an empty slot", seedNothing,
+     [](HandBuilt2pc &c, Shard &s, polytm::Tx &tx) {
+         EXPECT_TRUE(c.put(s, tx, kIntentKey, 70));
+     },
+     kPendingInsert, false, {kFull, 70, 0}, {1, 0}, {kTombstone, 0, 0},
+     {1, 1}},
+    {"insert into a tombstone slot", seedTombstone,
+     [](HandBuilt2pc &c, Shard &s, polytm::Tx &tx) {
+         EXPECT_TRUE(c.put(s, tx, kIntentKey, 70));
+     },
+     kPendingInsert, true, {kFull, 70, 0}, {0, -1}, {kTombstone, 0, 0},
+     {0, 0}},
+    {"overwrite", seedOne,
+     [](HandBuilt2pc &c, Shard &s, polytm::Tx &tx) {
+         EXPECT_TRUE(c.put(s, tx, kIntentKey, 70));
+     },
+     kFull, false, {kFull, 70, 0}, {0, 0}, {kFull, 1, 0}, {0, 0}},
+    {"delete", seedOne,
+     [](HandBuilt2pc &c, Shard &s, polytm::Tx &tx) {
+         EXPECT_TRUE(c.del(s, tx, kIntentKey));
+     },
+     kFull, false, {kTombstone, 0, 0}, {0, 1}, {kFull, 1, 0}, {0, 0}},
+    {"add", seedTen,
+     [](HandBuilt2pc &c, Shard &s, polytm::Tx &tx) {
+         EXPECT_TRUE(c.add(s, tx, kIntentKey, 5));
+     },
+     kFull, false, {kFull, 15, 0}, {0, 0}, {kFull, 10, 0}, {0, 0}},
+    {"own re-write of an overwrite", seedOne,
+     [](HandBuilt2pc &c, Shard &s, polytm::Tx &tx) {
+         EXPECT_TRUE(c.put(s, tx, kIntentKey, 70));
+         std::uint64_t value = 0;
+         EXPECT_TRUE(c.get(s, tx, kIntentKey, &value));
+         EXPECT_EQ(value, 70u) << "read-your-writes";
+         EXPECT_TRUE(c.add(s, tx, kIntentKey, 5));
+     },
+     kFull, false, {kFull, 75, 0}, {0, 0}, {kFull, 1, 0}, {0, 0}},
+    {"own re-write of an insert", seedNothing,
+     [](HandBuilt2pc &c, Shard &s, polytm::Tx &tx) {
+         EXPECT_TRUE(c.put(s, tx, kIntentKey, 70));
+         EXPECT_TRUE(c.put(s, tx, kIntentKey, 80));
+     },
+     kPendingInsert, false, {kFull, 80, 0}, {1, 0}, {kTombstone, 0, 0},
+     {1, 1}},
+};
+
+void
+expectSlot(const SlotRecord &rec, const SlotImage &want, const char *when)
+{
+    EXPECT_EQ(rec.state, want.state) << when;
+    EXPECT_EQ(rec.intent, 0u) << when;
+    if (slotStateIsValue(want.state)) {
+        EXPECT_EQ(rec.key, kIntentKey) << when;
+        EXPECT_EQ(rec.value, want.value) << when;
+        EXPECT_EQ(rec.expiry, want.expiry) << when;
+    }
+}
+
+void
+runIntentCase(const IntentCase &c, bool committed, Folder folder)
+{
+    SCOPED_TRACE(std::string(c.name) +
+                 (committed ? ", committed" : ", aborted") +
+                 (folder == Folder::kOwner        ? ", owner folds"
+                  : folder == Folder::kDirectRead ? ", a read folds"
+                                                  : ", a write folds"));
+    Shard shard(intentShard());
+    auto token = shard.registerWorker();
+    c.seed(shard, token);
+
+    HandBuilt2pc composite;
+    shard.poly().run(token, [&](polytm::Tx &tx) {
+        c.prepare(composite, shard, tx);
+    });
+    ASSERT_EQ(composite.intentCount(), 1u) << "one intent per slot";
+    WriteIntent *intent = composite.intent(0);
+    const SlotRecord &rec = intent->table->records[intent->slot];
+    EXPECT_EQ(rec.state, c.pendingState);
+    EXPECT_EQ(rec.key, kIntentKey);
+    EXPECT_EQ(intentOf(rec.intent), intent);
+    EXPECT_EQ(intent->claimedTombstone, c.claimedTombstone);
+    if (c.pendingState == kFull)
+        EXPECT_NE(rec.value, c.committed.value) << "pre-image stays";
+
+    composite.flip(committed);
+    const SlotImage &want = committed ? c.committed : c.aborted;
+    if (folder == Folder::kDirectRead) {
+        std::uint64_t value = 0;
+        bool found = false;
+        shard.poly().run(token, [&](polytm::Tx &tx) {
+            found = shard.prepareGetTx(tx, nullptr, kIntentKey, &value);
+        });
+        EXPECT_EQ(found, slotStateIsValue(want.state));
+        if (found)
+            EXPECT_EQ(value, want.value);
+        expectSlot(rec, want, "after the read's fold");
+    } else if (folder == Folder::kDirectWrite) {
+        bool ok = false;
+        shard.poly().run(token, [&](polytm::Tx &tx) {
+            ok = directPut(shard, tx, kIntentKey, 99);
+        });
+        EXPECT_TRUE(ok);
+        expectSlot(rec, {kFull, 99, 0}, "after the write's fold");
+    }
+    const SlotRecord before = rec;
+    Shard::WriteTally tally;
+    shard.poly().run(token, [&](polytm::Tx &tx) {
+        tally = {};
+        composite.settle(shard, tx, intent, committed, tally);
+    });
+    if (folder == Folder::kOwner) {
+        expectSlot(rec, want, "after the owner's fold");
+        const Shard::WriteTally &want_tally =
+            committed ? c.committedTally : c.abortedTally;
+        EXPECT_EQ(tally.newSlots, want_tally.newSlots);
+        EXPECT_EQ(tally.tombstones, want_tally.tombstones);
+    } else {
+        EXPECT_EQ(rec.state, before.state) << "the owner's fold is a no-op";
+        EXPECT_EQ(rec.value, before.value);
+        EXPECT_EQ(rec.intent, 0u);
+        EXPECT_EQ(tally.newSlots, 0u);
+        EXPECT_EQ(tally.tombstones, 0);
+    }
+    shard.deregisterWorker(token);
+}
+
+TEST(ShardIntentTest, OwnerFoldsEachVerdict)
+{
+    for (const IntentCase &c : kIntentCases) {
+        runIntentCase(c, true, Folder::kOwner);
+        runIntentCase(c, false, Folder::kOwner);
+    }
+}
+
+TEST(ShardIntentTest, DirectReadFoldsFirstAndOwnerFoldIsANoOp)
+{
+    for (const IntentCase &c : kIntentCases) {
+        runIntentCase(c, true, Folder::kDirectRead);
+        runIntentCase(c, false, Folder::kDirectRead);
+    }
+}
+
+TEST(ShardIntentTest, DirectWriteFoldsFirstAndOwnerFoldIsANoOp)
+{
+    for (const IntentCase &c : kIntentCases) {
+        runIntentCase(c, true, Folder::kDirectWrite);
+        runIntentCase(c, false, Folder::kDirectWrite);
+    }
 }
 
 } // namespace
