@@ -90,18 +90,6 @@ liveImage(const SlotImage &image)
            (image.expiry == 0 || image.expiry > nowNanos());
 }
 
-/** Write `image` into `rec`: its state, and its value and deadline
- *  when it holds a value (a tombstone leaves the stale words). */
-inline void
-writeImageTx(polytm::Tx &tx, SlotRecord &rec, const SlotImage &image)
-{
-    tx.writeWord(&rec.state, image.state);
-    if (stateIsValue(image.state)) {
-        tx.writeWord(&rec.value, image.value);
-        tx.writeWord(&rec.expiry, image.expiry);
-    }
-}
-
 /** Numeric decode of an inline ValueRef (zero-padded to 8 bytes). */
 inline std::uint64_t
 inlineNumeric(ValueRef ref)
@@ -174,7 +162,7 @@ Shard::keyHash(std::uint64_t key)
 
 std::size_t
 Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
-             bool *found)
+             bool *found, std::uint64_t *state)
 {
     *found = false;
     std::size_t insert_at = table.slots; // first tombstone seen, if any
@@ -188,19 +176,27 @@ Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
         if (step != 0)
             PROTEUS_PREFETCH(&table.records[next]);
         SlotRecord &rec = table.records[slot];
-        const std::uint64_t state = tx.readWord(&rec.state);
-        if (state == kEmpty)
-            return insert_at < table.slots ? insert_at : slot;
-        if (PROTEUS_UNLIKELY(state == kTombstone)) {
+        const std::uint64_t word = tx.readWord(&rec.state);
+        if (word == kEmpty) {
+            if (insert_at < table.slots) {
+                *state = kTombstone;
+                return insert_at;
+            }
+            *state = kEmpty;
+            return slot;
+        }
+        if (PROTEUS_UNLIKELY(word == kTombstone)) {
             if (insert_at == table.slots)
                 insert_at = slot;
         } else if (PROTEUS_LIKELY(tx.readWord(&rec.key) == key)) {
             // kFull/kFullRef/kPendingInsert all carry a valid key word.
             *found = true;
+            *state = word;
             return slot;
         }
         slot = next;
     }
+    *state = kTombstone;
     return insert_at; // table.slots when the table has no reusable slot
 }
 
@@ -401,8 +397,16 @@ Shard::foldIntentTx(polytm::Tx &tx, SlotRecord &rec, bool committed,
     const bool pending = state == kPendingInsert;
     std::uint64_t folded = state;
     if (committed) {
+        // Only the words that change, as in landTx: the state and the
+        // deadline (read once here) are compared, the value is not.
         folded = post.state;
-        writeImageTx(tx, rec, post);
+        if (post.state != state)
+            tx.writeWord(&rec.state, post.state);
+        if (stateIsValue(post.state)) {
+            tx.writeWord(&rec.value, post.value);
+            if (tx.readWord(&rec.expiry) != post.expiry)
+                tx.writeWord(&rec.expiry, post.expiry);
+        }
     } else if (pending) {
         // Tombstone, never back to empty: concurrent probe chains may
         // already run past this slot.
@@ -429,13 +433,14 @@ Shard::settleIntentTx(polytm::Tx &tx, WriteIntent *intent, bool committed,
 
 Shard::SlotRef
 Shard::writeLookup(polytm::Tx &tx, const CommitRecord *record,
-                   std::uint64_t key, bool *found, WriteIntent **own)
+                   std::uint64_t key, bool *found, WriteIntent **own,
+                   std::uint64_t *state)
 {
     if (own)
         *own = nullptr;
     TableEpoch *ep = epochTx(tx);
-    const auto settle = [&](ShardTable &table,
-                            std::size_t slot) -> bool {
+    const auto settle = [&](ShardTable &table, std::size_t slot,
+                            std::uint64_t &slot_state) -> bool {
         // Resolve foreign intents until the slot is quiet or ours;
         // returns whether the key is (still) logically present there.
         for (;;) {
@@ -453,26 +458,35 @@ Shard::writeLookup(polytm::Tx &tx, const CommitRecord *record,
                 return true;
             }
             resolveForeignIntentTx(tx, table, slot, word);
+            // The fold rewrote the state the probe read.
+            slot_state = tx.readWord(&table.records[slot].state);
         }
-        return stateIsValue(tx.readWord(&table.records[slot].state));
+        return stateIsValue(slot_state);
     };
 
     bool in_live = false;
-    const std::size_t live_slot = probe(tx, *ep->live, key, &in_live);
+    std::uint64_t live_state = kEmpty;
+    const std::size_t live_slot =
+        probe(tx, *ep->live, key, &in_live, &live_state);
     if (in_live) {
-        *found = settle(*ep->live, live_slot);
+        *found = settle(*ep->live, live_slot, live_state);
+        *state = live_state;
         return {ep->live, live_slot};
     }
     if (ep->old) {
         bool in_old = false;
-        const std::size_t old_slot = probe(tx, *ep->old, key, &in_old);
-        if (in_old && settle(*ep->old, old_slot)) {
+        std::uint64_t old_state = kEmpty;
+        const std::size_t old_slot =
+            probe(tx, *ep->old, key, &in_old, &old_state);
+        if (in_old && settle(*ep->old, old_slot, old_state)) {
             *found = true;
+            *state = old_state;
             return {ep->old, old_slot};
         }
     }
     // Absent everywhere; inserts always target the live table.
     *found = false;
+    *state = live_state;
     return {ep->live, live_slot};
 }
 
@@ -556,10 +570,11 @@ Shard::lookupLiveTx(polytm::Tx &tx, std::uint64_t key, SlotRef *ref,
 {
     TableEpoch *ep = epochTx(tx);
     bool found = false;
-    std::size_t slot = probe(tx, *ep->live, key, &found);
+    std::uint64_t state = kEmpty; // unused: resolveSlotLiveTx reads it
+    std::size_t slot = probe(tx, *ep->live, key, &found, &state);
     ShardTable *table = ep->live;
     if (!found && ep->old) {
-        slot = probe(tx, *ep->old, key, &found);
+        slot = probe(tx, *ep->old, key, &found, &state);
         table = ep->old;
     }
     if (!found)
@@ -593,12 +608,13 @@ Shard::snapshotGetBytesTx(polytm::Tx &tx, std::uint64_t key,
 }
 
 SlotImage
-Shard::slotImageTx(polytm::Tx &tx, ShardTable &table, std::size_t slot)
+Shard::slotImageTx(polytm::Tx &tx, ShardTable &table, std::size_t slot,
+                   std::uint64_t state)
 {
     SlotRecord &rec = table.records[slot];
     SlotImage image;
-    image.state = tx.readWord(&rec.state);
-    if (stateIsValue(image.state)) {
+    image.state = state;
+    if (stateIsValue(state)) {
         image.value = tx.readWord(&rec.value);
         image.expiry = tx.readWord(&rec.expiry);
     }
@@ -610,15 +626,16 @@ Shard::writeSiteTx(polytm::Tx &tx, const CommitContext *prep,
                    std::uint64_t key)
 {
     WriteSite site;
+    std::uint64_t state = kEmpty;
     site.ref = writeLookup(tx, prep ? &prep->record : nullptr, key,
-                           &site.found, &site.own);
+                           &site.found, &site.own, &state);
     if (site.own) {
         // Read-your-writes: the composite's own post-image so far.
         site.pre = {site.own->newState.load(std::memory_order_relaxed),
                     site.own->newValue.load(std::memory_order_relaxed),
                     site.own->newExpiry.load(std::memory_order_relaxed)};
     } else if (site.ref.slot != site.ref.table->slots) {
-        site.pre = slotImageTx(tx, *site.ref.table, site.ref.slot);
+        site.pre = slotImageTx(tx, *site.ref.table, site.ref.slot, state);
     }
     return site;
 }
@@ -654,7 +671,19 @@ Shard::landTx(polytm::Tx &tx, const WriteSite &site, std::uint64_t key,
                       !site.found && site.pre.state == kTombstone);
         return;
     }
-    writeImageTx(tx, rec, post);
+    // Write only the words that change. A skipped word was read by
+    // this transaction (the pre-image above), so commit-time
+    // validation covers it as a write would. An insert point's value
+    // and deadline were never read: an insert writes them all.
+    const bool pre_read = stateIsValue(site.pre.state);
+    if (post.state != site.pre.state)
+        tx.writeWord(&rec.state, post.state);
+    if (stateIsValue(post.state)) {
+        if (!pre_read || post.value != site.pre.value)
+            tx.writeWord(&rec.value, post.value);
+        if (!pre_read || post.expiry != site.pre.expiry)
+            tx.writeWord(&rec.expiry, post.expiry);
+    }
     if (!site.found)
         tx.writeWord(&rec.key, key);
     tallyTransition(tally, site.pre.state, post.state);
@@ -1225,7 +1254,8 @@ Shard::migrateChunk(polytm::ThreadToken &token)
             }
             const std::uint64_t key = tx.readWord(&src.key);
             bool found = false;
-            const std::size_t dst = probe(tx, live, key, &found);
+            std::uint64_t dst_state = kEmpty;
+            const std::size_t dst = probe(tx, live, key, &found, &dst_state);
             if (found) {
                 // Legitimately reachable when a stall rewind makes
                 // two claimers re-process overlapping ranges: the
@@ -1244,7 +1274,7 @@ Shard::migrateChunk(polytm::ThreadToken &token)
                 return false;
             }
             SlotRecord &to = live.records[dst];
-            if (tx.readWord(&to.state) == kEmpty)
+            if (dst_state == kEmpty)
                 ++consumed_live;
             tx.writeWord(&to.state, state);
             tx.writeWord(&to.key, key);

@@ -739,10 +739,11 @@ class Shard
      * Linear probe from `key`'s home slot: returns the key's slot
      * (*found) or the insert point — the first tombstone passed, else
      * the terminating kEmpty slot; table.slots when the table has
-     * neither.
+     * neither. *state is the state word the probe read at the slot
+     * it returns, so callers need not read it again.
      */
     std::size_t probe(polytm::Tx &tx, ShardTable &table,
-                      std::uint64_t key, bool *found);
+                      std::uint64_t key, bool *found, std::uint64_t *state);
 
     /** The single-key put loop behind put/putRef (see put()). */
     bool putLoop(polytm::ThreadToken &token, std::uint64_t key,
@@ -847,11 +848,13 @@ class Shard
      * kFull/kFullRef) or this commit's own intent (*own != nullptr,
      * `record` non-null). *found=false means the key is logically
      * absent; the returned ref is the live-table insert point
-     * (slot == live->slots when the live table has no room).
+     * (slot == live->slots when the live table has no room). *state
+     * is the returned slot's state as this transaction last read it:
+     * the probe's read, re-read only after a foreign intent's fold.
      */
     SlotRef writeLookup(polytm::Tx &tx, const CommitRecord *record,
                         std::uint64_t key, bool *found,
-                        WriteIntent **own);
+                        WriteIntent **own, std::uint64_t *state);
 
     /** A composite op's pre-image, resolved once by writeSiteTx. */
     struct WriteSite
@@ -913,9 +916,10 @@ class Shard
                        ShardTable &table, std::size_t slot,
                        const SlotImage &post, bool claimed_tombstone);
 
-    /** Capture a slot's words (after intent resolution). */
+    /** Capture a slot's words (after intent resolution), given the
+     *  `state` this transaction read there. */
     SlotImage slotImageTx(polytm::Tx &tx, ShardTable &table,
-                          std::size_t slot);
+                          std::size_t slot, std::uint64_t state);
 
     /** Relocate one claimed old-table chunk; true while migrating. */
     bool migrateChunk(polytm::ThreadToken &token);

@@ -54,6 +54,9 @@ TraceEvent::format() const
     return buf;
 }
 
+static_assert(FlightRecorder::kRings == std::size_t{1} << 6,
+              "an order marker keeps its ring index in the low 6 bits");
+
 FlightRecorder::FlightRecorder(bool enabled)
     : enabled_(enabled), rings_(std::make_unique<Ring[]>(kRings))
 {
@@ -94,13 +97,12 @@ FlightRecorder::recordSlow(TraceKind kind, std::int32_t shard,
         std::abort();
 #endif
     }
-    Ring &ring = rings_[threadRingIndex()];
-    const std::uint64_t idx =
-        ring.head.fetch_add(1, std::memory_order_relaxed) &
-        (kSlotsPerRing - 1);
-    Slot &slot = ring.slots[idx];
-    const std::uint64_t order =
-        order_.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t ring_index = threadRingIndex();
+    Ring &ring = rings_[ring_index];
+    const std::uint64_t head =
+        ring.head.fetch_add(1, std::memory_order_relaxed);
+    Slot &slot = ring.slots[head & (kSlotsPerRing - 1)];
+    const std::uint64_t order = ((head + 1) << 6) | ring_index;
     // Invalidate first so a concurrent reader that raced past the old
     // marker re-checks and drops the torn slot.
     slot.order.store(0, std::memory_order_release);

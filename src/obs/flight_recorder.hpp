@@ -5,22 +5,27 @@
  *
  * Each thread (by process-wide ordinal) records into one of kRings
  * fixed-size rings, so recording never blocks and never contends with
- * other threads' rings. An event is five u64 words — kind+shard, the
- * store-wide commitSeq it was stamped with, two kind-specific
- * payloads, and an order marker drawn from one global relaxed counter.
- * The marker word is written LAST with release order and is nonzero
- * for a valid slot, so a reader either sees a fully-written event or
- * skips the slot; all slot accesses are atomic, keeping concurrent
- * dump-while-recording TSan-clean.
+ * other threads' rings (threads whose ordinals are kRings apart share
+ * one). An event is five u64 words — kind+shard, the store-wide
+ * commitSeq it was stamped with, two kind-specific payloads, and an
+ * order marker taken from the ring it already advances:
+ * ((head + 1) << 6) | ring, where head is the ring position the event
+ * claimed. The marker is nonzero, unique, and increases within each
+ * thread, and drawing it touches no line that all threads share. It
+ * is written LAST with release order, so a reader either sees a
+ * fully-written event or skips the slot; all slot accesses are
+ * atomic, keeping concurrent dump-while-recording TSan-clean.
  *
  * dumpRecent() walks every ring and merges the surviving events in
- * (commitSeq, order) order — the order marker breaks ties between
- * events stamped with the same commitSeq (e.g. several prepares
- * racing before one reserve). Dumps taken while recording continues
- * are best-effort: a slot overwritten mid-read is detected via the
- * marker and dropped, and the oldest events in a busy ring may
- * already have been recycled. That trade — bounded memory, zero
- * hot-path coordination — is the point of a flight recorder.
+ * (commitSeq, order) order. Events stamped with the same commitSeq
+ * (e.g. several prepares racing before one reserve) keep record order
+ * within a thread; across threads they are ordered by ring position,
+ * then ring index, which says nothing about which was recorded first.
+ * Dumps taken while recording continues are best-effort: a slot
+ * overwritten mid-read is detected via the marker and dropped, and the
+ * oldest events in a busy ring may already have been recycled. That
+ * trade — bounded memory, zero hot-path coordination — is the point
+ * of a flight recorder.
  */
 
 #ifndef PROTEUS_OBS_FLIGHT_RECORDER_HPP
@@ -82,7 +87,9 @@ struct TraceEvent
     /** Kind-specific payloads (see TraceKind comments). */
     std::uint64_t a = 0;
     std::uint64_t b = 0;
-    /** Global record order (tiebreak within one seq). */
+    /** Marker ((ring position + 1) << 6) | ring index: nonzero,
+     *  unique, and increasing within one recording thread. The
+     *  tiebreak within one seq. */
     std::uint64_t order = 0;
 
     /** One-line rendering: "[seq 42] shard 3 2pc.flip a=.. b=..". */
@@ -165,8 +172,6 @@ class FlightRecorder
     static std::size_t threadRingIndex();
 
     std::atomic<bool> enabled_;
-    /** Global relaxed order counter (starts at 1 so markers != 0). */
-    std::atomic<std::uint64_t> order_{1};
     /** armCrash state: kind to die at + remaining matching events. */
     std::atomic<std::uint16_t> crashKind_{0};
     std::atomic<std::uint64_t> crashLeft_{0};

@@ -40,6 +40,7 @@ PolyTm::PolyTm(TmConfig initial, tm::SimHtmConfig htm_config,
                               std::memory_order_relaxed);
     dispatch_->cmPolicy.store(static_cast<int>(initial.cm.capacityPolicy),
                               std::memory_order_relaxed);
+    dispatch_->threads.store(initial.threads, std::memory_order_relaxed);
 }
 
 PolyTm::~PolyTm() = default;
@@ -97,7 +98,7 @@ PolyTm::deregisterThread(ThreadToken &token)
     enabled_[token.tid] = false;
     // A pin is per-thread state, not per-slot: it must not leak to an
     // unrelated thread that later reuses this tid.
-    pinned_[token.tid] = false;
+    gate_.unpin(token.tid);
     for (auto &backend : backends_)
         backend->deregisterThread(*descs_[token.tid]);
     // counters_[tid] intentionally survives: snapshotStats() keeps
@@ -116,7 +117,7 @@ PolyTm::deregisterThread(ThreadToken &token)
 bool
 PolyTm::enabledUnder(const TmConfig &config, int tid) const
 {
-    return pinned_[tid] || tid < config.threads;
+    return gate_.pinned(tid) || tid < config.threads;
 }
 
 void
@@ -193,7 +194,9 @@ PolyTm::reconfigure(const TmConfig &config)
         dispatch_->backend.store(next, std::memory_order_release);
     }
 
-    // Step (iii): parallelism degree -> P.
+    // Step (iii): parallelism degree -> P. The degree is published
+    // before the pin bits are read (see setPinned).
+    dispatch_->threads.store(config.threads, std::memory_order_seq_cst);
     for (int t = 0; t < tm::kMaxThreads; ++t) {
         if (registered_[t] && enabledUnder(config, t)) {
             gate_.unblock(t);
@@ -221,17 +224,32 @@ PolyTm::setPinned(int tid, bool pinned)
             "PolyTm::setPinned: tid outside [0, kMaxThreads) - "
             "stale token after deregisterThread?");
     }
-    std::lock_guard<std::mutex> lk(adminMutex_);
-    pinned_[tid] = pinned;
-    if (pinned && registered_[tid] && !enabled_[tid]) {
-        gate_.unblock(tid);
-        enabled_[tid] = true;
+    if (pinned) {
+        // No BLOCK pending: the tid is enabled, and a reconfigure that
+        // blocks it later sees the bit in its step (iii). A pending
+        // BLOCK is the degree's or a reconfigure's in flight; under the
+        // mutex the reconfigure is over and enabled_ says which.
+        if (!gate_.pin(tid))
+            return;
+        std::lock_guard<std::mutex> lk(adminMutex_);
+        if (registered_[tid] && !enabled_[tid]) {
+            gate_.unblock(tid);
+            enabled_[tid] = true;
+        }
+        return;
     }
     // Unpin must be symmetric: a thread enabled only by its pin goes
     // back behind the gate, or a transient pin (KvStore::multiOp)
     // would permanently defeat the configured parallelism degree.
-    if (!pinned && registered_[tid] && enabled_[tid] &&
-        !enabledUnder(config_, tid)) {
+    // Clear the bit, then read the degree; reconfigure stores the
+    // degree, then reads the bit (all seq_cst). So either this read
+    // sees the new degree, or that reconfigure sees the bit clear and
+    // leaves a tid beyond its degree blocked.
+    gate_.unpin(tid);
+    if (tid < dispatch_->threads.load(std::memory_order_seq_cst))
+        return;
+    std::lock_guard<std::mutex> lk(adminMutex_);
+    if (registered_[tid] && enabled_[tid] && !enabledUnder(config_, tid)) {
         gate_.block(tid);
         enabled_[tid] = false;
     }

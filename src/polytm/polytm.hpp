@@ -248,6 +248,12 @@ class PolyTm
      * admits a thread the degree had disabled; unpinning puts such a
      * thread back behind the gate, so a transient pin never defeats
      * the configured degree.
+     *
+     * Only the thread holding `tid` pins or unpins it. The pin is the
+     * PIN bit on the tid's own gate word, so an enabled thread pins
+     * and unpins with one RMW each; adminMutex_ is taken only when
+     * the pin changes admission (pinning a tid that has a BLOCK
+     * pending, unpinning a tid at or beyond the degree).
      */
     void setPinned(int tid, bool pinned);
 
@@ -269,6 +275,10 @@ class PolyTm
 
     /** Number of currently registered threads. */
     int registeredThreads() const;
+
+    /** Whether `tid` has a BLOCK pending at the gate: its next run()
+     *  parks. */
+    bool blocked(int tid) const { return gate_.blocked(tid); }
 
     /** Direct backend access (tests and micro-benchmarks only). */
     tm::TmBackend &backendFor(tm::BackendKind kind);
@@ -304,11 +314,12 @@ class PolyTm
     ThreadGate gate_;
 
     /**
-     * The words every run() attempt reads. Layout rule: they share a
-     * cache line with nothing else. Writers that take adminMutex_
-     * (setPinned on every pin and unpin of a writing multiOp,
-     * registration) would otherwise evict the line from every thread
-     * dispatching on this instance.
+     * The words every run() attempt reads, and the degree every unpin
+     * reads. Layout rule: they share a cache line with nothing else,
+     * and only reconfigure() writes them. Writers that take
+     * adminMutex_ (registration, admission-changing pins) would
+     * otherwise evict the line from every thread dispatching on this
+     * instance.
      */
     struct DispatchWords
     {
@@ -316,6 +327,9 @@ class PolyTm
         std::atomic<int> cmBudget{5};
         std::atomic<int> cmPolicy{
             static_cast<int>(tm::CapacityPolicy::kDecrease)};
+        /** config_.threads, stored (seq_cst) before a reconfigure
+         *  re-enables threads; see setPinned. */
+        std::atomic<int> threads{0};
     };
     static_assert(sizeof(Padded<DispatchWords>) == kCacheLineSize);
     Padded<DispatchWords> dispatch_;
@@ -336,7 +350,6 @@ class PolyTm
     std::array<std::unique_ptr<tm::TxDesc>, tm::kMaxThreads> descs_;
     std::array<bool, tm::kMaxThreads> registered_{};
     std::array<bool, tm::kMaxThreads> enabled_{};
-    std::array<bool, tm::kMaxThreads> pinned_{};
     std::array<std::unique_ptr<ThreadCounters>, tm::kMaxThreads> counters_;
     int numRegistered_ = 0;
 

@@ -58,7 +58,7 @@ ThreadGate::block(int tid)
     // iteration: on oversubscribed hosts the waited-on thread only
     // finishes its transaction if it gets the CPU.
     unsigned spins = 0;
-    while (val & (kBlock - 1)) {
+    while (val & kRunMask) {
         if (++spins > 16)
             std::this_thread::yield();
 #if defined(__x86_64__)
@@ -89,6 +89,28 @@ ThreadGate::blocked(int tid) const
     checkTid(tid);
     return (slots_[tid].state->load(std::memory_order_acquire) &
             kBlockMask) != 0;
+}
+
+bool
+ThreadGate::pin(int tid)
+{
+    checkTid(tid);
+    return (slots_[tid].state->fetch_or(kPin, std::memory_order_seq_cst) &
+            kBlockMask) != 0;
+}
+
+void
+ThreadGate::unpin(int tid)
+{
+    checkTid(tid);
+    slots_[tid].state->fetch_and(~kPin, std::memory_order_seq_cst);
+}
+
+bool
+ThreadGate::pinned(int tid) const
+{
+    checkTid(tid);
+    return (slots_[tid].state->load(std::memory_order_seq_cst) & kPin) != 0;
 }
 
 std::uint64_t

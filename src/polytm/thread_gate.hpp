@@ -14,6 +14,11 @@
  * safe if the enabled thread is guaranteed to be parked; the
  * subtraction is safe unconditionally and keeps the fetch-and-add
  * fast path identical.
+ *
+ * The same word carries the thread's PIN bit (PolyTm::setPinned), so a
+ * pin or unpin is one RMW on the owner's line rather than a write to
+ * a line every tid shares. Layout: bits 0-30 count RUN, bit 31 is PIN,
+ * bits 32-63 count BLOCK.
  */
 
 #ifndef PROTEUS_POLYTM_THREAD_GATE_HPP
@@ -60,6 +65,19 @@ class ThreadGate
     /** Whether the thread currently has a BLOCK pending. */
     bool blocked(int tid) const;
 
+    /**
+     * Owner side: set the thread's PIN bit (a seq_cst RMW). Returns
+     * whether a BLOCK was pending when the bit went up, which the
+     * caller must then resolve under its own admission lock.
+     */
+    bool pin(int tid);
+
+    /** Owner side: clear the thread's PIN bit (a seq_cst RMW). */
+    void unpin(int tid);
+
+    /** Whether the thread's PIN bit is set (a seq_cst load). */
+    bool pinned(int tid) const;
+
     /** Raw state word (tests / stats). */
     std::uint64_t rawState(int tid) const;
 
@@ -68,6 +86,9 @@ class ThreadGate
     static void checkTid(int tid);
 
     static constexpr std::uint64_t kRun = 1;
+    static constexpr std::uint64_t kPin = std::uint64_t{1} << 31;
+    /** The RUN count: every test of it masks the PIN bit. */
+    static constexpr std::uint64_t kRunMask = kPin - 1;
     static constexpr std::uint64_t kBlock = std::uint64_t{1} << 32;
     static constexpr std::uint64_t kBlockMask = ~(kBlock - 1);
 

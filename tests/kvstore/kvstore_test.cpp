@@ -1164,6 +1164,7 @@ class LandingParityTest : public ::testing::TestWithParam<polytm::TmConfig>
     {
         kPut,
         kPutTtl, //!< 1 ns TTL: expired by the composite's next op
+        kPutLongTtl, //!< 1 h TTL: a live value whose deadline changed
         kPutInline,
         kPutBlob,
         kPutBlobTtl,
@@ -1232,6 +1233,9 @@ class LandingParityTest : public ::testing::TestWithParam<polytm::TmConfig>
             return {KvOp::Kind::kPut, key, 4242, false};
           case Op::kPutTtl:
             return {KvOp::Kind::kPut, key, 4343, false, {}, 1};
+          case Op::kPutLongTtl:
+            return {KvOp::Kind::kPut, key, 4444, false, {},
+                    3'600'000'000'000ull};
           case Op::kPutInline:
             return {KvOp::Kind::kPutBytes, key, 0, false, "abc"};
           case Op::kPutBlob:
@@ -1287,19 +1291,25 @@ class LandingParityTest : public ::testing::TestWithParam<polytm::TmConfig>
     }
 
     /** Every seed under every single op, then every write op as the
-     *  earlier write of a two-op row, on an absent and a blob key. */
+     *  earlier write of a two-op row, on an absent and a blob key.
+     *  Overwrites that keep the state and deadline (kPut on a
+     *  number), change the value and deadline (kPutLongTtl) or turn a
+     *  number into bytes (kPutInline after kPut or kAdd) check the
+     *  words a landing skips. */
     static std::vector<Row>
     rows()
     {
         const Seed seeds[] = {Seed::kAbsent, Seed::kNumeric, Seed::kInline,
                               Seed::kBlob, Seed::kExpired};
-        const Op singles[] = {Op::kPut, Op::kPutInline, Op::kPutBlob,
-                              Op::kDel, Op::kAdd, Op::kGet, Op::kGetBytes};
+        const Op singles[] = {Op::kPut, Op::kPutLongTtl, Op::kPutInline,
+                              Op::kPutBlob, Op::kDel, Op::kAdd, Op::kGet,
+                              Op::kGetBytes};
         const Op earlier[] = {Op::kPut, Op::kPutTtl, Op::kPutInline,
                               Op::kPutBlob, Op::kPutBlobTtl, Op::kDel,
                               Op::kAdd};
-        const Op later[] = {Op::kPut, Op::kPutBlob, Op::kDel,
-                            Op::kAdd, Op::kGet, Op::kGetBytes};
+        const Op later[] = {Op::kPut, Op::kPutLongTtl, Op::kPutInline,
+                            Op::kPutBlob, Op::kDel, Op::kAdd, Op::kGet,
+                            Op::kGetBytes};
         std::vector<Row> out;
         for (const Seed s : seeds) {
             for (const Op op : singles)

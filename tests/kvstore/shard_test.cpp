@@ -777,5 +777,82 @@ TEST(ShardIntentTest, DirectWriteFoldsFirstAndOwnerFoldIsANoOp)
     }
 }
 
+TEST(ShardIntentTest, WriteBodiesBufferOnlyTheWordsThatChange)
+{
+    // TL2 buffers one write-set entry per stored word, so the set's
+    // size before commit counts the words a body lands. A word whose
+    // new value equals what the transaction read is skipped: it stays
+    // in the read set and is validated at commit.
+    Shard shard(intentShard());
+    ASSERT_EQ(shard.poly().currentConfig().backend, tm::BackendKind::kTl2);
+    auto token = shard.registerWorker();
+    const auto buffered = [&](const auto &body) {
+        std::size_t words = 0;
+        shard.poly().run(token, [&](polytm::Tx &tx) {
+            EXPECT_TRUE(body(tx));
+            words = tx.desc().writeSet.size();
+        });
+        return words;
+    };
+    ASSERT_TRUE(shard.put(token, 1, 10));
+    ASSERT_TRUE(shard.put(token, 2, 20));
+    ASSERT_TRUE(shard.put(token, 3, 30));
+
+    const std::size_t overwrite = buffered([&](polytm::Tx &tx) {
+        return shard.putTx(tx, 1, kFull, 11, 0);
+    });
+    EXPECT_EQ(overwrite, 1u) << "overwrite, same state and TTL: the value";
+    const std::size_t add = buffered([&](polytm::Tx &tx) {
+        return shard.addTx(tx, 1, 5, nullptr);
+    });
+    EXPECT_EQ(add, 1u) << "add: the value";
+    const std::uint64_t deadline = nowNanos() + 3'600'000'000'000ull;
+    const std::size_t retimed = buffered([&](polytm::Tx &tx) {
+        return shard.putTx(tx, 1, kFull, 12, deadline);
+    });
+    EXPECT_EQ(retimed, 2u) << "value and TTL change";
+    const ValueRef bytes = shard.stageValue(token, "abc", 3);
+    const std::size_t to_bytes = buffered([&](polytm::Tx &tx) {
+        return shard.putTx(tx, 2, kFullRef, bytes, 0);
+    });
+    EXPECT_EQ(to_bytes, 2u) << "numeric -> bytes overwrite: state, value";
+    const std::size_t del = buffered([&](polytm::Tx &tx) {
+        return shard.delTx(tx, 2, nullptr);
+    });
+    EXPECT_EQ(del, 1u) << "del: the state";
+    const std::size_t insert = buffered([&](polytm::Tx &tx) {
+        return shard.putTx(tx, 4, kFull, 40, 0);
+    });
+    EXPECT_EQ(insert, 4u) << "fresh insert: state, key, value and TTL";
+
+    // A transfer's leg: the prepare lands the intent word alone, and
+    // the committed fold lands the value and clears the intent.
+    HandBuilt2pc transfer;
+    const std::size_t prepare = buffered([&](polytm::Tx &tx) {
+        return transfer.add(shard, tx, 3, -7);
+    });
+    EXPECT_EQ(prepare, 1u) << "prepare: the intent";
+    ASSERT_EQ(transfer.intentCount(), 1u);
+    transfer.flip(true);
+    Shard::WriteTally tally;
+    const std::size_t fold = buffered([&](polytm::Tx &tx) {
+        tally = {};
+        transfer.settle(shard, tx, transfer.intent(0), true, tally);
+        return true;
+    });
+    EXPECT_EQ(fold, 2u) << "committed transfer fold: value and intent";
+
+    std::uint64_t value = 0;
+    EXPECT_TRUE(shard.get(token, 1, &value));
+    EXPECT_EQ(value, 12u);
+    std::string text;
+    EXPECT_FALSE(shard.getBytes(token, 2, &text));
+    EXPECT_TRUE(shard.get(token, 3, &value));
+    EXPECT_EQ(value, 23u);
+    EXPECT_TRUE(shard.get(token, 4, &value));
+    EXPECT_EQ(value, 40u);
+    shard.deregisterWorker(token);
+}
+
 } // namespace
 } // namespace proteus::kvstore

@@ -7,7 +7,8 @@
  *     record nothing.
  *  2. Concurrent recording — threads racing record() against
  *     dumpRecent() stay TSan-clean and every surviving event is
- *     well-formed.
+ *     well-formed; past kRings threads (two threads on one ring) every
+ *     order marker is nonzero and unique, and each thread's increase.
  *  3. Racing KvStore commits — cross-shard 2PC writers race; the
  *     store recorder's dump must contain one flip per committed
  *     multiOp, merged in commitSeq order with distinct sequences
@@ -118,6 +119,45 @@ TEST(FlightRecorderTest, ConcurrentRecordAndDumpStayWellFormed)
         if (events[i].seq == events[i - 1].seq) {
             EXPECT_GT(events[i].order, events[i - 1].order);
         }
+    }
+}
+
+TEST(FlightRecorderTest, MarkersStayUniqueWhenThreadsShareARing)
+{
+    FlightRecorder recorder;
+    // One thread more than rings: two of them record into one ring.
+    constexpr int kThreads = static_cast<int>(FlightRecorder::kRings) + 1;
+    constexpr std::uint64_t kPerThread = 100;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&recorder, t] {
+            for (std::uint64_t i = 0; i < kPerThread; ++i)
+                recorder.record(TraceKind::kSnapshotRetry, t, i);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    // A shared ring holds 2 * kPerThread events: none was recycled.
+    const std::vector<TraceEvent> events = recorder.dumpRecent();
+    ASSERT_EQ(events.size(), kThreads * kPerThread);
+    std::set<std::uint64_t> markers;
+    std::vector<std::vector<std::uint64_t>> byThread(
+        kThreads, std::vector<std::uint64_t>(kPerThread, 0));
+    for (const TraceEvent &ev : events) {
+        EXPECT_NE(ev.order, 0u);
+        EXPECT_TRUE(markers.insert(ev.order).second)
+            << "marker " << ev.order << " drawn twice";
+        ASSERT_GE(ev.shard, 0);
+        ASSERT_LT(ev.shard, kThreads);
+        ASSERT_LT(ev.seq, kPerThread);
+        byThread[static_cast<std::size_t>(ev.shard)][ev.seq] = ev.order;
+    }
+    for (int t = 0; t < kThreads; ++t) {
+        const std::vector<std::uint64_t> &own =
+            byThread[static_cast<std::size_t>(t)];
+        for (std::uint64_t i = 1; i < kPerThread; ++i)
+            EXPECT_GT(own[i], own[i - 1]) << "thread " << t << " event " << i;
     }
 }
 

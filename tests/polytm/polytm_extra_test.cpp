@@ -1,13 +1,15 @@
 /**
  * Additional PolyTM edge cases: typed fields over the full payload
  * spectrum, instance independence, registration churn, reconfigure
- * storms, and abort accounting.
+ * storms, abort accounting, and pins racing reconfigurations.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 
 #include "polytm/polytm.hpp"
@@ -203,6 +205,92 @@ TEST(PolyTmExtraTest, UnpinReblocksAThreadOnlyItsPinAdmitted)
     poly.resumeAllForShutdown(); // never leave the worker parked
     worker.join();
     EXPECT_EQ(field.rawGet(), 2);
+
+    poly.deregisterThread(token0);
+    poly.deregisterThread(token1);
+}
+
+TEST(PolyTmExtraTest, PinRacesReconfigure)
+{
+    // tid 1 loops pin -> run -> unpin while this thread moves the
+    // degree 1 <-> 2 and the backend TL2 <-> NOrec. A pinned run may
+    // pause for a switch but never parks behind the degree. Each phase
+    // ends with a shrink to degree 1 racing the loop's last unpin, and
+    // either order must leave tid 1 blocked: the unpin sees the new
+    // degree, or the reconfigure sees the pin gone (setPinned).
+    using Clock = std::chrono::steady_clock;
+    constexpr int kPhases = 200;
+    constexpr int kRoundsPerPhase = 4;
+    constexpr std::int64_t kRunLimitNs = 1'000'000'000;
+    const tm::BackendKind kinds[] = {tm::BackendKind::kTl2,
+                                     tm::BackendKind::kNorec};
+    // Small orec tables keep each switch's reset short.
+    PolyTm poly(TmConfig{tm::BackendKind::kTl2, 2, {}}, {}, 8);
+    auto token0 = poly.registerThread();
+    auto token1 = poly.registerThread();
+    TxField<int> field(0);
+
+    const auto nowNs = [] {
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   Clock::now().time_since_epoch())
+            .count();
+    };
+    std::atomic<int> released{0}; // phases the pinner may run
+    std::atomic<int> finished{0};  // phases the pinner has run
+    std::atomic<std::int64_t> runSince{0}; // 0 = not inside run()
+    std::int64_t slowest_ns = 0; // read after the join
+    std::atomic<bool> abandon{false};
+    std::thread pinner([&] {
+        for (int phase = 0; phase < kPhases; ++phase) {
+            while (released.load() <= phase) {
+                if (abandon.load())
+                    return;
+                std::this_thread::yield();
+            }
+            for (int round = 0; round < kRoundsPerPhase; ++round) {
+                poly.setPinned(token1.tid, true);
+                const std::int64_t start = nowNs();
+                runSince.store(start);
+                poly.run(token1, [&](Tx &tx) {
+                    tx.write(field, tx.read(field) + 1);
+                });
+                runSince.store(0);
+                slowest_ns = std::max(slowest_ns, nowNs() - start);
+                poly.setPinned(token1.tid, false);
+            }
+            finished.store(phase + 1);
+        }
+    });
+
+    bool stuck = false;
+    bool wrong = false;
+    for (int phase = 0; phase < kPhases && !stuck && !wrong; ++phase) {
+        poly.reconfigure({kinds[phase % 2], 2, {}});
+        released.store(phase + 1);
+        poly.reconfigure({kinds[(phase + 1) % 2], 1, {}});
+        while (finished.load() <= phase && !stuck) {
+            const std::int64_t since = runSince.load();
+            stuck = since != 0 && nowNs() - since > kRunLimitNs;
+            std::this_thread::yield();
+        }
+        if (stuck)
+            break;
+        const bool pinner_blocked = poly.blocked(token1.tid);
+        const bool other_blocked = poly.blocked(token0.tid);
+        EXPECT_TRUE(pinner_blocked)
+            << "phase " << phase << ": an unpin raced the shrink and "
+            << "left tid 1 admitted at degree 1";
+        EXPECT_FALSE(other_blocked) << "phase " << phase;
+        wrong = !pinner_blocked || other_blocked;
+    }
+    // A parked run (or an early stop) is freed so the test can end.
+    abandon.store(true);
+    poly.resumeAllForShutdown();
+    pinner.join();
+    EXPECT_FALSE(stuck) << "a pinned run did not return within 1 s";
+    EXPECT_LT(slowest_ns, kRunLimitNs);
+    if (!stuck && !wrong)
+        EXPECT_EQ(field.rawGet(), kPhases * kRoundsPerPhase);
 
     poly.deregisterThread(token0);
     poly.deregisterThread(token1);
